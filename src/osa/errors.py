@@ -10,7 +10,9 @@ class DegenerateChain(OsaError):
 
 
 class NoConvergence(OsaError):
-    """Relative value iteration did not reach the target span."""
+    """A solver did not reach the target residual span: policy iteration (single
+    channel) or relative value iteration (descriptor MDP) hit its step cap, or
+    the single-channel policy settled with its residual span above tol."""
 
     def __init__(self, iterations, span, tol):
         self.iterations = iterations
@@ -50,12 +52,14 @@ class DelayOverflow(OsaError):
 
 
 class TargetUnreachable(OsaError):
-    """Requested average delay lies outside the achievable range."""
+    """Requested average delay is not attained within tolerance: it lies
+    outside the achievable range [low, high], or between two delay steps."""
 
     def __init__(self, target, low, high):
         self.target = target
         self.low = low
         self.high = high
         super().__init__(
-            f"target delay {target:.3f} outside achievable range [{low:.3f}, {high:.3f}]"
+            f"target delay {target:.3f} not attained within tolerance; "
+            f"achievable range [{low:.3f}, {high:.3f}]"
         )

@@ -22,7 +22,6 @@ from .channel import ChannelParams, iterate_unsensed, stationary_idle
 from .errors import DegenerateChain, NoConvergence, StateSpaceTooLarge
 from .solver import (
     Action,
-    DEFAULT_DAMPING,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RewardParams,
@@ -31,6 +30,9 @@ from .solver import (
 
 DEFAULT_K_TRUNC = 20
 DEFAULT_STATE_CAP = 5_000_000
+# Weight on the fresh backup in the damped iteration.  Damping keeps the
+# iteration convergent when the induced chain has periodic structure.
+DEFAULT_DAMPING = 0.5
 
 STALE = 0  # age >= k_trunc or never observed: belief is the stationary pi0
 

@@ -251,6 +251,12 @@ def sweep_rows_to_csv(rows, path) -> None:
 def _solve_policy(cfg: SimConfig, gamma: float, tol: float, solver_l_max: int | None = None):
     """Solve the configured instance at a given delay penalty and return the
     policy object the simulator should run."""
+    differing = [f"{i}: {p}" for i, p in enumerate(cfg.channels) if p != cfg.channels[0]]
+    if differing:
+        raise ValueError(
+            f"solvers need identical channels; these differ from channel 0 "
+            f"({cfg.channels[0]}): " + ", ".join(differing)
+        )
     r = replace(cfg.rewards, gamma=gamma)
     l_max = solver_l_max if solver_l_max is not None else cfg.l_max
     if len(cfg.channels) == 1:
@@ -295,12 +301,14 @@ def _delay_at_gamma(cfg: SimConfig, gamma: float, solver_tol: float):
 
 def _match_gamma(cfg, target_delay, tol, bracket, solver_tol, iters=26):
     """Log-space bisection on gamma for a target average delay.  Returns
-    (gamma, metrics, within_tol)."""
+    (gamma, metrics, within_tol, achieved) where achieved is the (low, high)
+    average delay at the bracket's ends."""
     g_lo, g_hi = bracket
     m_lo = _delay_at_gamma(cfg, g_lo, solver_tol)
     m_hi = _delay_at_gamma(cfg, g_hi, solver_tol)
+    achieved = (m_hi.avg_delay, m_lo.avg_delay)
     if not (m_lo.avg_delay + tol >= target_delay >= m_hi.avg_delay - tol):
-        raise TargetUnreachable(target_delay, m_hi.avg_delay, m_lo.avg_delay)
+        raise TargetUnreachable(target_delay, *achieved)
     best = min(
         [(abs(m_lo.avg_delay - target_delay), g_lo, m_lo),
          (abs(m_hi.avg_delay - target_delay), g_hi, m_hi)],
@@ -318,7 +326,7 @@ def _match_gamma(cfg, target_delay, tol, bracket, solver_tol, iters=26):
             lo = mid
         else:
             hi = mid
-    return best[1], best[2], best[0] <= tol
+    return best[1], best[2], best[0] <= tol, achieved
 
 
 def gamma_for_target_delay(
@@ -332,13 +340,14 @@ def gamma_for_target_delay(
     target average delay.
 
     Average delay is non-increasing in gamma, which the bracket probe
-    validates before bisecting.  Raises TargetUnreachable when the target
-    lies outside the bracket's achievable range or no gamma lands within tol
-    (the policy family changes discretely, so delay is a step function).
+    validates before bisecting.  Raises TargetUnreachable, carrying the
+    delays achieved at the bracket's ends, when the target lies outside that
+    range or no gamma lands within tol (the policy family changes
+    discretely, so delay is a step function).
     """
-    g, m, ok = _match_gamma(cfg, target_delay, tol, bracket, solver_tol)
+    g, m, ok, achieved = _match_gamma(cfg, target_delay, tol, bracket, solver_tol)
     if not ok:
-        raise TargetUnreachable(target_delay, m.avg_delay, m.avg_delay)
+        raise TargetUnreachable(target_delay, *achieved)
     return g, m
 
 
@@ -388,7 +397,7 @@ def compare_with_memoryless(
     rows = []
     for k in sorted(int(k) for k in k_values):
         m_mp, _ = run_episode(replace(cfg, policy=MemorylessPolicy(k)))
-        g, m_opt, _ok = _match_gamma(cfg, m_mp.avg_delay, tol, bracket, solver_tol)
+        g, m_opt = _match_gamma(cfg, m_mp.avg_delay, tol, bracket, solver_tol)[:2]
         rows.append(
             CompareRow(
                 k=k,

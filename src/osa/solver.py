@@ -7,9 +7,15 @@ delay of the packet in hand.  Three actions are available each slot:
     1  sense, wait     sense; transmit on idle, otherwise wait
     2  sense, fallback  sense; transmit on idle, otherwise use the dedicated channel
 
-Relative value iteration over a belief grid produces the relative value table
+Howard policy iteration over a belief grid produces the relative value table
 V and the average gain per slot.  States at the delay cap are restricted to
 the fallback action so every packet leaves the system in bounded time.
+
+Every transition out of delay l lands at delay l+1 or at one of the two
+delay-1 states (alpha, 1) and (beta, 1).  Under a fixed action table one
+backward sweep in delay therefore writes every value as an affine function of
+the gain and those two values, and evaluating the policy is a 3x3 linear
+solve (Puterman 1994, Markov Decision Processes, sections 8.6 and 9.2).
 """
 
 from __future__ import annotations
@@ -27,9 +33,6 @@ DEFAULT_L_MAX = 50
 DEFAULT_GRID_POINTS = 1001
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
-# Weight on the fresh backup in the damped iteration.  Damping keeps the
-# iteration convergent when the induced chain has periodic structure.
-DEFAULT_DAMPING = 0.5
 TIE_TOL = 1e-12
 
 
@@ -344,6 +347,40 @@ def bellman_backup(vf: ValueFunction):
     return w - g, float(g)
 
 
+def _evaluate(actions: np.ndarray, reward: np.ndarray, bk: _Backup) -> np.ndarray:
+    """Exact relative values of a fixed action table, zero at the reference.
+
+    reward holds the immediate reward of each state's action.  Sweeps
+    backward from the delay cap, writing each column as coefficients on
+    (1, g, V(alpha, 1), V(beta, 1)), then solves for the three unknowns with
+    V(alpha, 1) and V(beta, 1) consistent and V(pi0, 1) = 0.  The cap column
+    must hold the fallback action, as every table from _greedy does.
+    """
+    l_max = actions.shape[1]
+    lam = bk.lam[:, 0]
+    wait = (actions == Action.WAIT).T
+    sense_wait = (actions == Action.SENSE_WAIT).T
+    # Terms that do not reach delay l+1: reward, -g and the delay-1 landings.
+    coef = np.empty((l_max, 4, len(lam)))
+    coef[:, 0] = reward.T
+    coef[:, 1] = -1.0
+    coef[:, 2] = np.where(wait, 0.0, lam)
+    coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
+    for l in range(l_max - 2, -1, -1):
+        nxt = coef[l + 1]
+        cont = np.where(wait[l], bk.w, 0.0) * np.take(nxt, bk.lo, axis=1)
+        cont += np.where(wait[l], 1.0 - bk.w, 0.0) * np.take(nxt, bk.hi, axis=1)
+        cont += np.where(sense_wait[l], 1.0 - lam, 0.0) * nxt[:, bk.i_beta, None]
+        coef[l] += cont
+    delay1 = coef[0][:, [bk.i_alpha, bk.i_beta, bk.ref]].T
+    lhs = delay1[:, 1:] - np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    # Cramer's rule through cross products.  A 3x3 system needs no LAPACK,
+    # whose first call in a process costs about half a megabyte resident.
+    adj = np.cross(lhs[[1, 2, 0]], lhs[[2, 0, 1]])
+    g, v_alpha1, v_beta1 = (-delay1[:, :1] * adj).sum(axis=0) / (lhs[0] * adj[0]).sum()
+    return (coef[:, 0] + g * coef[:, 1] + v_alpha1 * coef[:, 2] + v_beta1 * coef[:, 3]).T
+
+
 def solve_single_channel(
     p: ChannelParams,
     r: RewardParams,
@@ -351,16 +388,19 @@ def solve_single_channel(
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
 ) -> ValueFunction:
-    """Relative value iteration for the single-channel problem.
+    """Howard policy iteration for the single-channel problem.
 
-    Iterates the damped Bellman operator, renormalizing at the reference state
-    (the grid point holding pi0, delay 1), until the span of the Bellman
-    residual drops below tol.  Deterministic given identical inputs.
+    Starts from fallback everywhere, evaluates the action table exactly, and
+    improves it by one greedy Bellman backup until the table repeats.  The
+    returned values are that backup renormalized at the reference state (the
+    grid point holding pi0, delay 1), and residual_span is the span of the
+    final Bellman residual.  Deterministic given identical inputs.
 
     Raises DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless when
-    the channel is never or always idle) and NoConvergence past max_iter.
+    the channel is never or always idle), and NoConvergence when the table is
+    still changing after max_iter steps or the residual span of the stable
+    table exceeds tol.
     """
     pi0 = stationary_idle(p)
     if pi0 == 0.0 or pi0 == 1.0:
@@ -373,26 +413,26 @@ def solve_single_channel(
         grid = BeliefGrid.for_channel(p)
 
     bk = _prepare(p, r, grid, l_max)
-    v = np.zeros((len(grid), l_max))
-    gain = 0.0
-    span = float("inf")
+    zero = np.zeros((len(grid), l_max))
+    actions = np.full((len(grid), l_max), int(Action.SENSE_FALLBACK), dtype=np.int8)
     for it in range(1, max_iter + 1):
-        q0, q1, q2 = _apply_backup(v, bk, r)
-        w, actions = _greedy(q0, q1, q2)
-        resid = w - v
-        span = float(resid.max() - resid.min())
-        gain = float(w[bk.ref, 0])
-        if span <= tol:
-            v = w - gain
+        # Immediate rewards: the backup of a zero table.
+        reward = np.choose(actions, _apply_backup(zero, bk, r))
+        v = _evaluate(actions, reward, bk)
+        w, improved = _greedy(*_apply_backup(v, bk, r))
+        span = float(np.ptp(w - v))
+        if np.array_equal(improved, actions):
             break
-        v_new = damping * w + (1.0 - damping) * v
-        v = v_new - v_new[bk.ref, 0]
+        actions = improved
     else:
         raise NoConvergence(max_iter, span, tol)
+    if span > tol:
+        raise NoConvergence(it, span, tol)
+    gain = float(w[bk.ref, 0])
 
     return ValueFunction(
         grid=grid,
-        values=v,
+        values=w - gain,
         actions=actions,
         gain=gain,
         l_max=l_max,

@@ -75,6 +75,25 @@ def test_single_channel_equivalence():
     assert agree / len(mvf.states) >= 0.99
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,rewards",
+    [
+        (0.15, 0.10, PRESET),
+        (0.85, 0.70, PRESET),
+        (0.95, 0.05, PRESET),
+        (0.15, 0.10, RewardParams(350.0, 200.0, 100.0, 800.0, 10.0)),
+        (0.6, 0.2, RewardParams(1000.0, 895.0, 100.0, 2000.0, 5.0)),
+    ],
+)
+def test_single_channel_descriptor_gain_matches_grid_gain(alpha, beta, rewards):
+    # Independent oracle for the grid solver: with one channel the descriptor
+    # MDP reaches the same optimum over exact beliefs, without a belief grid.
+    p = ChannelParams(alpha, beta)
+    mvf = solve_multichannel(1, p, rewards, k_trunc=20, l_max=15)
+    vf = solve_single_channel(p, rewards, l_max=15)
+    assert mvf.gain == pytest.approx(vf.gain, abs=2e-9)
+
+
 def test_multichannel_deterministic():
     p = ChannelParams(0.85, 0.7)
     a = solve_multichannel(2, p, PRESET, k_trunc=8, l_max=8, tol=1e-8)

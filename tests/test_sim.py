@@ -209,6 +209,25 @@ def test_gamma_bisection_unreachable():
         gamma_for_target_delay(cfg, 0.5, tol=0.05, solver_tol=1e-6)
 
 
+def test_gamma_bisection_between_delay_steps_reports_real_range():
+    # 500 packets make every average delay a multiple of 1/500, so a target
+    # 1/1000 past an achieved delay is never met within a tiny tol even
+    # though it lies inside the bracket's range.
+    cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
+                    num_packets=500)
+    target = sweep_gamma(cfg, [30.0], solver_tol=1e-7)[0].avg_delay + 1e-3
+    with pytest.raises(TargetUnreachable) as err:
+        gamma_for_target_delay(cfg, target, tol=1e-4, solver_tol=1e-7)
+    assert err.value.low < target < err.value.high
+
+
+def test_sweep_rejects_heterogeneous_channels():
+    cfg = SimConfig(channels=[SCEN1, SCEN1, ChannelParams(0.85, 0.7)], rewards=PRESET,
+                    policy=None, num_packets=10)
+    with pytest.raises(ValueError, match=r"2: ChannelParams\(alpha=0\.85, beta=0\.7\)"):
+        sweep_gamma(cfg, [10.0])
+
+
 def test_trace_csv(tmp_path):
     cfg = mp_cfg(k=2, num_packets=50, collect_trace=True)
     _, trace = run_episode(cfg)

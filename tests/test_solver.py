@@ -178,6 +178,27 @@ def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards):
     assert err.value.span > err.value.tol
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,c_s",
+    [(0.15, 0.10, 50.0), (0.85, 0.70, 50.0), (0.95, 0.05, 50.0), (0.15, 0.10, 200.0)],
+)
+def test_solver_returns_bellman_fixed_point(alpha, beta, c_s):
+    r = RewardParams(**{**PRESET_REWARDS, "c_s": c_s})
+    vf = solve_single_channel(ChannelParams(alpha, beta), r, l_max=50)
+    values, gain = bellman_backup(vf)
+    assert np.abs(values - vf.values).max() <= 1e-9
+    assert gain == pytest.approx(vf.gain, abs=1e-9)
+
+
+def test_solver_tolerance_below_final_residual_stops(scen1_channel, preset_rewards):
+    # The policy settles in a few steps; a tolerance tighter than the final
+    # residual is reported then, not after max_iter steps.
+    with pytest.raises(NoConvergence) as err:
+        solve_single_channel(scen1_channel, preset_rewards, tol=1e-15)
+    assert err.value.iterations < 50
+    assert err.value.span > err.value.tol
+
+
 def test_solver_deterministic(scen1_channel, preset_rewards):
     a = solve_single_channel(scen1_channel, preset_rewards, tol=1e-8)
     b = solve_single_channel(scen1_channel, preset_rewards, tol=1e-8)
