@@ -12,13 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .channel import ChannelParams
 from .errors import (
     DegenerateChain,
     DelayOverflow,
@@ -34,6 +31,7 @@ from .policy import MemorylessPolicy, ThresholdPolicy, check_structure, extract_
 from .scenarios import SCENARIOS, Scenario
 from .sim import (
     SimConfig,
+    SweepRow,
     compare_rows_to_csv,
     compare_with_memoryless,
     little_check,
@@ -42,7 +40,7 @@ from .sim import (
     sweep_rows_to_csv,
     write_trace_csv,
 )
-from .solver import RewardParams, solve_single_channel
+from .solver import solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -56,6 +54,16 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+@contextmanager
+def _inputs():
+    """Report an invalid command input (a ValueError while building it) as a
+    usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _add_common(sub):
@@ -117,7 +125,7 @@ def _scenario_of(args) -> Scenario:
         return base
     if args.alpha is None or args.beta is None:
         raise UsageError("either --scenario or both --alpha and --beta are required")
-    return Scenario(
+    scenario = Scenario(
         name=f"custom-a{args.alpha}-b{args.beta}",
         n_channels=args.n,
         alpha=args.alpha,
@@ -128,6 +136,9 @@ def _scenario_of(args) -> Scenario:
         p_3g=args.p3g,
         gamma=args.gamma,
     )
+    with _inputs():
+        scenario.channel, scenario.rewards  # validate the model parameters
+    return scenario
 
 
 def _write_manifest(outdir: Path, command: str, params: dict, outputs: list) -> Path:
@@ -143,6 +154,21 @@ def _write_manifest(outdir: Path, command: str, params: dict, outputs: list) -> 
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _episode_config(scenario: Scenario, args, **kw) -> SimConfig:
+    """Episode settings of a simulate/sweep/compare command; the policy is
+    set later."""
+    return SimConfig(
+        channels=scenario.channels(),
+        rewards=scenario.rewards,
+        policy=None,
+        num_packets=args.packets,
+        seed=args.seed,
+        l_max=args.lmax,
+        k_trunc=args.ktrunc,
+        **kw,
+    )
 
 
 def _params_from_args(args, extra=()) -> dict:
@@ -232,37 +258,20 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario_of(args)
+    with _inputs():
+        cfg = _episode_config(scenario, args, collect_trace=args.trace)
+        if args.mp is not None:
+            cfg.policy = MemorylessPolicy(args.mp)
+        elif args.policy is not None:
+            cfg.policy = ThresholdPolicy.from_csv(args.policy)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.mp is not None:
-        policy = MemorylessPolicy(args.mp)
-    elif args.policy is not None:
-        policy = ThresholdPolicy.from_csv(args.policy)
-    else:
-        policy, _tp, _rep, _vf, _info = _solve(scenario, args)
-    cfg = SimConfig(
-        channels=scenario.channels(),
-        rewards=scenario.rewards,
-        policy=policy,
-        num_packets=args.packets,
-        seed=args.seed,
-        l_max=args.lmax,
-        k_trunc=args.ktrunc,
-        collect_trace=getattr(args, "trace", False),
-    )
+    if cfg.policy is None:
+        cfg.policy = _solve(scenario, args)[0]
     metrics, trace = run_episode(cfg)
     outputs = []
     metrics_path = outdir / "metrics.csv"
-    with open(metrics_path, "w") as fh:
-        fh.write(
-            "gamma,avg_delay,energy_per_packet,energy_per_slot,"
-            "throughput,avg_reward,senses,primary_tx,dedicated_tx\n"
-        )
-        fh.write(
-            f"{scenario.gamma!r},{metrics.avg_delay!r},{metrics.energy_per_packet!r},"
-            f"{metrics.energy_per_slot!r},{metrics.throughput!r},{metrics.avg_reward!r},"
-            f"{metrics.senses},{metrics.primary_tx},{metrics.dedicated_tx}\n"
-        )
+    sweep_rows_to_csv([SweepRow.of(scenario.gamma, metrics)], metrics_path)
     outputs.append(metrics_path)
     if trace is not None:
         trace_path = outdir / "trace.csv"
@@ -282,18 +291,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _scenario_of(args)
+    with _inputs():
+        gammas = [float(x) for x in args.gammas.split(",") if x]
+        cfg = _episode_config(scenario, args)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    gammas = [float(x) for x in args.gammas.split(",") if x]
-    cfg = SimConfig(
-        channels=scenario.channels(),
-        rewards=scenario.rewards,
-        policy=None,
-        num_packets=args.packets,
-        seed=args.seed,
-        l_max=args.lmax,
-        k_trunc=args.ktrunc,
-    )
     rows = sweep_gamma(cfg, gammas, solver_tol=args.tol)
     path = outdir / "sweep.csv"
     sweep_rows_to_csv(rows, path)
@@ -308,18 +310,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _scenario_of(args)
+    with _inputs():
+        ks = [int(x) for x in args.ks.split(",") if x]
+        cfg = _episode_config(scenario, args)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    ks = [int(x) for x in args.ks.split(",") if x]
-    cfg = SimConfig(
-        channels=scenario.channels(),
-        rewards=scenario.rewards,
-        policy=None,
-        num_packets=args.packets,
-        seed=args.seed,
-        l_max=args.lmax,
-        k_trunc=args.ktrunc,
-    )
     rows = compare_with_memoryless(cfg, ks, tol=args.match_tol, solver_tol=args.tol)
     path = outdir / "compare.csv"
     compare_rows_to_csv(rows, path)
@@ -334,15 +329,16 @@ def cmd_compare(args) -> int:
 
 def cmd_learn(args) -> int:
     scenario = _scenario_of(args)
+    with _inputs():
+        cfg = LearnerConfig(
+            m=args.bins,
+            nbslot=args.nbslot,
+            epsilon=args.epsilon,
+            eta=args.eta,
+            l_max=args.lmax,
+        )
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = LearnerConfig(
-        m=args.bins,
-        nbslot=args.nbslot,
-        epsilon=args.epsilon,
-        eta=args.eta,
-        l_max=args.lmax,
-    )
     result = run_learning(
         cfg, scenario.channels(), scenario.rewards, iterations=args.iterations, seed=args.seed
     )

@@ -7,20 +7,21 @@ immediately after being sensed idle (consecutive slots only; a sensing gap
 breaks the pair).  The policy learner keeps a Q-value per (alpha bin, beta
 bin, candidate policy), picks candidates epsilon-greedily, runs each for a
 fixed window of slots, and folds the accumulated window reward back into the
-table.
+table.  The windows are consecutive runs of the simulator's slot kernel
+(`sim.SlotEnv`), which also keeps the sensing counters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, stationary_idle
 from .errors import InsufficientData
 from .policy import ThresholdPolicy
-from .solver import Action, RewardParams
+from .sim import SlotEnv
+from .solver import RewardParams
 
 
 @dataclass
@@ -164,6 +165,11 @@ class LearnerConfig:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must lie in [0, 1)")
+        # Every candidate transmits by its switch delay, so none can keep a
+        # packet past l_max.
+        outside = [sd for sd in self.candidate_switch_delays if not 1 <= sd <= self.l_max]
+        if outside:
+            raise ValueError(f"candidate switch delays {outside} lie outside 1..l_max={self.l_max}")
 
     def candidates(self):
         cands = [
@@ -210,77 +216,6 @@ class LearningResult:
     estimates: Estimates
 
 
-class _SlotEnv:
-    """Persistent saturated-source environment the learner transmits through.
-
-    Keeps channel truth, beliefs, packet delay and sensing counters across
-    policy windows; one window = nbslot slots under a fixed policy.  Uses the
-    same per-channel uniform streams as the episode simulator.
-    """
-
-    def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
-        from .sim import ChannelStreams
-
-        self.channels = channels
-        self.rewards = rewards
-        self.l_max = l_max
-        n = len(channels)
-        self.streams = ChannelStreams(seed, n)
-        self.idle = [
-            self.streams.next_uniform(i) < stationary_idle(channels[i]) for i in range(n)
-        ]
-        self.beliefs = [stationary_idle(p) for p in channels]
-        self.alphas = [p.alpha for p in channels]
-        self.betas = [p.beta for p in channels]
-        self.delay = 1
-        self.stats = CountingStats.zeros(n)
-        self.prev_sensed_idle = [False] * n
-
-    def run_window(self, policy, nbslot: int) -> float:
-        """Advance nbslot slots under the policy; returns accumulated reward."""
-        r = self.rewards
-        penalty = r.penalty
-        beliefs = self.beliefs
-        alphas, betas = self.alphas, self.betas
-        n = len(self.channels)
-        total = 0.0
-        for _ in range(nbslot):
-            target = max(range(n), key=beliefs.__getitem__) if n > 1 else 0
-            action = policy.act(beliefs[target], self.delay)
-            transmitted = False
-            obs = -1
-            extra = penalty(self.delay) if r.penalty_on_transmit else 0.0
-            if action == Action.WAIT:
-                reward = -penalty(self.delay)
-            else:
-                obs = 0 if self.idle[target] else 1
-                update_counts(self.stats, target, self.prev_sensed_idle[target], obs)
-                if obs == 0:
-                    reward = r.phi - r.c_s - r.p_p - extra
-                    transmitted = True
-                elif action == Action.SENSE_FALLBACK:
-                    reward = r.phi - r.c_s - r.p_3g - extra
-                    transmitted = True
-                else:
-                    reward = -r.c_s - penalty(self.delay)
-            total += reward
-
-            for i in range(n):
-                if action != Action.WAIT and i == target:
-                    beliefs[i] = alphas[i] if obs == 0 else betas[i]
-                    self.prev_sensed_idle[i] = obs == 0
-                else:
-                    beliefs[i] = betas[i] + (alphas[i] - betas[i]) * beliefs[i]
-                    self.prev_sensed_idle[i] = False
-                stay = alphas[i] if self.idle[i] else betas[i]
-                self.idle[i] = self.streams.next_uniform(i) < stay
-            if transmitted:
-                self.delay = 1
-            else:
-                self.delay = min(self.delay + 1, self.l_max)
-        return total
-
-
 def run_learning(
     cfg: LearnerConfig,
     channels,
@@ -304,7 +239,7 @@ def run_learning(
     if n_cand == 0:
         raise ValueError("candidate policy set must be non-empty")
     q = np.zeros((cfg.m, cfg.m, n_cand))
-    env = _SlotEnv(channels, rewards, seed, cfg.l_max)
+    env = SlotEnv(channels, rewards, seed, cfg.l_max)
     pick_rng = np.random.default_rng([seed, 999_983])
 
     cur_idx = int(pick_rng.integers(n_cand))
@@ -316,8 +251,11 @@ def run_learning(
     for k in range(1, iterations + 1):
         prev_idx = cur_idx
         prev_bins = bins
+        stats = CountingStats(
+            k=np.array(env.idle_pairs), i=np.array(env.sensed_idle), m=np.array(env.sensed)
+        )
         try:
-            est = estimate(env.stats.pooled())
+            est = estimate(stats.pooled())
             est_a = float(est.alpha_hat[0])
             est_b = float(est.beta_hat[0])
         except InsufficientData:
@@ -329,7 +267,7 @@ def run_learning(
         else:
             cur_idx = int(np.argmax(q[bins[0], bins[1]]))
 
-        window_reward = env.run_window(candidates[cur_idx], cfg.nbslot)
+        window_reward = env.run(candidates[cur_idx], slots=cfg.nbslot)
 
         rho = cfg.rho(k)
         target = window_reward + cfg.eta * q[bins[0], bins[1], cur_idx]

@@ -1,6 +1,10 @@
 """Slot-level Monte Carlo simulation of a secondary user over N licensed
 channels, plus the experiment sweeps built on it.
 
+`SlotEnv` is the one slot kernel: episodes run it until a packet count is
+delivered, and the online learner (`learn.run_learning`) runs it window by
+window, so both score policies under the same dynamics.
+
 Each channel owns an independent random stream derived from the top-level
 seed, and its true state advances once per slot regardless of the policy, so
 runs with the same seed share channel realizations across policies (common
@@ -100,6 +104,162 @@ class ChannelStreams:
         return self._blocks[i][pos]
 
 
+_NEVER = -2  # last-sensed slot of an unsensed channel; never "the previous slot"
+
+
+class SlotEnv:
+    """The slot dynamics of one saturated secondary user over N channels.
+
+    Channel truth, beliefs, delay, the tallies and the per-channel sensing
+    counters (slots sensed, sensed idle, and sensed idle right after an idle
+    sensing: the estimator's M, I and K) persist across run() calls, so an
+    episode is one call and the learner's windows are consecutive calls.
+    """
+
+    def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
+        n = len(channels)
+        self.rewards = rewards
+        self.l_max = l_max
+        self.streams = ChannelStreams(seed, n)
+        self.idle = [self.streams.next_uniform(i) < stationary_idle(channels[i]) for i in range(n)]
+        self.beliefs = [stationary_idle(p) for p in channels]
+        self.alphas = [p.alpha for p in channels]
+        self.betas = [p.beta for p in channels]
+        self.delay = 1
+        self.slots = self.packets = self.delay_total = 0
+        self.reward_total = 0.0
+        self.sensed = [0] * n
+        self.sensed_idle = [0] * n
+        self.idle_pairs = [0] * n
+        self.last_idle = [_NEVER] * n
+        self.last_busy = [_NEVER] * n
+
+    def _codes(self, space) -> list:
+        """Descriptor codes rebuilt from each channel's last sensing."""
+        return [
+            STALE if max(li, lb) < 0 else space.codes_for(li > lb, self.slots - max(li, lb))
+            for li, lb in zip(self.last_idle, self.last_busy)
+        ]
+
+    def run(self, policy, slots: int | None = None, packets: int | None = None, trace=None) -> float:
+        """Run the policy for `slots` more slots or until `packets` more
+        packets are delivered; returns the reward summed over those slots and
+        appends a TraceRow per slot to a `trace` list.  Raises DelayOverflow
+        if the policy keeps a packet past l_max (the env is then unusable).
+        """
+        if (slots is None) == (packets is None):
+            raise ValueError("give exactly one of slots and packets")
+        r = self.rewards
+        penalty = r.penalty
+        l_max = self.l_max
+        n = len(self.beliefs)
+        rng_order = range(n)
+        next_uniform = self.streams.next_uniform
+        idle, beliefs = self.idle, self.beliefs
+        alphas, betas = self.alphas, self.betas
+        sensed, sensed_idle, idle_pairs = self.sensed, self.sensed_idle, self.idle_pairs
+        last_idle, last_busy = self.last_idle, self.last_busy
+        delay, slot, done, delay_total = self.delay, self.slots, self.packets, self.delay_total
+        slot_end = None if slots is None else slot + slots
+        packet_end = None if packets is None else done + packets
+
+        use_codes = isinstance(policy, MultichannelValueFunction)
+        if use_codes:
+            space = policy.space
+            codes = self._codes(space)
+
+        total = 0.0
+        while slot != slot_end and done != packet_end:
+            target = max(rng_order, key=beliefs.__getitem__) if n > 1 else 0
+            if use_codes:
+                action = policy.action_for(codes, delay)
+            else:
+                action = policy.act(beliefs[target], delay)
+            transmitted = False
+            obs = -1
+            extra = penalty(delay) if r.penalty_on_transmit else 0.0
+
+            if action == Action.WAIT:
+                if delay >= l_max:
+                    raise DelayOverflow(f"wait at delay cap {l_max}")
+                reward = -penalty(delay)
+            else:
+                sensed[target] += 1
+                if idle[target]:
+                    obs = 0
+                    sensed_idle[target] += 1
+                    if last_idle[target] == slot - 1:
+                        idle_pairs[target] += 1
+                    last_idle[target] = slot
+                    reward = r.phi - r.c_s - r.p_p - extra
+                    transmitted = True
+                else:
+                    obs = 1
+                    last_busy[target] = slot
+                    if action == Action.SENSE_FALLBACK:
+                        reward = r.phi - r.c_s - r.p_3g - extra
+                        transmitted = True
+                    else:
+                        if delay >= l_max:
+                            raise DelayOverflow(f"busy sense-wait at delay cap {l_max}")
+                        reward = -r.c_s - penalty(delay)
+
+            total += reward
+            if trace is not None:
+                trace.append(TraceRow(slot, beliefs[target], delay, int(action), obs, reward))
+            slot += 1
+
+            # Belief propagation, descriptor aging, and channel truth for the
+            # next slot; each channel consumes one uniform per slot.
+            for i in rng_order:
+                if action != Action.WAIT and i == target:
+                    beliefs[i] = alphas[i] if obs == 0 else betas[i]
+                else:
+                    beliefs[i] = betas[i] + (alphas[i] - betas[i]) * beliefs[i]
+                stay_idle = alphas[i] if idle[i] else betas[i]
+                idle[i] = next_uniform(i) < stay_idle
+            if use_codes:
+                codes = [space.aged[c] for c in codes]
+                if action != Action.WAIT:
+                    codes[target] = space.idle_fresh if obs == 0 else space.busy_fresh
+
+            if transmitted:
+                delay_total += delay
+                done += 1
+                delay = 1
+            else:
+                delay += 1
+
+        self.delay, self.slots, self.packets, self.delay_total = delay, slot, done, delay_total
+        self.reward_total += total
+        return total
+
+    def metrics(self, energy_metric: str = "full") -> SimMetrics:
+        """Episode metrics over every slot run so far."""
+        r = self.rewards
+        slots, packets = self.slots, self.packets
+        senses = sum(self.sensed)
+        primary_tx = sum(self.sensed_idle)
+        dedicated_tx = packets - primary_tx
+        if energy_metric == "sensing":
+            energy = r.c_s * senses
+        else:
+            energy = r.c_s * senses + r.p_p * primary_tx + r.p_3g * dedicated_tx
+        return SimMetrics(
+            avg_delay=self.delay_total / packets,
+            energy_per_packet=energy / packets,
+            energy_per_slot=energy / slots,
+            throughput=packets / slots,
+            avg_reward=self.reward_total / slots,
+            senses=senses,
+            primary_tx=primary_tx,
+            dedicated_tx=dedicated_tx,
+            waits=slots - senses,
+            slots=slots,
+            packets=packets,
+        )
+
+
 def run_episode(cfg: SimConfig):
     """Simulate until num_packets packets are delivered.
 
@@ -107,104 +267,10 @@ def run_episode(cfg: SimConfig):
     cfg.collect_trace is set, else None.  Deterministic for a fixed seed.
     Raises DelayOverflow if the policy keeps a packet past l_max.
     """
-    n = len(cfg.channels)
-    r = cfg.rewards
-    penalty = r.penalty
-    streams = ChannelStreams(cfg.seed, n)
-    idle = [streams.next_uniform(i) < stationary_idle(cfg.channels[i]) for i in range(n)]
-    beliefs = [stationary_idle(p) for p in cfg.channels]
-    alphas = [p.alpha for p in cfg.channels]
-    betas = [p.beta for p in cfg.channels]
-
-    use_codes = isinstance(cfg.policy, MultichannelValueFunction)
-    if use_codes:
-        space = cfg.policy.space
-        codes = [STALE] * n
-
+    env = SlotEnv(cfg.channels, cfg.rewards, cfg.seed, cfg.l_max)
     trace = [] if cfg.collect_trace else None
-    delay = 1
-    packets = 0
-    slots = 0
-    delay_total = 0
-    senses = primary_tx = dedicated_tx = waits = 0
-    reward_total = 0.0
-    rng_order = range(n)
-
-    while packets < cfg.num_packets:
-        target = max(rng_order, key=beliefs.__getitem__) if n > 1 else 0
-        if use_codes:
-            action = cfg.policy.action_for(codes, delay)
-        else:
-            action = cfg.policy.act(beliefs[target], delay)
-        transmitted = False
-        obs = -1
-        extra = penalty(delay) if r.penalty_on_transmit else 0.0
-
-        if action == Action.WAIT:
-            if delay >= cfg.l_max:
-                raise DelayOverflow(f"wait at delay cap {cfg.l_max}")
-            reward = -penalty(delay)
-            waits += 1
-        else:
-            senses += 1
-            obs = 0 if idle[target] else 1
-            if obs == 0:
-                reward = r.phi - r.c_s - r.p_p - extra
-                primary_tx += 1
-                transmitted = True
-            elif action == Action.SENSE_FALLBACK:
-                reward = r.phi - r.c_s - r.p_3g - extra
-                dedicated_tx += 1
-                transmitted = True
-            else:
-                if delay >= cfg.l_max:
-                    raise DelayOverflow(f"busy sense-wait at delay cap {cfg.l_max}")
-                reward = -r.c_s - penalty(delay)
-
-        reward_total += reward
-        if trace is not None:
-            trace.append(TraceRow(slots, beliefs[target], delay, int(action), obs, reward))
-        slots += 1
-
-        # Belief propagation, descriptor aging, and channel truth for the
-        # next slot; each channel consumes one uniform per slot.
-        for i in range(n):
-            if action != Action.WAIT and i == target:
-                beliefs[i] = alphas[i] if obs == 0 else betas[i]
-            else:
-                beliefs[i] = betas[i] + (alphas[i] - betas[i]) * beliefs[i]
-            stay_idle = alphas[i] if idle[i] else betas[i]
-            idle[i] = streams.next_uniform(i) < stay_idle
-        if use_codes:
-            codes = [space.aged[c] for c in codes]
-            if action != Action.WAIT:
-                codes[target] = space.idle_fresh if obs == 0 else space.busy_fresh
-
-        if transmitted:
-            delay_total += delay
-            packets += 1
-            delay = 1
-        else:
-            delay += 1
-
-    if cfg.energy_metric == "sensing":
-        energy = r.c_s * senses
-    else:
-        energy = r.c_s * senses + r.p_p * primary_tx + r.p_3g * dedicated_tx
-    metrics = SimMetrics(
-        avg_delay=delay_total / packets,
-        energy_per_packet=energy / packets,
-        energy_per_slot=energy / slots,
-        throughput=packets / slots,
-        avg_reward=reward_total / slots,
-        senses=senses,
-        primary_tx=primary_tx,
-        dedicated_tx=dedicated_tx,
-        waits=waits,
-        slots=slots,
-        packets=packets,
-    )
-    return metrics, trace
+    env.run(cfg.policy, packets=cfg.num_packets, trace=trace)
+    return env.metrics(cfg.energy_metric), trace
 
 
 def little_check(m: SimMetrics) -> float:
@@ -229,6 +295,11 @@ class SweepRow:
     senses: int
     primary_tx: int
     dedicated_tx: int
+
+    @classmethod
+    def of(cls, gamma: float, m: SimMetrics) -> "SweepRow":
+        return cls(gamma, m.avg_delay, m.energy_per_packet, m.energy_per_slot, m.throughput,
+                   m.avg_reward, m.senses, m.primary_tx, m.dedicated_tx)
 
 
 SWEEP_HEADER = (
@@ -274,30 +345,14 @@ def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = 1e-9):
     gammas = sorted(float(g) for g in gammas)
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma values must be positive")
-    rows = []
-    for g in gammas:
-        pol, r = _solve_policy(cfg, g, solver_tol)
-        m, _ = run_episode(replace(cfg, policy=pol, rewards=r))
-        rows.append(
-            SweepRow(
-                gamma=g,
-                avg_delay=m.avg_delay,
-                energy_per_packet=m.energy_per_packet,
-                energy_per_slot=m.energy_per_slot,
-                throughput=m.throughput,
-                avg_reward=m.avg_reward,
-                senses=m.senses,
-                primary_tx=m.primary_tx,
-                dedicated_tx=m.dedicated_tx,
-            )
-        )
-    return rows
+    return [SweepRow.of(g, _delay_at_gamma(cfg, g, solver_tol)) for g in gammas]
 
 
 def _delay_at_gamma(cfg: SimConfig, gamma: float, solver_tol: float):
     pol, r = _solve_policy(cfg, gamma, solver_tol)
     m, _ = run_episode(replace(cfg, policy=pol, rewards=r))
     return m
+
 
 def _match_gamma(cfg, target_delay, tol, bracket, solver_tol, iters=26):
     """Log-space bisection on gamma for a target average delay.  Returns

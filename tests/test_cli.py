@@ -16,6 +16,19 @@ def test_usage_error_exit_code(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 0],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--packets", 0],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--bins", 0],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--lmax", 10],
+])
+def test_invalid_input_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()  # rejected before any output or solve
+
+
 def test_unknown_command_exit_code():
     assert run(["frobnicate"]) == 1
 

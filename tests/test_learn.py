@@ -124,6 +124,8 @@ def test_learner_config_validation():
         LearnerConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         LearnerConfig(eta=1.0)
+    with pytest.raises(ValueError, match="outside 1..l_max=10"):
+        LearnerConfig(l_max=10)  # default switch delays run to 15
     assert len(LearnerConfig(l_max=15).candidates()) == 255
     assert len(LearnerConfig(l_max=15, include_wait_depth=False).candidates()) == 150
 

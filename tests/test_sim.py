@@ -6,10 +6,12 @@ import pytest
 
 from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
 from osa.errors import DelayOverflow, TargetUnreachable
+from osa.learn import CountingStats, update_counts
 from osa.multichannel import solve_multichannel
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from osa.sim import (
     SimConfig,
+    SlotEnv,
     compare_with_memoryless,
     gamma_for_target_delay,
     little_check,
@@ -236,3 +238,51 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,belief_sensed_channel,delay,action,observation,reward"
     assert len(lines) == len(trace) + 1
+
+
+def _sense_wait_policy(l_max=10):
+    # Waits below belief 0.75 up to delay 3 and falls back from delay 4, so
+    # on (0.85, 0.7) channels it mixes waits, busy senses and idle runs.
+    lam = np.zeros(l_max)
+    lam[:3] = 0.75
+    return ThresholdPolicy(lambda_star=lam, l_star=4, l_max=l_max)
+
+
+def test_sensing_counters_replay_update_counts():
+    # N=1: replaying update_counts over the trace, with "the previous row
+    # sensed idle" as prev_sensed_idle, gives the kernel's counters.
+    env = SlotEnv([ChannelParams(0.85, 0.7)], PRESET, seed=4, l_max=10)
+    trace = []
+    env.run(_sense_wait_policy(), packets=2000, trace=trace)
+    stats = CountingStats.zeros(1)
+    prev_idle = False
+    for row in trace:
+        if row.observation != -1:
+            update_counts(stats, 0, prev_idle, row.observation)
+        prev_idle = row.observation == 0
+    assert env.idle_pairs == stats.k.tolist()
+    assert env.sensed_idle == stats.i.tolist()
+    assert env.sensed == stats.m.tolist()
+    assert 0 < stats.k[0] < stats.i[0] < stats.m[0] < len(trace)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "descriptor"])
+def test_window_rewards_match_episode_trace(kind):
+    # k windows of S slots on one env reproduce, window by window and
+    # exactly, the first k*S trace rewards of an episode at the same seed.
+    # Every window of the descriptor policy starts from rebuilt codes.
+    p = ChannelParams(0.85, 0.7)
+    if kind == "threshold":
+        channels, policy, l_max = [p], _sense_wait_policy(), 10
+    else:
+        channels, l_max = [p, p], 8
+        policy = solve_multichannel(2, p, PRESET, k_trunc=8, l_max=l_max, tol=1e-8)
+    k, S = 40, 37
+    env = SlotEnv(channels, PRESET, seed=6, l_max=l_max)
+    windows = [env.run(policy, slots=S) for _ in range(k)]
+    _, trace = run_episode(SimConfig(channels=channels, rewards=PRESET, policy=policy,
+                                     num_packets=k * S, seed=6, l_max=l_max, k_trunc=8,
+                                     collect_trace=True))
+    rewards = [row.reward for row in trace]
+    assert windows == [sum(rewards[j * S:(j + 1) * S]) for j in range(k)]
+    assert env.slots == k * S
