@@ -120,6 +120,13 @@ def build_parser() -> _Parser:
 
 
 def _scenario_of(args) -> Scenario:
+    with _inputs():
+        if args.lmax < 2:
+            raise ValueError("l_max must be at least 2")
+        if args.ktrunc < 1:
+            raise ValueError("k_trunc must be >= 1")
+        if args.tol <= 0:
+            raise ValueError("tol must be positive")
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
         return base
@@ -293,6 +300,8 @@ def cmd_sweep(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
         gammas = [float(x) for x in args.gammas.split(",") if x]
+        if any(g <= 0 for g in gammas):
+            raise ValueError("gamma values must be positive")
         cfg = _episode_config(scenario, args)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
@@ -312,6 +321,8 @@ def cmd_compare(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
         ks = [int(x) for x in args.ks.split(",") if x]
+        if any(k < 1 for k in ks):
+            raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
         cfg = _episode_config(scenario, args)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
@@ -330,6 +341,8 @@ def cmd_compare(args) -> int:
 def cmd_learn(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
+        if args.iterations < 1:
+            raise ValueError("iterations must be >= 1")
         cfg = LearnerConfig(
             m=args.bins,
             nbslot=args.nbslot,

@@ -10,9 +10,9 @@ class DegenerateChain(OsaError):
 
 
 class NoConvergence(OsaError):
-    """A solver did not reach the target residual span: policy iteration (single
-    channel) or relative value iteration (descriptor MDP) hit its step cap, or
-    the single-channel policy settled with its residual span above tol."""
+    """A solver did not reach the target residual span: policy iteration hit
+    its step cap, a descriptor policy evaluation hit its sweep cap, or the
+    settled policy's residual span is above tol."""
 
     def __init__(self, iterations, span, tol):
         self.iterations = iterations

@@ -10,11 +10,24 @@ Sensing always targets the channel with the highest belief, the channel-choice
 rule used throughout; within a merged state equal-belief channels are
 interchangeable, so any deterministic pick is equivalent to the lowest-index
 rule on the unmerged system.
+
+States are enumerated breadth-first, one frontier at a time, over arrays: each
+(sorted code multiset, delay) packs into one int64 key, delay first, so the
+sorted states run layer by layer in delay and the delay-1 states come first.
+
+Howard policy iteration solves the MDP.  Under a fixed action table every
+state has at most one successor at delay l+1 and all its other exits land at
+delay 1, so the path from each delay-1 state unrolls in l_max steps into an
+expected reward, an expected sojourn and at most 2 l_max delay-1 landings.
+A policy is evaluated on that embedded semi-Markov chain over the delay-1
+states by damped relative value iteration, and the other layers are then
+filled backward in delay (Puterman 1994, Markov Decision Processes, sections
+8.6, 9.2 and 11.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +38,15 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RewardParams,
-    TIE_TOL,
+    _greedy,
 )
 
 DEFAULT_K_TRUNC = 20
 DEFAULT_STATE_CAP = 5_000_000
-# Weight on the fresh backup in the damped iteration.  Damping keeps the
-# iteration convergent when the induced chain has periodic structure.
-DEFAULT_DAMPING = 0.5
+# Time step of the data-transformed embedded chain, as a fraction of the
+# shortest expected sojourn: every transformed state keeps a self-loop of at
+# least 1 - _STEP, so the iteration cannot cycle.
+_STEP = 0.5
 
 STALE = 0  # age >= k_trunc or never observed: belief is the stationary pi0
 
@@ -72,6 +86,72 @@ class DescriptorSpace:
             return STALE
         return age if obs_idle else self.k_trunc - 1 + age
 
+    def pack(self, codes: np.ndarray, delays) -> np.ndarray:
+        """One int64 key per row of sorted codes and its delay, ordered by
+        delay and then by the code tuple."""
+        keys = np.asarray(delays, dtype=np.int64) - 1
+        for j in range(codes.shape[1]):
+            keys = keys * len(self.belief) + codes[:, j]
+        return keys
+
+    def moves(self, codes: np.ndarray):
+        """Descriptors after one slot, per row of sorted codes.
+
+        Returns the rows after a wait, after the max-belief channel (lowest
+        index among ties) is sensed idle and sensed busy, and that channel's
+        belief; every returned row is sorted.
+        """
+        rows = np.arange(len(codes))
+        target = np.argmax(self.belief[codes], axis=1)
+        keep = np.ones(codes.shape, dtype=bool)
+        keep[rows, target] = False
+        rest = self.aged[codes[keep].reshape(len(codes), -1)]
+        fresh = np.empty((len(codes), 1), dtype=rest.dtype)
+        fresh[:] = self.idle_fresh
+        after_idle = np.sort(np.hstack([rest, fresh]), axis=1)
+        fresh[:] = self.busy_fresh
+        after_busy = np.sort(np.hstack([rest, fresh]), axis=1)
+        waited = np.sort(self.aged[codes], axis=1)
+        return waited, after_idle, after_busy, self.belief[codes[rows, target]]
+
+
+@dataclass
+class ReachableStates:
+    """Reachable descriptor states, sorted by (delay, codes).
+
+    codes holds one sorted code row per state and delays its delay; keys are
+    their packed int64 keys, ascending.  Unpacks as (space, states, index),
+    where states lists the (codes tuple, delay) pairs and index maps each pair
+    to its position.
+    """
+
+    space: DescriptorSpace
+    codes: np.ndarray
+    delays: np.ndarray
+    keys: np.ndarray
+
+    def __post_init__(self):
+        # Tuple elements keep the types the tuple-by-tuple closure gave them:
+        # aged codes are numpy int32 scalars, while the freshly sensed code
+        # and the start state's codes are Python ints.  Recorded digests of
+        # action tables hash the repr of these tuples.
+        space = self.space
+        n_codes = len(space.belief)
+        kinds = np.empty((2, n_codes), dtype=object)
+        kinds[0] = list(np.arange(n_codes, dtype=np.int32))
+        kinds[1] = list(range(n_codes))
+        fresh = np.isin(self.codes, [c for c in (space.idle_fresh, space.busy_fresh) if c != STALE])
+        fresh[0] = True  # the start state, key 0
+        elements = kinds[fresh.astype(np.intp), self.codes]
+        self.states = list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
+        self.index = dict(zip(self.states, range(len(self.states))))
+
+    def __iter__(self):
+        return iter((self.space, self.states, self.index))
+
+    def lookup(self, codes: np.ndarray, delays) -> np.ndarray:
+        return np.searchsorted(self.keys, self.space.pack(codes, delays))
+
 
 @dataclass
 class MultichannelValueFunction:
@@ -86,6 +166,8 @@ class MultichannelValueFunction:
     actions: np.ndarray
     gain: float
     rewards: RewardParams
+    codes: np.ndarray
+    delays: np.ndarray
     iterations: int = 0
     residual_span: float = float("nan")
     tol: float = DEFAULT_TOL
@@ -115,39 +197,30 @@ class MultichannelValueFunction:
         reported rather than raised since the max-belief is not a sufficient
         statistic of the multichannel state.
         """
-        lam = np.zeros(self.l_max)
-        violations = []
-        by_delay = {}
-        for sid, (codes, l) in enumerate(self.states):
-            by_delay.setdefault(l, []).append(sid)
-        for l in range(1, self.l_max + 1):
-            sids = by_delay.get(l, [])
-            if not sids:
-                continue
-            waits = [self.max_belief(self.states[s][0]) for s in sids
-                     if self.actions[s] == int(Action.WAIT)]
-            others = [self.max_belief(self.states[s][0]) for s in sids
-                      if self.actions[s] != int(Action.WAIT)]
-            if not waits:
-                lam[l - 1] = 0.0
-                continue
-            if not others:
-                lam[l - 1] = 1.0
-                continue
-            top_wait = max(waits)
-            above = [b for b in others if b > top_wait]
-            lam[l - 1] = 0.5 * (top_wait + min(above)) if above else 1.0
-            if any(b < top_wait for b in others):
-                violations.append(l)
-        return lam, violations
+        belief = self.space.belief[self.codes].max(axis=1)
+        layer = self.delays - 1
+        wait = self.actions == int(Action.WAIT)
+        top_wait = np.full(self.l_max, -np.inf)
+        np.maximum.at(top_wait, layer[wait], belief[wait])
+        other = ~wait
+        low_other = np.full(self.l_max, np.inf)
+        np.minimum.at(low_other, layer[other], belief[other])
+        above = other & (belief > top_wait[layer])
+        low_above = np.full(self.l_max, np.inf)
+        np.minimum.at(low_above, layer[above], belief[above])
+
+        has_wait = top_wait > -np.inf
+        has_other = low_other < np.inf
+        lam = np.where(has_other & (low_above < np.inf), 0.5 * (top_wait + low_above), 1.0)
+        lam[~has_wait] = 0.0
+        violations = np.flatnonzero(has_wait & (low_other < top_wait)) + 1
+        return lam, violations.tolist()
 
     def dedicated_switch_delay(self) -> int:
         """Smallest delay from which busy sensing never waits: no state with
         this delay or larger has sense-wait as its optimal action."""
-        last_sw = 0
-        for sid, (codes, l) in enumerate(self.states):
-            if self.actions[sid] == int(Action.SENSE_WAIT):
-                last_sw = max(last_sw, l)
+        sense_wait = self.delays[self.actions == int(Action.SENSE_WAIT)]
+        last_sw = int(sense_wait.max()) if len(sense_wait) else 0
         return min(last_sw + 1, self.l_max)
 
 
@@ -157,49 +230,159 @@ def build_reachable_states(
     k_trunc: int = DEFAULT_K_TRUNC,
     l_max: int = 15,
     state_cap: int = DEFAULT_STATE_CAP,
-):
+) -> ReachableStates:
     """Breadth-first closure of the descriptor-state space under all actions.
 
     States are (sorted descriptor tuple, delay); the start state has every
-    channel stale at delay 1.  Raises StateSpaceTooLarge past state_cap.
+    channel stale at delay 1.  Each frontier's successors are found at once
+    and deduplicated by packed key.  Raises StateSpaceTooLarge past state_cap,
+    or when a packed key would not fit in an int64.
     """
     space = DescriptorSpace(p, k_trunc)
-    start = (tuple([STALE] * n_channels), 1)
-    index = {start: 0}
-    states = [start]
-    queue = [start]
-    while queue:
-        codes, l = queue.pop()
-        nexts = _successors(space, codes, l, l_max)
-        for key in nexts:
-            if key not in index:
-                if len(states) >= state_cap:
-                    raise StateSpaceTooLarge(
-                        f"more than {state_cap} reachable states (n={n_channels}, "
-                        f"k_trunc={k_trunc}, l_max={l_max})"
-                    )
-                index[key] = len(states)
-                states.append(key)
-                queue.append(key)
-    return space, states, index
+    if l_max * len(space.belief) ** n_channels > 2**63:
+        raise StateSpaceTooLarge(
+            f"state keys overflow int64 (n={n_channels}, k_trunc={k_trunc}, l_max={l_max})"
+        )
+    codes = np.zeros((1, n_channels), dtype=space.aged.dtype)
+    delays = np.ones(1, dtype=np.int64)
+    seen = space.pack(codes, delays)
+    found = [(codes, delays, seen)]
+    while len(codes):
+        waited, after_idle, after_busy, _ = space.moves(codes)
+        up = delays < l_max
+        ones = np.ones(len(delays), np.int64)
+        codes = np.concatenate([waited[up], after_idle, after_busy[up], after_busy])
+        delays = np.concatenate([delays[up] + 1, ones, delays[up] + 1, ones])
+        keys, first = np.unique(space.pack(codes, delays), return_index=True)
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        new = seen[pos] != keys
+        if len(seen) + np.count_nonzero(new) > state_cap:
+            raise StateSpaceTooLarge(
+                f"more than {state_cap} reachable states (n={n_channels}, "
+                f"k_trunc={k_trunc}, l_max={l_max})"
+            )
+        codes, delays, keys = codes[first[new]], delays[first[new]], keys[new]
+        # Both parts are sorted, so the stable sort is a merge.
+        seen = np.sort(np.concatenate([seen, keys]), kind="stable")
+        found.append((codes, delays, keys))
+    codes, delays, keys = (np.concatenate(part) for part in zip(*found))
+    order = np.argsort(keys)
+    return ReachableStates(space, codes[order], delays[order], keys[order])
 
 
-def _successors(space: DescriptorSpace, codes, l, l_max):
-    aged = tuple(sorted(space.aged[c] for c in codes))
-    target = max(range(len(codes)), key=lambda i: space.belief[codes[i]])
-    rest = list(codes[:target]) + list(codes[target + 1 :])
-    rest_aged = [space.aged[c] for c in rest]
-    after_idle = tuple(sorted(rest_aged + [space.idle_fresh]))
-    after_busy = tuple(sorted(rest_aged + [space.busy_fresh]))
-    l_up = min(l + 1, l_max)
-    out = []
-    if l < l_max:
-        out.append((aged, l_up))          # wait
-        out.append((after_idle, 1))       # sense outcomes (shared by 1 and 2)
-        out.append((after_busy, l_up))    # sense-wait, busy
-    out.append((after_idle, 1))           # fallback, idle
-    out.append((after_busy, 1))           # fallback, busy
-    return out
+@dataclass
+class _Table:
+    """Successors and rewards of every descriptor state, sorted by delay.
+
+    layers[l] is the first state at delay l + 1; b is the belief of the
+    channel sensing would target.  up_wait and up_busy are the successors at
+    delay l + 1 after a wait and after a busy sensing that waits (the state
+    itself at the cap); idle1 and busy1 are the delay-1 successors after an
+    idle sensing and after a busy sensing that falls back.
+    """
+
+    layers: np.ndarray
+    b: np.ndarray
+    rewards: tuple
+    up_wait: np.ndarray
+    up_busy: np.ndarray
+    idle1: np.ndarray
+    busy1: np.ndarray
+
+
+def _table(reach: ReachableStates, r: RewardParams, l_max: int) -> _Table:
+    delays = reach.delays
+    waited, after_idle, after_busy, b = reach.space.moves(reach.codes)
+    cap = delays == l_max
+    up = np.minimum(delays + 1, l_max)
+    own = np.arange(len(delays))
+    fl = r.penalty.table(l_max)[delays - 1]
+    extra = fl if r.penalty_on_transmit else 0.0
+    return _Table(
+        layers=np.searchsorted(delays, np.arange(1, l_max + 2)),
+        b=b,
+        rewards=(
+            -fl,
+            -r.c_s + b * (r.phi - r.p_p - extra) + (1.0 - b) * (-fl),
+            r.phi - r.c_s - extra - b * r.p_p - (1.0 - b) * r.p_3g,
+        ),
+        up_wait=np.where(cap, own, reach.lookup(waited, up)),
+        up_busy=np.where(cap, own, reach.lookup(after_busy, up)),
+        idle1=reach.lookup(after_idle, 1),
+        busy1=reach.lookup(after_busy, 1),
+    )
+
+
+def _backup(t: _Table, v: np.ndarray):
+    """One Bellman backup: the backup values and the greedy action table."""
+    q_idle = t.b * v[t.idle1]
+    q0 = t.rewards[0] + v[t.up_wait]
+    q1 = t.rewards[1] + (q_idle + (1.0 - t.b) * v[t.up_busy])
+    q2 = t.rewards[2] + (q_idle + (1.0 - t.b) * v[t.busy1])
+    # Only the fallback action is admissible at the delay cap.
+    q0[t.layers[-2]:] = -np.inf
+    q1[t.layers[-2]:] = -np.inf
+    return _greedy(q0, q1, q2)
+
+
+def _evaluate(t: _Table, actions: np.ndarray, v1: np.ndarray, tol: float, max_iter: int):
+    """Relative values of a fixed action table, zero at the reference state 0.
+
+    The delay-1 values v1 warm-start damped relative value iteration on the
+    embedded chain, which stops at a residual span of tol / 100 or where
+    rounding stops it shrinking; the other layers then follow backward in
+    delay.
+    """
+    wait = actions == Action.WAIT
+    sense_wait = actions == Action.SENSE_WAIT
+    reward = np.choose(actions, t.rewards)
+    # The one successor at delay l + 1 and the chance of moving there; every
+    # other exit lands at delay 1.
+    up = np.where(sense_wait, t.up_busy, t.up_wait)
+    p_up = np.where(wait, 1.0, np.where(sense_wait, 1.0 - t.b, 0.0))
+    p_idle1 = np.where(wait, 0.0, t.b)
+    p_busy1 = np.where(wait | sense_wait, 0.0, 1.0 - t.b)
+
+    n1 = t.layers[1]
+    cur = np.arange(n1)
+    mass = np.ones(n1)
+    total = np.zeros(n1)
+    sojourn = np.zeros(n1)
+    lands, probs = [], []
+    for _ in range(len(t.layers) - 1):
+        total += mass * reward[cur]
+        sojourn += mass
+        lands += [t.idle1[cur], t.busy1[cur]]
+        probs += [mass * p_idle1[cur], mass * p_busy1[cur]]
+        mass = mass * p_up[cur]
+        cur = up[cur]
+        if not mass.any():
+            break
+    lands, probs = np.stack(lands, axis=1), np.stack(probs, axis=1)
+
+    tau = _STEP * sojourn.min()
+    prev = np.inf
+    for _ in range(max_iter):
+        # Reward per slot of one more visit on the current values.
+        d = (total + (probs * v1[lands]).sum(axis=1) - v1) / sojourn
+        span = float(np.ptp(d))
+        if span <= tol / 100 or span >= prev:
+            break
+        prev = span
+        v1 = v1 + tau * (d - d[0])
+    else:
+        raise NoConvergence(max_iter, span, tol)
+    gain = float(d[0])
+
+    v = np.zeros(len(actions))
+    v[:n1] = v1
+    for l in range(len(t.layers) - 1, 1, -1):
+        s = slice(t.layers[l - 1], t.layers[l])
+        v[s] = (
+            reward[s] - gain + p_up[s] * v[up[s]]
+            + p_idle1[s] * v1[t.idle1[s]] + p_busy1[s] * v1[t.busy1[s]]
+        )
+    return v
 
 
 def solve_multichannel(
@@ -210,88 +393,59 @@ def solve_multichannel(
     l_max: int = 15,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> MultichannelValueFunction:
-    """Relative value iteration over the reachable descriptor MDP.
+    """Howard policy iteration over the reachable descriptor MDP.
 
     Sensing targets the max-belief channel; the wait and sense-wait actions
-    are unavailable at the delay cap.  The reference state for normalization
-    is the all-stale state at delay 1.
+    are unavailable at the delay cap.  Starts from fallback everywhere,
+    evaluates each action table on the embedded delay-1 chain, and improves
+    it by one greedy Bellman backup until the table repeats.  The returned
+    values are that backup renormalized at the reference state (all channels
+    stale, delay 1); iterations counts policy-iteration steps and
+    residual_span is the span of the final Bellman residual.
+
+    max_iter caps both the policy-iteration steps and the evaluation sweeps
+    of each step.  Raises NoConvergence when either cap is hit or the span of
+    the stable table's residual exceeds tol.
     """
     pi0 = stationary_idle(p)
     if pi0 == 0.0 or pi0 == 1.0:
         raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
-    space, states, index = build_reachable_states(
-        n_channels, p, k_trunc, l_max, state_cap
-    )
-    n = len(states)
-    f = r.penalty.table(l_max)
-
-    # Per state and action: expected reward, two successor ids, two weights.
-    rew = np.full((n, 3), -np.inf)
-    nxt = np.zeros((n, 3, 2), dtype=np.int64)
-    prb = np.zeros((n, 3, 2))
-    for sid, (codes, l) in enumerate(states):
-        aged = tuple(sorted(space.aged[c] for c in codes))
-        target = max(range(len(codes)), key=lambda i: space.belief[codes[i]])
-        b = float(space.belief[codes[target]])
-        rest_aged = [space.aged[c] for i, c in enumerate(codes) if i != target]
-        after_idle = index[(tuple(sorted(rest_aged + [space.idle_fresh])), 1)]
-        l_up = min(l + 1, l_max)
-        fl = f[l - 1]
-        extra = fl if r.penalty_on_transmit else 0.0
-        if l < l_max:
-            busy_key = (tuple(sorted(rest_aged + [space.busy_fresh])), l_up)
-            rew[sid, 0] = -fl
-            nxt[sid, 0] = (index[(aged, l_up)], 0)
-            prb[sid, 0] = (1.0, 0.0)
-            rew[sid, 1] = -r.c_s + b * (r.phi - r.p_p - extra) + (1.0 - b) * (-fl)
-            nxt[sid, 1] = (after_idle, index[busy_key])
-            prb[sid, 1] = (b, 1.0 - b)
-        else:
-            nxt[sid, 0] = (sid, sid)
-            nxt[sid, 1] = (sid, sid)
-        busy1 = index[(tuple(sorted(rest_aged + [space.busy_fresh])), 1)]
-        rew[sid, 2] = r.phi - r.c_s - extra - b * r.p_p - (1.0 - b) * r.p_3g
-        nxt[sid, 2] = (after_idle, busy1)
-        prb[sid, 2] = (b, 1.0 - b)
-
-    ref = index[(tuple([STALE] * n_channels), 1)]
-    v = np.zeros(n)
-    span = float("inf")
-    gain = 0.0
+    reach = build_reachable_states(n_channels, p, k_trunc, l_max, state_cap)
+    t = _table(reach, r, l_max)
+    actions = np.full(len(reach.delays), int(Action.SENSE_FALLBACK), dtype=np.int8)
+    v1 = np.zeros(t.layers[1])
     for it in range(1, max_iter + 1):
-        cont = (prb * v[nxt]).sum(axis=2)
-        q = rew + cont
-        w = q.max(axis=1)
-        resid = w - v
-        span = float(resid.max() - resid.min())
-        gain = float(w[ref])
-        if span <= tol:
-            v = w - gain
+        v = _evaluate(t, actions, v1, tol, max_iter)
+        v1 = v[: t.layers[1]]
+        w, improved = _backup(t, v)
+        span = float(np.ptp(w - v))
+        if np.array_equal(improved, actions):
             break
-        v_new = damping * w + (1.0 - damping) * v
-        v = v_new - v_new[ref]
+        actions = improved
     else:
         raise NoConvergence(max_iter, span, tol)
-
-    actions = np.full(n, int(Action.SENSE_FALLBACK), dtype=np.int8)
-    actions[q[:, 1] >= w - TIE_TOL] = int(Action.SENSE_WAIT)
-    actions[q[:, 0] >= w - TIE_TOL] = int(Action.WAIT)
+    if span > tol:
+        raise NoConvergence(it, span, tol)
+    gain = float(w[0])
 
     return MultichannelValueFunction(
-        space=space,
+        space=reach.space,
         n_channels=n_channels,
         l_max=l_max,
-        states=states,
-        state_index=index,
-        values=v,
+        states=reach.states,
+        state_index=reach.index,
+        values=w - gain,
         actions=actions,
         gain=gain,
         rewards=r,
+        codes=reach.codes,
+        delays=reach.delays,
         iterations=it,
         residual_span=span,
         tol=tol,

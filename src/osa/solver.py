@@ -21,7 +21,7 @@ solve (Puterman 1994, Markov Decision Processes, sections 8.6 and 9.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np

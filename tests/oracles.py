@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without reusing the package's backup
 machinery: plain dict/float finite-horizon dynamic programming over exactly
-reachable beliefs, and a renewal-cycle average-reward calculator for
-fixed-shape policies.  Slow and simple on purpose.
+reachable beliefs, a renewal-cycle average-reward calculator for
+fixed-shape policies, and a tuple-by-tuple closure and Bellman backup of the
+descriptor MDP.  Slow and simple on purpose.
 """
 
 import math
@@ -120,3 +121,59 @@ def renewal_gain(p, r, l_star, wait_until=0):
     # q = pa_a q + pa_b (1 - q)
     q = pa_b / (1 - pa_a + pa_b)
     return (q * r_a + (1 - q) * r_b) / (q * t_a + (1 - q) * t_b)
+
+
+def descriptor_successors(space, codes, l, l_max):
+    """Successor keys of one descriptor state, in action order: wait, sense
+    with wait (idle, busy), sense with fallback (idle, busy).  At the delay
+    cap only the two fallback successors remain.  The sensed channel is the
+    first one of highest belief."""
+    aged = tuple(sorted(space.aged[c] for c in codes))
+    target = max(range(len(codes)), key=lambda i: space.belief[codes[i]])
+    rest = list(codes[:target]) + list(codes[target + 1 :])
+    rest_aged = [space.aged[c] for c in rest]
+    after_idle = tuple(sorted(rest_aged + [space.idle_fresh]))
+    after_busy = tuple(sorted(rest_aged + [space.busy_fresh]))
+    l_up = min(l + 1, l_max)
+    out = []
+    if l < l_max:
+        out.append((aged, l_up))
+        out.append((after_idle, 1))
+        out.append((after_busy, l_up))
+    out.append((after_idle, 1))
+    out.append((after_busy, 1))
+    return out
+
+
+def reachable_descriptor_states(space, n_channels, l_max):
+    """Depth-first closure over tuples from the all-stale state at delay 1.
+    Returns the set of reachable (sorted code tuple, delay) pairs."""
+    start = (tuple([0] * n_channels), 1)
+    seen = {start}
+    stack = [start]
+    while stack:
+        codes, l = stack.pop()
+        for key in descriptor_successors(space, codes, l, l_max):
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return seen
+
+
+def descriptor_backup(space, index, values, r, l_max):
+    """One Bellman backup of descriptor values, state by state in plain
+    Python.  index maps each (codes, delay) key to its position in values."""
+    out = [0.0] * len(index)
+    for (codes, l), sid in index.items():
+        b = float(max(space.belief[c] for c in codes))
+        v = [float(values[index[key]]) for key in descriptor_successors(space, codes, l, l_max)]
+        f = r.gamma * math.log(l)
+        extra = f if r.penalty_on_transmit else 0.0
+        q = [
+            r.phi - r.c_s - extra + b * (-r.p_p + v[-2]) + (1.0 - b) * (-r.p_3g + v[-1])
+        ]
+        if l < l_max:
+            q.append(-f + v[0])
+            q.append(-r.c_s + b * (r.phi - r.p_p - extra + v[1]) + (1.0 - b) * (-f + v[2]))
+        out[sid] = max(q)
+    return out

@@ -29,6 +29,21 @@ def test_invalid_input_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()  # rejected before any output or solve
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--iterations", 0],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--gammas", "0,10"],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", 0],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 1],
+    ["solve", "--scenario", 1, "--ktrunc", 0],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--tol", 0],
+])
+def test_library_input_checks_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_unknown_command_exit_code():
     assert run(["frobnicate"]) == 1
 

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from osa.channel import ChannelParams, stationary_idle
-from osa.errors import StateSpaceTooLarge
+from osa.errors import NoConvergence, StateSpaceTooLarge
 from osa.multichannel import (
     STALE,
     DescriptorSpace,
@@ -140,3 +142,63 @@ def test_action_lookup_by_codes():
     assert mvf.action_for((space_code := mvf.space.busy_fresh, STALE), 2) == mvf.action_for(
         (STALE, space_code), 2
     )
+
+
+@pytest.mark.parametrize(
+    "n,k_trunc,l_max,alpha,beta",
+    [
+        (1, 2, 4, 0.15, 0.1),
+        (3, 3, 3, 0.15, 0.1),
+        (2, 8, 8, 0.15, 0.1),
+        (4, 5, 6, 0.15, 0.1),
+        (3, 4, 4, 0.4, 0.4),  # every code has the same belief: ties everywhere
+    ],
+)
+def test_reachable_states_match_tuple_closure(n, k_trunc, l_max, alpha, beta):
+    from oracles import reachable_descriptor_states
+
+    p = ChannelParams(alpha, beta)
+    space, states, index = build_reachable_states(n, p, k_trunc=k_trunc, l_max=l_max)
+    assert len(states) == len(set(states))
+    oracle = reachable_descriptor_states(space, n, l_max)
+    assert set(states) == oracle
+    assert all(index[state] == i for i, state in enumerate(states))
+    # Element types too: digests of action tables hash the repr of states.
+    assert repr(sorted(states)) == repr(sorted(oracle))
+
+
+def test_state_keys_past_int64_raise():
+    start = time.perf_counter()
+    with pytest.raises(StateSpaceTooLarge):
+        build_reachable_states(60, ChannelParams(0.15, 0.1), k_trunc=20, l_max=15)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "n,alpha,beta,k_trunc,l_max",
+    [(2, 0.85, 0.7, 8, 8), (2, 0.15, 0.1, 10, 10), (1, 0.95, 0.05, 20, 15)],
+)
+def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, l_max):
+    from oracles import descriptor_backup
+
+    mvf = solve_multichannel(n, ChannelParams(alpha, beta), PRESET, k_trunc=k_trunc, l_max=l_max)
+    backup = np.array(descriptor_backup(mvf.space, mvf.state_index, mvf.values, PRESET, l_max))
+    assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
+
+
+def test_descriptor_solver_step_cap():
+    with pytest.raises(NoConvergence) as err:
+        solve_multichannel(2, ChannelParams(0.85, 0.7), PRESET, k_trunc=8, l_max=8, max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.span > err.value.tol
+
+
+def test_descriptor_solver_tolerance_below_final_residual_stops():
+    # The evaluation stops at the rounding floor and the table settles in a
+    # few steps, so a tolerance below the final residual is reported then.
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence) as err:
+        solve_multichannel(2, ChannelParams(0.15, 0.1), PRESET, k_trunc=10, l_max=10, tol=1e-15)
+    assert err.value.iterations < 50
+    assert err.value.span > err.value.tol
+    assert time.perf_counter() - start < 10.0
