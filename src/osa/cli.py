@@ -1,10 +1,15 @@
 """Experiment driver: solve, simulate, sweep, compare and learn commands with
 scenario presets, manifests and reproducible CSV outputs.
 
-Every command writes a JSON manifest holding the full parameter set, the seed
-and the produced file list; `osa rerun --manifest FILE` re-executes a manifest
-and reproduces the outputs byte for byte.  Exit codes: 0 success, 1 usage
-error, 2 solver failure, 3 simulation failure.
+A model is a preset (`--scenario`) or a channel (`--alpha` and `--beta`, one
+channel unless `--n` says otherwise) with every model flag given applied over
+it; prices not given keep the `Scenario` defaults.  Each command takes only
+the flags it reads, so any other flag is a usage error.  Every command writes
+a JSON manifest holding the resolved run (the model that ran plus the
+command's own options, output paths absolute) and the produced file list;
+`osa rerun --manifest FILE` replays the manifest through the same parser and
+reproduces the outputs byte for byte.  Exit codes: 0 success, 1 usage error,
+2 solver failure, 3 simulation failure.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +38,7 @@ from .scenarios import SCENARIOS, Scenario
 from .sim import (
     SimConfig,
     SweepRow,
+    _solve_policy,
     compare_rows_to_csv,
     compare_with_memoryless,
     little_check,
@@ -46,6 +53,36 @@ USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
 SIM_FAILURES = (DelayOverflow, TargetUnreachable)
 
+# The model flags write to the Scenario field of the same name and default to
+# None, meaning "keep the preset's (or the Scenario default) value".
+MODEL_FIELDS = [f.name for f in fields(Scenario) if f.name != "name"]
+FLAGS = {
+    "--scenario": {"type": int, "choices": sorted(SCENARIOS)},
+    "--alpha": {"type": float},
+    "--beta": {"type": float},
+    "--n": {"dest": "n_channels", "type": int, "help": "number of i.i.d. channels"},
+    "--phi": {"type": float},
+    "--cs": {"dest": "c_s", "type": float},
+    "--pp": {"dest": "p_p", "type": float},
+    "--p3g": {"dest": "p_3g", "type": float},
+    "--gamma": {"type": float},
+    "--tol": {"type": float, "default": 1e-9},
+    "--lmax": {"type": int, "default": 50},
+    "--ktrunc": {"type": int, "default": 20},
+    "--seed": {"type": int, "default": 0},
+    "--packets": {"type": int, "default": 3000},
+}
+MODEL = ["--scenario", "--alpha", "--beta", "--n", "--phi", "--cs", "--pp", "--p3g"]
+EPISODES = ["--tol", "--lmax", "--ktrunc", "--seed", "--packets"]
+COMMAND_FLAGS = {
+    "solve": ("solve an instance and export value/policy tables",
+              MODEL + ["--gamma", "--tol", "--lmax", "--ktrunc"]),
+    "simulate": ("run one slot-level episode", MODEL + ["--gamma"] + EPISODES),
+    "sweep": ("solve and simulate across delay-penalty values", MODEL + EPISODES),
+    "compare": ("energy comparison against memoryless baselines", MODEL + EPISODES),
+    "learn": ("run the online learning algorithm", MODEL + ["--gamma", "--lmax", "--seed"]),
+}
+
 
 class UsageError(Exception):
     pass
@@ -58,49 +95,28 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _inputs():
-    """Report an invalid command input (a ValueError while building it) as a
-    usage error."""
+    """Report an invalid command input (a ValueError or an unreadable file
+    while building it) as a usage error."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _add_common(sub):
-    sub.add_argument("--scenario", type=int, choices=sorted(SCENARIOS))
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--n", type=int, default=1, help="number of i.i.d. channels")
-    sub.add_argument("--phi", type=float, default=350.0)
-    sub.add_argument("--cs", type=float, default=50.0)
-    sub.add_argument("--pp", type=float, default=100.0)
-    sub.add_argument("--p3g", type=float, default=800.0)
-    sub.add_argument("--gamma", type=float, default=10.0)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--lmax", type=int, default=50)
-    sub.add_argument("--ktrunc", type=int, default=20)
-    sub.add_argument("--packets", type=int, default=3000)
-    sub.add_argument("--out", type=Path, default=Path("out"))
-
-
 def build_parser() -> _Parser:
-    parser = _Parser(prog="osa", description=__doc__)
+    parser = _Parser(prog="osa", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("solve", "solve an instance and export value/policy tables"),
-        ("simulate", "run one slot-level episode"),
-        ("sweep", "solve and simulate across delay-penalty values"),
-        ("compare", "energy comparison against memoryless baselines"),
-        ("learn", "run the online learning algorithm"),
-    ):
-        sub = subs.add_parser(name, help=helptext)
-        _add_common(sub)
+    for name, (helptext, flags) in COMMAND_FLAGS.items():
+        sub = subs.add_parser(name, help=helptext, allow_abbrev=False)
+        for flag in flags:
+            sub.add_argument(flag, **FLAGS[flag])
+        sub.add_argument("--out", type=Path, default=Path("out"))
         if name == "simulate":
-            sub.add_argument("--policy", type=Path, help="threshold policy CSV to run")
-            sub.add_argument("--mp", type=int, help="memoryless baseline attempt limit")
+            policy = sub.add_mutually_exclusive_group()
+            policy.add_argument("--policy", type=Path, help="threshold policy CSV to run")
+            policy.add_argument("--mp", type=int, help="memoryless baseline attempt limit")
             sub.add_argument("--trace", action="store_true", help="export the per-slot trace")
         if name == "sweep":
             sub.add_argument("--gammas", type=str, default="2,4,8,16,32,64,128,256,512,1024")
@@ -114,53 +130,63 @@ def build_parser() -> _Parser:
             sub.add_argument("--eta", type=float, default=0.5)
             sub.add_argument("--bins", type=int, default=10)
 
-    rerun = subs.add_parser("rerun", help="re-execute a command from its manifest")
+    rerun = subs.add_parser("rerun", help="re-execute a command from its manifest",
+                            allow_abbrev=False)
     rerun.add_argument("--manifest", type=Path, required=True)
     return parser
 
 
 def _scenario_of(args) -> Scenario:
+    """The preset or the --alpha/--beta channel with every given model flag
+    applied over it.  Writes the resolved model back into args, so the
+    manifest records what ran."""
     with _inputs():
         if args.lmax < 2:
             raise ValueError("l_max must be at least 2")
-        if args.ktrunc < 1:
+        if "ktrunc" in args and args.ktrunc < 1:
             raise ValueError("k_trunc must be >= 1")
-        if args.tol <= 0:
+        if "tol" in args and args.tol <= 0:
             raise ValueError("tol must be positive")
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
-        return base
-    if args.alpha is None or args.beta is None:
+    elif args.alpha is None or args.beta is None:
         raise UsageError("either --scenario or both --alpha and --beta are required")
-    scenario = Scenario(
-        name=f"custom-a{args.alpha}-b{args.beta}",
-        n_channels=args.n,
-        alpha=args.alpha,
-        beta=args.beta,
-        phi=args.phi,
-        c_s=args.cs,
-        p_p=args.pp,
-        p_3g=args.p3g,
-        gamma=args.gamma,
+    else:
+        base = Scenario(f"custom-a{args.alpha}-b{args.beta}", 1, args.alpha, args.beta)
+    model = [key for key in MODEL_FIELDS if key in args]
+    scenario = replace(
+        base, **{key: getattr(args, key) for key in model if getattr(args, key) is not None}
     )
     with _inputs():
+        if scenario.n_channels < 1:
+            raise ValueError("n_channels must be >= 1")
         scenario.channel, scenario.rewards  # validate the model parameters
+    for key in model:
+        setattr(args, key, getattr(scenario, key))
     return scenario
 
 
-def _write_manifest(outdir: Path, command: str, params: dict, outputs: list) -> Path:
+def _outdir(args) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
+
+
+def _write_manifest(args, outputs: list) -> None:
+    params = {
+        key: str(val.resolve()) if isinstance(val, Path) else val
+        for key, val in vars(args).items()
+        if key != "command"
+    }
     manifest = {
         "tool": "osa",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "params": params,
-        "outputs": [str(o) for o in outputs],
+        "outputs": [str(o.resolve()) for o in outputs],
     }
-    path = outdir / f"manifest_{command}.json"
-    with open(path, "w") as fh:
+    with open(args.out / f"manifest_{args.command}.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _episode_config(scenario: Scenario, args, **kw) -> SimConfig:
@@ -178,22 +204,11 @@ def _episode_config(scenario: Scenario, args, **kw) -> SimConfig:
     )
 
 
-def _params_from_args(args, extra=()) -> dict:
-    keys = [
-        "scenario", "alpha", "beta", "n", "phi", "cs", "pp", "p3g", "gamma",
-        "seed", "tol", "lmax", "ktrunc", "packets", "out",
-    ]
-    keys += list(extra)
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        out[key] = str(val) if isinstance(val, Path) else val
-    return out
-
-
-def _solve(scenario: Scenario, args):
-    """Returns (policy-for-simulation, threshold table, structure report or
-    None, value function or None, summary dict)."""
+def cmd_solve(args) -> int:
+    scenario = _scenario_of(args)
+    outdir = _outdir(args)
+    policy_path = outdir / "policy.csv"
+    outputs = [policy_path]
     if scenario.n_channels == 1:
         vf = solve_single_channel(
             scenario.channel, scenario.rewards, l_max=args.lmax, tol=args.tol
@@ -206,57 +221,42 @@ def _solve(scenario: Scenario, args):
             "l_star": tp.l_star,
             "cap_bound": tp.cap_bound,
         }
-        return tp, tp, report, vf, info
-    mvf = solve_multichannel(
-        scenario.n_channels,
-        scenario.channel,
-        scenario.rewards,
-        k_trunc=args.ktrunc,
-        l_max=args.lmax,
-        tol=args.tol,
-    )
-    lam, violations = mvf.lambda_summary()
-    tp = ThresholdPolicy(
-        lambda_star=lam,
-        l_star=mvf.dedicated_switch_delay(),
-        l_max=mvf.l_max,
-        channel=scenario.channel,
-        rewards=scenario.rewards,
-    )
-    info = {
-        "gain": mvf.gain,
-        "iterations": mvf.iterations,
-        "l_star": tp.l_star,
-        "states": len(mvf.states),
-        "summary_violations": violations,
-    }
-    return mvf, tp, None, None, info
-
-
-def cmd_solve(args) -> int:
-    scenario = _scenario_of(args)
-    outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
-    _, tp, report, vf, info = _solve(scenario, args)
-    outputs = []
-    policy_path = outdir / "policy.csv"
-    tp.to_csv(policy_path)
-    outputs.append(policy_path)
-    if vf is not None:
         value_path = outdir / "value_function.csv"
         vf.to_csv(value_path)
-        outputs.append(value_path)
         sidecar = outdir / "value_function_meta.json"
         with open(sidecar, "w") as fh:
             json.dump(vf.metadata(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        outputs.append(sidecar)
-    if report is not None:
         report_path = outdir / "structure_report.txt"
         with open(report_path, "w") as fh:
             fh.write(report.to_text())
-        outputs.append(report_path)
-    _write_manifest(outdir, "solve", _params_from_args(args), outputs)
+        outputs += [value_path, sidecar, report_path]
+    else:
+        mvf = solve_multichannel(
+            scenario.n_channels,
+            scenario.channel,
+            scenario.rewards,
+            k_trunc=args.ktrunc,
+            l_max=args.lmax,
+            tol=args.tol,
+        )
+        lam, violations = mvf.lambda_summary()
+        tp = ThresholdPolicy(
+            lambda_star=lam,
+            l_star=mvf.dedicated_switch_delay(),
+            l_max=mvf.l_max,
+            channel=scenario.channel,
+            rewards=scenario.rewards,
+        )
+        info = {
+            "gain": mvf.gain,
+            "iterations": mvf.iterations,
+            "l_star": tp.l_star,
+            "states": len(mvf.states),
+            "summary_violations": violations,
+        }
+    tp.to_csv(policy_path)
+    _write_manifest(args, outputs)
     print(f"solved {scenario.name}: gain={info['gain']:.6g} l_star={info['l_star']}")
     for key, val in info.items():
         print(f"  {key}: {val}")
@@ -271,22 +271,16 @@ def cmd_simulate(args) -> int:
             cfg.policy = MemorylessPolicy(args.mp)
         elif args.policy is not None:
             cfg.policy = ThresholdPolicy.from_csv(args.policy)
-    outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     if cfg.policy is None:
-        cfg.policy = _solve(scenario, args)[0]
+        cfg.policy = _solve_policy(cfg, scenario.gamma, args.tol)[0]
     metrics, trace = run_episode(cfg)
-    outputs = []
-    metrics_path = outdir / "metrics.csv"
-    sweep_rows_to_csv([SweepRow.of(scenario.gamma, metrics)], metrics_path)
-    outputs.append(metrics_path)
+    outputs = [outdir / "metrics.csv"]
+    sweep_rows_to_csv([SweepRow.of(scenario.gamma, metrics)], outputs[0])
     if trace is not None:
-        trace_path = outdir / "trace.csv"
-        write_trace_csv(trace, trace_path)
-        outputs.append(trace_path)
-    _write_manifest(
-        outdir, "simulate", _params_from_args(args, ("mp", "policy", "trace")), outputs
-    )
+        outputs.append(outdir / "trace.csv")
+        write_trace_csv(trace, outputs[1])
+    _write_manifest(args, outputs)
     print(
         f"simulated {metrics.packets} packets over {metrics.slots} slots: "
         f"avg_delay={metrics.avg_delay:.4f} throughput={metrics.throughput:.4f} "
@@ -303,12 +297,10 @@ def cmd_sweep(args) -> int:
         if any(g <= 0 for g in gammas):
             raise ValueError("gamma values must be positive")
         cfg = _episode_config(scenario, args)
-    outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    path = _outdir(args) / "sweep.csv"
     rows = sweep_gamma(cfg, gammas, solver_tol=args.tol)
-    path = outdir / "sweep.csv"
     sweep_rows_to_csv(rows, path)
-    _write_manifest(outdir, "sweep", _params_from_args(args, ("gammas",)), [path])
+    _write_manifest(args, [path])
     for row in rows:
         print(
             f"gamma={row.gamma:<10g} avg_delay={row.avg_delay:<10.4f} "
@@ -324,12 +316,10 @@ def cmd_compare(args) -> int:
         if any(k < 1 for k in ks):
             raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
         cfg = _episode_config(scenario, args)
-    outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    path = _outdir(args) / "compare.csv"
     rows = compare_with_memoryless(cfg, ks, tol=args.match_tol, solver_tol=args.tol)
-    path = outdir / "compare.csv"
     compare_rows_to_csv(rows, path)
-    _write_manifest(outdir, "compare", _params_from_args(args, ("ks", "match_tol")), [path])
+    _write_manifest(args, [path])
     for row in rows:
         print(
             f"k={row.k} gamma={row.gamma:.4g} matched_delay={row.matched_delay_mp:.3f} "
@@ -350,8 +340,7 @@ def cmd_learn(args) -> int:
             eta=args.eta,
             l_max=args.lmax,
         )
-    outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     result = run_learning(
         cfg, scenario.channels(), scenario.rewards, iterations=args.iterations, seed=args.seed
     )
@@ -359,12 +348,7 @@ def cmd_learn(args) -> int:
     write_learn_trace_csv(result.trace, trace_path)
     policy_path = outdir / "learned_policy.csv"
     result.learned_policy.to_csv(policy_path)
-    _write_manifest(
-        outdir,
-        "learn",
-        _params_from_args(args, ("iterations", "nbslot", "epsilon", "eta", "bins")),
-        [trace_path, policy_path],
-    )
+    _write_manifest(args, [trace_path, policy_path])
     print(
         f"learned policy id={result.learned_policy_id} "
         f"l_star={result.learned_policy.l_star} "
@@ -375,28 +359,29 @@ def cmd_learn(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    params = manifest["params"]
-    argv = [manifest["command"]]
-    skip = {"policy", "trace", "mp"}
-    flags = {
-        "match_tol": "--match-tol",
-    }
-    for key, val in params.items():
-        if val is None or key in skip:
-            continue
-        if isinstance(val, bool):
-            if val:
-                argv.append(flags.get(key, f"--{key}"))
-            continue
-        argv.extend([flags.get(key, f"--{key}"), str(val)])
-    if params.get("mp") is not None:
-        argv.extend(["--mp", str(params["mp"])])
-    if params.get("policy") is not None:
-        argv.extend(["--policy", str(params["policy"])])
-    if params.get("trace"):
-        argv.append("--trace")
+    """Rebuild the argv of a manifest from its command's parser, so each
+    recorded value passes the same types and checks as a typed flag."""
+    with _inputs():
+        manifest = json.loads(args.manifest.read_text())
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), dict):
+        raise UsageError(f"{args.manifest}: no params to rerun")
+    command, params = manifest.get("command"), manifest["params"]
+    if not isinstance(command, str) or command not in COMMAND_FLAGS:
+        raise UsageError(f"{args.manifest}: cannot rerun command {command!r}")
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[command]._actions if a.dest != "help"}
+    unknown = sorted(set(params) - set(actions))
+    if unknown:
+        raise UsageError(f"{args.manifest}: {command} takes no {', '.join(unknown)}")
+    argv = [command]
+    for dest, action in actions.items():
+        val = params.get(dest)
+        if action.nargs == 0:
+            if val is not None and not isinstance(val, bool):
+                raise UsageError(f"{args.manifest}: {dest} must be true or false, got {val!r}")
+            argv += [action.option_strings[0]] if val else []
+        elif val is not None:
+            argv += [action.option_strings[0], str(val)]
     return main(argv)
 
 

@@ -72,6 +72,8 @@ class ThresholdPolicy:
                 thresholds.append(float(th))
                 if name == "sense_fallback" and l_star is None:
                     l_star = int(d)
+        if delays != list(range(1, len(delays) + 1)):
+            raise ValueError("policy delays must run 1, 2, ..., l_max in order")
         l_max = max(delays)
         return cls(
             lambda_star=np.asarray(thresholds),

@@ -11,15 +11,18 @@ from .solver import RewardParams
 
 @dataclass(frozen=True)
 class Scenario:
+    """One model: N i.i.d. channels with transition probabilities (alpha,
+    beta) and the price set; the field defaults are the studied prices."""
+
     name: str
     n_channels: int
     alpha: float
     beta: float
-    phi: float
-    c_s: float
-    p_p: float
-    p_3g: float
-    gamma: float
+    phi: float = 350.0
+    c_s: float = 50.0
+    p_p: float = 100.0
+    p_3g: float = 800.0
+    gamma: float = 10.0
 
     @property
     def channel(self) -> ChannelParams:
@@ -34,26 +37,9 @@ class Scenario:
             phi=self.phi, c_s=self.c_s, p_p=self.p_p, p_3g=self.p_3g, gamma=self.gamma
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_channels": self.n_channels,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "phi": self.phi,
-            "c_s": self.c_s,
-            "p_p": self.p_p,
-            "p_3g": self.p_3g,
-            "gamma": self.gamma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        return cls(**d)
-
 
 SCENARIOS = {
-    1: Scenario("scenario-1-often-occupied", 4, 0.15, 0.10, 350.0, 50.0, 100.0, 800.0, 10.0),
-    2: Scenario("scenario-2-often-idle", 4, 0.85, 0.70, 350.0, 50.0, 100.0, 800.0, 10.0),
-    3: Scenario("scenario-3-low-transition", 4, 0.95, 0.05, 350.0, 50.0, 100.0, 800.0, 10.0),
+    1: Scenario("scenario-1-often-occupied", 4, 0.15, 0.10),
+    2: Scenario("scenario-2-often-idle", 4, 0.85, 0.70),
+    3: Scenario("scenario-3-low-transition", 4, 0.95, 0.05),
 }

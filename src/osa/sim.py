@@ -319,7 +319,7 @@ def sweep_rows_to_csv(rows, path) -> None:
             )
 
 
-def _solve_policy(cfg: SimConfig, gamma: float, tol: float, solver_l_max: int | None = None):
+def _solve_policy(cfg: SimConfig, gamma: float, tol: float):
     """Solve the configured instance at a given delay penalty and return the
     policy object the simulator should run."""
     differing = [f"{i}: {p}" for i, p in enumerate(cfg.channels) if p != cfg.channels[0]]
@@ -329,12 +329,11 @@ def _solve_policy(cfg: SimConfig, gamma: float, tol: float, solver_l_max: int | 
             f"({cfg.channels[0]}): " + ", ".join(differing)
         )
     r = replace(cfg.rewards, gamma=gamma)
-    l_max = solver_l_max if solver_l_max is not None else cfg.l_max
     if len(cfg.channels) == 1:
-        vf = solve_single_channel(cfg.channels[0], r, l_max=l_max, tol=tol)
+        vf = solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol)
         return extract_thresholds(vf), r
     mvf = solve_multichannel(
-        len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=l_max, tol=tol
+        len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol
     )
     return mvf, r
 

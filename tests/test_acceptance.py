@@ -6,11 +6,9 @@ specified model are asserted as stated anyway and fail honestly; the
 blocking analysis lives in the project notes, summarized in README.md.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from osa.channel import ChannelParams, ChannelState, stationary_idle, step_true_state
 from osa.learn import (
@@ -21,7 +19,6 @@ from osa.learn import (
     update_counts,
 )
 from osa.policy import (
-    MemorylessPolicy,
     check_structure,
     dedicated_switch_delay,
     extract_thresholds,
@@ -35,7 +32,7 @@ from osa.sim import (
     run_episode,
     sweep_gamma,
 )
-from osa.solver import Action, RewardParams, solve_single_channel
+from osa.solver import RewardParams, solve_single_channel
 from oracles import finite_horizon_actions
 
 SEED = 11

@@ -21,6 +21,8 @@ def test_usage_error_exit_code(capsys):
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--packets", 0],
     ["learn", "--alpha", 0.15, "--beta", 0.1, "--bins", 0],
     ["learn", "--alpha", 0.15, "--beta", 0.1, "--lmax", 10],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 2, "--policy", "policy.csv"],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "no-such-policy.csv"],
 ])
 def test_invalid_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -36,8 +38,26 @@ def test_invalid_input_is_usage_error(argv, tmp_path, capsys):
     ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 1],
     ["solve", "--scenario", 1, "--ktrunc", 0],
     ["solve", "--alpha", 0.15, "--beta", 0.1, "--tol", 0],
+    ["solve", "--alpha", 0.5, "--beta", 0.5, "--n", 0],
 ])
 def test_library_input_checks_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", 0.85, "--beta", 0.7, "--seed", 1],
+    ["solve", "--alpha", 0.85, "--beta", 0.7, "--packets", 100],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--tol", "1e-6"],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--ktrunc", 5],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--packets", 100],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--gamma", 3],  # not --gammas
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--gamma", 3],
+    ["solve", "--alph", 0.85, "--beta", 0.7],  # no abbreviations
+])
+def test_flag_the_command_does_not_read_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
@@ -172,3 +192,89 @@ def test_compare_exit_and_csv(tmp_path):
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[0] == "k,gamma,matched_delay_mp,matched_delay_opt,cost_mp,cost_opt,reduction_pct"
     assert len(lines) == 2
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", 0.85, "--beta", 0.7] + FAST_SOLVE,
+    ["solve", "--scenario", 2, "--ktrunc", 6, "--lmax", 8, "--tol", "1e-6"],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 2, "--seed", 3,
+     "--packets", 300, "--trace"],
+    ["simulate", "--alpha", 0.85, "--beta", 0.7, "--policy", "policy.csv",
+     "--packets", 300, "--lmax", 20],
+    ["simulate", "--alpha", 0.85, "--beta", 0.7, "--n", 2, "--ktrunc", 4, "--lmax", 8,
+     "--packets", 300],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--gammas", "20,200", "--packets", 200,
+     "--lmax", 15, "--tol", "1e-6"],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", 3, "--packets", 200,
+     "--lmax", 15, "--match-tol", 0.5],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--iterations", 20, "--nbslot", 20,
+     "--lmax", 15, "--seed", 7],
+], ids=["solve", "solve-scenario", "simulate-mp-trace", "simulate-policy",
+        "simulate-solved-n2", "sweep", "compare", "learn"])
+def test_rerun_round_trip(argv, tmp_path, monkeypatch):
+    # Relative --out and --policy, rerun from another directory.
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.chdir(first)
+    assert run(["solve", "--alpha", 0.85, "--beta", 0.7, "--out", "solved"] + FAST_SOLVE) == 0
+    (first / "solved" / "policy.csv").rename(first / "policy.csv")
+    assert run(argv + ["--out", "out"]) == 0
+    before = _files(first / "out")
+    manifest = second / "manifest.json"
+    manifest.write_bytes(before[f"manifest_{argv[0]}.json"])
+    for path in (first / "out").iterdir():
+        path.unlink()
+    monkeypatch.chdir(second)
+    assert run(["rerun", "--manifest", manifest]) == 0
+    assert _files(first / "out") == before
+
+
+def _solve_outputs(argv, out, capsys):
+    assert run(argv + ["--lmax", 8, "--ktrunc", 6, "--out", out]) == 0
+    gain = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  gain:"))
+    return gain, (out / "policy.csv").read_bytes()
+
+
+def test_model_flags_override_the_preset(tmp_path, capsys):
+    preset = _solve_outputs(["solve", "--scenario", 2, "--gamma", 500, "--n", 2],
+                            tmp_path / "preset", capsys)
+    custom = _solve_outputs(["solve", "--alpha", 0.85, "--beta", 0.7, "--n", 2,
+                             "--gamma", 500], tmp_path / "custom", capsys)
+    assert preset == custom
+    params = json.loads((tmp_path / "preset" / "manifest_solve.json").read_text())["params"]
+    assert (params["scenario"], params["n_channels"], params["gamma"]) == (2, 2, 500.0)
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no manifest file
+    "directory",
+    "{",
+    {"command": "solve"},
+    {"command": "solve", "params": {"alpha": 0.85, "beta": 0.7, "seed": 1}},
+    {"command": "solve", "params": {"alpha": "high", "beta": 0.7}},
+    {"command": "simulate", "params": {"alpha": 0.15, "beta": 0.1, "mp": 1, "trace": "yes"}},
+    {"command": "rerun", "params": {}},
+    {"command": ["solve"], "params": {}},
+], ids=["missing", "directory", "malformed", "no-params", "unknown-flag", "bad-value",
+        "bad-switch", "rerun", "bad-command"])
+def test_rerun_input_errors_are_usage_errors(content, tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = tmp_path / "manifest.json"
+    if content == "directory":
+        manifest.mkdir()
+    elif isinstance(content, str):
+        manifest.write_text(content)
+    elif content is not None:
+        # A rerun manifest names itself; every other run writes under out.
+        key, val = ("manifest", manifest) if content["command"] == "rerun" else ("out", out)
+        content.get("params", {})[key] = str(val)
+        manifest.write_text(json.dumps(content))
+    assert run(["rerun", "--manifest", manifest]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()

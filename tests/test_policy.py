@@ -259,6 +259,17 @@ def test_policy_csv_roundtrip(tmp_path, scen1_solve):
     assert header == "delay,lambda_star,action_above_threshold"
 
 
+def test_policy_csv_with_missing_delays_is_rejected(tmp_path):
+    # A gap would leave lambda_star shorter than l_max and fail mid-episode.
+    path = tmp_path / "policy.csv"
+    path.write_text(
+        "delay,lambda_star,action_above_threshold\n"
+        "1,0.5,sense_wait\n2,0.5,sense_wait\n5,0.0,sense_fallback\n"
+    )
+    with pytest.raises(ValueError, match="policy delays"):
+        ThresholdPolicy.from_csv(path)
+
+
 def test_no_wait_above_stationary_positive_gain():
     # Where the gain is positive the solver never waits above the stationary
     # belief, matching the structural theory.

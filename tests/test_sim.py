@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from osa.sim import (
     SimConfig,
     SlotEnv,
-    compare_with_memoryless,
     gamma_for_target_delay,
     little_check,
     run_episode,

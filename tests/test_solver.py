@@ -6,7 +6,6 @@ import pytest
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
 from osa.solver import (
-    Action,
     BeliefGrid,
     DelayPenalty,
     RewardParams,
