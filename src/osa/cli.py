@@ -138,8 +138,9 @@ def build_parser() -> _Parser:
 
 def _scenario_of(args) -> Scenario:
     """The preset or the --alpha/--beta channel with every given model flag
-    applied over it.  Writes the resolved model back into args, so the
-    manifest records what ran."""
+    applied over it, named after the base with the fields that changed.
+    Writes the resolved model back into args, so the manifest records what
+    ran."""
     with _inputs():
         if args.lmax < 2:
             raise ValueError("l_max must be at least 2")
@@ -157,6 +158,10 @@ def _scenario_of(args) -> Scenario:
     scenario = replace(
         base, **{key: getattr(args, key) for key in model if getattr(args, key) is not None}
     )
+    changed = [key for key in model if getattr(scenario, key) != getattr(base, key)]
+    if changed:
+        named = ", ".join(f"{key}={getattr(scenario, key)}" for key in changed)
+        scenario = replace(scenario, name=f"{base.name} ({named})")
     with _inputs():
         if scenario.n_channels < 1:
             raise ValueError("n_channels must be >= 1")

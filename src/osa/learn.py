@@ -23,6 +23,9 @@ from .policy import ThresholdPolicy
 from .sim import SlotEnv
 from .solver import RewardParams
 
+# Transition-rate estimate used until the counters support one.
+INITIAL_ESTIMATE = (0.5, 0.5)
+
 
 @dataclass
 class CountingStats:
@@ -139,11 +142,6 @@ def wait_depth_policy(wait_depth: int, switch_delay: int, l_max: int) -> Thresho
     return ThresholdPolicy(lambda_star=lam, l_star=switch_delay, l_max=l_max)
 
 
-def default_rho(k: int) -> float:
-    """Learning-rate schedule 1/k: summable squares, divergent sum."""
-    return 1.0 / k
-
-
 @dataclass
 class LearnerConfig:
     m: int = 10
@@ -154,9 +152,7 @@ class LearnerConfig:
     candidate_switch_delays: tuple = tuple(range(1, 16))
     include_wait_depth: bool = True
     l_max: int = 50
-    initial_estimate: tuple = (0.5, 0.5)
     rho_on_old: bool = True  # rho weights the old value; False weights the target
-    rho: object = default_rho
 
     def __post_init__(self):
         if self.m < 1 or self.nbslot < 1:
@@ -230,9 +226,9 @@ def run_learning(
     accumulating the window reward R, then update
         Q[prev bins, prev candidate] <-
             rho_k Q[prev] + (1 - rho_k) (R + eta Q[new bins, new candidate])
-    (the factors swap when cfg.rho_on_old is False).  Deterministic for a
-    fixed seed.  Channels are treated as i.i.d.: counters are pooled into a
-    single (alpha, beta) estimate for the table index.
+    with rho_k = 1/k (the factors swap when cfg.rho_on_old is False).
+    Deterministic for a fixed seed.  Channels are treated as i.i.d.: counters
+    are pooled into a single (alpha, beta) estimate for the table index.
     """
     candidates = cfg.candidates()
     n_cand = len(candidates)
@@ -243,7 +239,7 @@ def run_learning(
     pick_rng = np.random.default_rng([seed, 999_983])
 
     cur_idx = int(pick_rng.integers(n_cand))
-    est_a, est_b = cfg.initial_estimate
+    est_a, est_b = INITIAL_ESTIMATE
     bins = (discretize(est_a, cfg.m), discretize(est_b, cfg.m))
     trace = []
     est = None
@@ -259,7 +255,7 @@ def run_learning(
             est_a = float(est.alpha_hat[0])
             est_b = float(est.beta_hat[0])
         except InsufficientData:
-            est_a, est_b = cfg.initial_estimate
+            est_a, est_b = INITIAL_ESTIMATE
         bins = (discretize(est_a, cfg.m), discretize(est_b, cfg.m))
 
         if pick_rng.random() < cfg.epsilon:
@@ -269,7 +265,7 @@ def run_learning(
 
         window_reward = env.run(candidates[cur_idx], slots=cfg.nbslot)
 
-        rho = cfg.rho(k)
+        rho = 1.0 / k
         target = window_reward + cfg.eta * q[bins[0], bins[1], cur_idx]
         old = q[prev_bins[0], prev_bins[1], prev_idx]
         if cfg.rho_on_old:

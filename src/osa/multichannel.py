@@ -15,14 +15,15 @@ States are enumerated breadth-first, one frontier at a time, over arrays: each
 (sorted code multiset, delay) packs into one int64 key, delay first, so the
 sorted states run layer by layer in delay and the delay-1 states come first.
 
-Howard policy iteration solves the MDP.  Under a fixed action table every
-state has at most one successor at delay l+1 and all its other exits land at
-delay 1, so the path from each delay-1 state unrolls in l_max steps into an
-expected reward, an expected sojourn and at most 2 l_max delay-1 landings.
-A policy is evaluated on that embedded semi-Markov chain over the delay-1
-states by damped relative value iteration, and the other layers are then
-filled backward in delay (Puterman 1994, Markov Decision Processes, sections
-8.6, 9.2 and 11.4).
+The Howard policy-iteration core of solver.py solves the MDP; this module
+supplies the packed-key successor tables and the evaluation step.  Under a
+fixed action table every state has at most one successor at delay l+1 and all
+its other exits land at delay 1, so the path from each delay-1 state unrolls
+in l_max steps into an expected reward, an expected sojourn and at most
+2 l_max delay-1 landings.  A policy is evaluated on that embedded semi-Markov
+chain over the delay-1 states by damped relative value iteration, and the
+other layers are then filled backward in delay (Puterman 1994, Markov
+Decision Processes, sections 8.6, 9.2 and 11.4).
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, iterate_unsensed, stationary_idle
-from .errors import DegenerateChain, NoConvergence, StateSpaceTooLarge
+from .errors import NoConvergence, StateSpaceTooLarge
 from .solver import (
     Action,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RewardParams,
-    _greedy,
+    check_model,
+    greedy,
+    immediate_rewards,
+    policy_iteration,
 )
 
 DEFAULT_K_TRUNC = 20
@@ -296,16 +300,10 @@ def _table(reach: ReachableStates, r: RewardParams, l_max: int) -> _Table:
     cap = delays == l_max
     up = np.minimum(delays + 1, l_max)
     own = np.arange(len(delays))
-    fl = r.penalty.table(l_max)[delays - 1]
-    extra = fl if r.penalty_on_transmit else 0.0
     return _Table(
         layers=np.searchsorted(delays, np.arange(1, l_max + 2)),
         b=b,
-        rewards=(
-            -fl,
-            -r.c_s + b * (r.phi - r.p_p - extra) + (1.0 - b) * (-fl),
-            r.phi - r.c_s - extra - b * r.p_p - (1.0 - b) * r.p_3g,
-        ),
+        rewards=immediate_rewards(r, b, r.penalty.table(l_max)[delays - 1]),
         up_wait=np.where(cap, own, reach.lookup(waited, up)),
         up_busy=np.where(cap, own, reach.lookup(after_busy, up)),
         idle1=reach.lookup(after_idle, 1),
@@ -319,10 +317,7 @@ def _backup(t: _Table, v: np.ndarray):
     q0 = t.rewards[0] + v[t.up_wait]
     q1 = t.rewards[1] + (q_idle + (1.0 - t.b) * v[t.up_busy])
     q2 = t.rewards[2] + (q_idle + (1.0 - t.b) * v[t.busy1])
-    # Only the fallback action is admissible at the delay cap.
-    q0[t.layers[-2]:] = -np.inf
-    q1[t.layers[-2]:] = -np.inf
-    return _greedy(q0, q1, q2)
+    return greedy(q0, q1, q2, np.s_[t.layers[-2]:])
 
 
 def _evaluate(t: _Table, actions: np.ndarray, v1: np.ndarray, tol: float, max_iter: int):
@@ -398,55 +393,39 @@ def solve_multichannel(
     """Howard policy iteration over the reachable descriptor MDP.
 
     Sensing targets the max-belief channel; the wait and sense-wait actions
-    are unavailable at the delay cap.  Starts from fallback everywhere,
-    evaluates each action table on the embedded delay-1 chain, and improves
-    it by one greedy Bellman backup until the table repeats.  The returned
-    values are that backup renormalized at the reference state (all channels
-    stale, delay 1); iterations counts policy-iteration steps and
-    residual_span is the span of the final Bellman residual.
+    are unavailable at the delay cap.  Each action table is evaluated on the
+    embedded delay-1 chain, warm-started from the previous table's delay-1
+    values; the returned values are the final backup renormalized at the
+    reference state (all channels stale, delay 1).
 
     max_iter caps both the policy-iteration steps and the evaluation sweeps
-    of each step.  Raises NoConvergence when either cap is hit or the span of
-    the stable table's residual exceeds tol.
+    of each step.  Raises as check_model and policy_iteration do, and
+    NoConvergence when an evaluation hits max_iter.
     """
-    pi0 = stationary_idle(p)
-    if pi0 == 0.0 or pi0 == 1.0:
-        raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if l_max < 2:
-        raise ValueError("l_max must be at least 2")
+    check_model(p, tol, l_max)
     reach = build_reachable_states(n_channels, p, k_trunc, l_max, state_cap)
     t = _table(reach, r, l_max)
-    actions = np.full(len(reach.delays), int(Action.SENSE_FALLBACK), dtype=np.int8)
-    v1 = np.zeros(t.layers[1])
-    for it in range(1, max_iter + 1):
-        v = _evaluate(t, actions, v1, tol, max_iter)
-        v1 = v[: t.layers[1]]
-        w, improved = _backup(t, v)
-        span = float(np.ptp(w - v))
-        if np.array_equal(improved, actions):
-            break
-        actions = improved
-    else:
-        raise NoConvergence(max_iter, span, tol)
-    if span > tol:
-        raise NoConvergence(it, span, tol)
-    gain = float(w[0])
-
+    actions, values, gain, steps, span = policy_iteration(
+        len(reach.delays),
+        0,
+        lambda actions, v: _evaluate(t, actions, v[: t.layers[1]], tol, max_iter),
+        lambda v: _backup(t, v),
+        tol,
+        max_iter,
+    )
     return MultichannelValueFunction(
         space=reach.space,
         n_channels=n_channels,
         l_max=l_max,
         states=reach.states,
         state_index=reach.index,
-        values=w - gain,
+        values=values,
         actions=actions,
         gain=gain,
         rewards=r,
         codes=reach.codes,
         delays=reach.delays,
-        iterations=it,
+        iterations=steps,
         residual_span=span,
         tol=tol,
     )

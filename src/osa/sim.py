@@ -177,7 +177,6 @@ class SlotEnv:
                 action = policy.act(beliefs[target], delay)
             transmitted = False
             obs = -1
-            extra = penalty(delay) if r.penalty_on_transmit else 0.0
 
             if action == Action.WAIT:
                 if delay >= l_max:
@@ -191,13 +190,13 @@ class SlotEnv:
                     if last_idle[target] == slot - 1:
                         idle_pairs[target] += 1
                     last_idle[target] = slot
-                    reward = r.phi - r.c_s - r.p_p - extra
+                    reward = r.phi - r.c_s - r.p_p
                     transmitted = True
                 else:
                     obs = 1
                     last_busy[target] = slot
                     if action == Action.SENSE_FALLBACK:
-                        reward = r.phi - r.c_s - r.p_3g - extra
+                        reward = r.phi - r.c_s - r.p_3g
                         transmitted = True
                     else:
                         if delay >= l_max:

@@ -16,6 +16,9 @@ delay-1 states (alpha, 1) and (beta, 1).  Under a fixed action table one
 backward sweep in delay therefore writes every value as an affine function of
 the gain and those two values, and evaluating the policy is a 3x3 linear
 solve (Puterman 1994, Markov Decision Processes, sections 8.6 and 9.2).
+
+The descriptor solver in multichannel.py shares the Howard core defined here:
+check_model, immediate_rewards, greedy and policy_iteration.
 """
 
 from __future__ import annotations
@@ -51,10 +54,8 @@ class RewardParams:
     p_p: price of one transmission over the licensed channel
     p_3g: price of one transmission over the dedicated channel
     gamma: delay-penalty coefficient; the penalty for holding a packet of
-        delay l is gamma * log(l) (natural log), zero at l = 1
-    penalty_on_transmit: when True the delay penalty is also charged on slots
-        where the packet is transmitted (alternative accounting convention;
-        the default charges it only on slots where the packet is kept)
+        delay l is gamma * log(l) (natural log), zero at l = 1, charged only
+        on slots where the packet is kept
     """
 
     phi: float
@@ -62,7 +63,6 @@ class RewardParams:
     p_p: float
     p_3g: float
     gamma: float
-    penalty_on_transmit: bool = False
 
     def __post_init__(self):
         if self.c_s < 0:
@@ -180,9 +180,6 @@ class ValueFunction:
     tol: float = DEFAULT_TOL
     reference_index: int = 0
 
-    def value(self, belief: float, delay: int) -> float:
-        return interpolate(self, belief, delay)
-
     def action(self, belief: float, delay: int) -> Action:
         """Optimal action at an arbitrary belief: the action recorded at the
         nearest grid point."""
@@ -230,11 +227,34 @@ def interpolate(vf: ValueFunction, belief: float, delay: int) -> float:
     return float(w[0] * col[lo[0]] + (1.0 - w[0]) * col[hi[0]])
 
 
+def immediate_rewards(r: RewardParams, b, f):
+    """Expected immediate rewards of wait, sense-wait and sense-fallback.
+
+    b is the idle probability of the channel sensing would target and f the
+    delay penalty of the packet in hand; both broadcast as arrays.
+    """
+    return (
+        -f,
+        -r.c_s + b * (r.phi - r.p_p) + (1.0 - b) * (-f),
+        r.phi - r.c_s - b * r.p_p - (1.0 - b) * r.p_3g,
+    )
+
+
+def _action_values(vf: ValueFunction, belief: float, delay: int):
+    r, p = vf.rewards, vf.channel
+    up = min(delay + 1, vf.l_max)
+    wait, sense_wait, fallback = immediate_rewards(r, belief, r.penalty(delay))
+    idle = belief * interpolate(vf, p.alpha, 1)
+    return (
+        wait + interpolate(vf, update_unsensed(p, belief), up),
+        sense_wait + idle + (1.0 - belief) * interpolate(vf, p.beta, up),
+        fallback + idle + (1.0 - belief) * interpolate(vf, p.beta, 1),
+    )
+
+
 def q_wait(vf: ValueFunction, belief: float, delay: int) -> float:
     """Action value of waiting: -f(l) + V(unsensed update, l+1)."""
-    f = vf.rewards.penalty(delay)
-    nxt = update_unsensed(vf.channel, belief)
-    return -f + interpolate(vf, nxt, min(delay + 1, vf.l_max))
+    return _action_values(vf, belief, delay)[0]
 
 
 def q_sense_wait(vf: ValueFunction, belief: float, delay: int) -> float:
@@ -242,32 +262,76 @@ def q_sense_wait(vf: ValueFunction, belief: float, delay: int) -> float:
 
     -c_s + lambda (phi - p_p + V(alpha, 1)) + (1-lambda)(-f(l) + V(beta, l+1)).
     """
-    r = vf.rewards
-    f = r.penalty(delay)
-    extra = r.penalty(delay) if r.penalty_on_transmit else 0.0
-    succeed = r.phi - r.p_p - extra + interpolate(vf, vf.channel.alpha, 1)
-    fail = -f + interpolate(vf, vf.channel.beta, min(delay + 1, vf.l_max))
-    return -r.c_s + belief * succeed + (1.0 - belief) * fail
+    return _action_values(vf, belief, delay)[1]
 
 
 def q_sense_fallback(vf: ValueFunction, belief: float, delay: int) -> float:
     """Action value of sensing with dedicated fallback on busy.
 
     phi - c_s + lambda (-p_p + V(alpha, 1)) + (1-lambda)(-p_3g + V(beta, 1)).
-    Independent of the delay under the default accounting convention.
+    Independent of the delay.
     """
-    r = vf.rewards
-    extra = r.penalty(delay) if r.penalty_on_transmit else 0.0
-    succeed = -r.p_p + interpolate(vf, vf.channel.alpha, 1)
-    fail = -r.p_3g + interpolate(vf, vf.channel.beta, 1)
-    return r.phi - r.c_s - extra + belief * succeed + (1.0 - belief) * fail
+    return _action_values(vf, belief, delay)[2]
+
+
+def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
+    """Raise DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless
+    when the channel is never or always idle), ValueError for tol <= 0 or
+    l_max < 2."""
+    pi0 = stationary_idle(p)
+    if pi0 == 0.0 or pi0 == 1.0:
+        raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if l_max < 2:
+        raise ValueError("l_max must be at least 2")
+
+
+def greedy(q0, q1, q2, cap):
+    """Greedy backup values and actions, ties broken toward the lower action
+    index.  Only the fallback action is admissible at the delay-cap states,
+    which cap indexes; q0 and q1 are overwritten there."""
+    q0[cap] = -np.inf
+    q1[cap] = -np.inf
+    w = np.maximum(np.maximum(q0, q1), q2)
+    actions = np.full(w.shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
+    actions[q1 >= w - TIE_TOL] = int(Action.SENSE_WAIT)
+    actions[q0 >= w - TIE_TOL] = int(Action.WAIT)
+    return w, actions
+
+
+def policy_iteration(shape, ref, evaluate, backup, tol: float, max_iter: int):
+    """Howard policy iteration from fallback everywhere until the action table
+    repeats.  evaluate(actions, v) gives a table's relative values, warm-started
+    from the previous ones (zeros at first); backup(v) gives the greedy backup
+    values and table.  Returns (actions, final backup minus its value at ref,
+    that value as the gain, steps, span of the final Bellman residual).
+
+    Raises NoConvergence when the table still changes after max_iter steps or
+    the residual span of the stable table exceeds tol.
+    """
+    actions = np.full(shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
+    v = np.zeros(shape)
+    for it in range(1, max_iter + 1):
+        v = evaluate(actions, v)
+        w, improved = backup(v)
+        span = float(np.ptp(w - v))
+        if np.array_equal(improved, actions):
+            break
+        actions = improved
+    else:
+        raise NoConvergence(max_iter, span, tol)
+    if span > tol:
+        raise NoConvergence(it, span, tol)
+    gain = float(w[ref])
+    return actions, w - gain, gain, it, span
 
 
 @dataclass
 class _Backup:
     """Precomputed index structure for vectorized Bellman backups."""
 
-    f: np.ndarray          # delay penalty per delay column
+    rewards: tuple         # immediate reward of each action per state
     lo: np.ndarray         # interpolation of the unsensed belief update
     hi: np.ndarray
     w: np.ndarray
@@ -282,7 +346,7 @@ def _prepare(p: ChannelParams, r: RewardParams, grid: BeliefGrid, l_max: int) ->
     omega = p.beta + (p.alpha - p.beta) * pts
     lo, hi, w = grid.interp_weights(omega)
     return _Backup(
-        f=r.penalty.table(l_max),
+        rewards=immediate_rewards(r, pts[:, None], r.penalty.table(l_max)[None, :]),
         lo=lo,
         hi=hi,
         w=w,
@@ -293,45 +357,15 @@ def _prepare(p: ChannelParams, r: RewardParams, grid: BeliefGrid, l_max: int) ->
     )
 
 
-def _apply_backup(v: np.ndarray, bk: _Backup, r: RewardParams):
-    """One full Bellman operator application.  Returns (q0, q1, q2) stacked."""
+def _backup(v: np.ndarray, bk: _Backup):
+    """One full Bellman backup: the backup values and the greedy action table."""
     # Continuation table for delay l+1, capped at l_max.
     v_next = np.concatenate([v[:, 1:], v[:, -1:]], axis=1)
-    f_row = bk.f[None, :]
-    extra = f_row if r.penalty_on_transmit else 0.0
-
-    q0 = -f_row + bk.w[:, None] * v_next[bk.lo, :] + (1.0 - bk.w)[:, None] * v_next[bk.hi, :]
-
-    v_alpha1 = v[bk.i_alpha, 0]
-    v_beta_next = v_next[bk.i_beta, :][None, :]
-    q1 = (
-        -r.c_s
-        + bk.lam * (r.phi - r.p_p - extra + v_alpha1)
-        + (1.0 - bk.lam) * (-f_row + v_beta_next)
-    )
-
-    v_beta1 = v[bk.i_beta, 0]
-    q2 = (
-        r.phi
-        - r.c_s
-        - extra
-        + bk.lam * (-r.p_p + v_alpha1)
-        + (1.0 - bk.lam) * (-r.p_3g + v_beta1)
-    ) * np.ones_like(q0)
-
-    # Only the fallback action is admissible at the delay cap.
-    q0[:, -1] = -np.inf
-    q1[:, -1] = -np.inf
-    return q0, q1, q2
-
-
-def _greedy(q0, q1, q2):
-    """Backup value and argmax with ties broken toward the lower action index."""
-    w = np.maximum(np.maximum(q0, q1), q2)
-    actions = np.full(w.shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
-    actions[q1 >= w - TIE_TOL] = int(Action.SENSE_WAIT)
-    actions[q0 >= w - TIE_TOL] = int(Action.WAIT)
-    return w, actions
+    q_idle = bk.lam * v[bk.i_alpha, 0]
+    q0 = bk.rewards[0] + (bk.w[:, None] * v_next[bk.lo] + (1.0 - bk.w)[:, None] * v_next[bk.hi])
+    q1 = bk.rewards[1] + (q_idle + (1.0 - bk.lam) * v_next[bk.i_beta][None, :])
+    q2 = bk.rewards[2] + (q_idle + (1.0 - bk.lam) * v[bk.i_beta, 0])
+    return greedy(q0, q1, q2, np.s_[:, -1])
 
 
 def bellman_backup(vf: ValueFunction):
@@ -341,20 +375,18 @@ def bellman_backup(vf: ValueFunction):
     backup value at the reference state, and that reference value itself.
     """
     bk = _prepare(vf.channel, vf.rewards, vf.grid, vf.l_max)
-    q0, q1, q2 = _apply_backup(vf.values, bk, vf.rewards)
-    w, _ = _greedy(q0, q1, q2)
+    w, _ = _backup(vf.values, bk)
     g = w[bk.ref, 0]
     return w - g, float(g)
 
 
-def _evaluate(actions: np.ndarray, reward: np.ndarray, bk: _Backup) -> np.ndarray:
+def _evaluate(actions: np.ndarray, bk: _Backup) -> np.ndarray:
     """Exact relative values of a fixed action table, zero at the reference.
 
-    reward holds the immediate reward of each state's action.  Sweeps
-    backward from the delay cap, writing each column as coefficients on
-    (1, g, V(alpha, 1), V(beta, 1)), then solves for the three unknowns with
-    V(alpha, 1) and V(beta, 1) consistent and V(pi0, 1) = 0.  The cap column
-    must hold the fallback action, as every table from _greedy does.
+    Sweeps backward from the delay cap, writing each column as coefficients
+    on (1, g, V(alpha, 1), V(beta, 1)), then solves for the three unknowns
+    with V(alpha, 1) and V(beta, 1) consistent and V(pi0, 1) = 0.  The cap
+    column must hold the fallback action, as every table from greedy does.
     """
     l_max = actions.shape[1]
     lam = bk.lam[:, 0]
@@ -362,7 +394,7 @@ def _evaluate(actions: np.ndarray, reward: np.ndarray, bk: _Backup) -> np.ndarra
     sense_wait = (actions == Action.SENSE_WAIT).T
     # Terms that do not reach delay l+1: reward, -g and the delay-1 landings.
     coef = np.empty((l_max, 4, len(lam)))
-    coef[:, 0] = reward.T
+    coef[:, 0] = np.choose(actions, bk.rewards).T
     coef[:, 1] = -1.0
     coef[:, 2] = np.where(wait, 0.0, lam)
     coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
@@ -391,54 +423,32 @@ def solve_single_channel(
 ) -> ValueFunction:
     """Howard policy iteration for the single-channel problem.
 
-    Starts from fallback everywhere, evaluates the action table exactly, and
-    improves it by one greedy Bellman backup until the table repeats.  The
-    returned values are that backup renormalized at the reference state (the
-    grid point holding pi0, delay 1), and residual_span is the span of the
-    final Bellman residual.  Deterministic given identical inputs.
-
-    Raises DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless when
-    the channel is never or always idle), and NoConvergence when the table is
-    still changing after max_iter steps or the residual span of the stable
-    table exceeds tol.
+    Each action table is evaluated exactly; the returned values are the final
+    backup renormalized at the reference state (the grid point holding pi0,
+    delay 1).  Deterministic given identical inputs.  Raises as check_model
+    and policy_iteration do.
     """
-    pi0 = stationary_idle(p)
-    if pi0 == 0.0 or pi0 == 1.0:
-        raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if l_max < 2:
-        raise ValueError("l_max must be at least 2")
+    check_model(p, tol, l_max)
     if grid is None:
         grid = BeliefGrid.for_channel(p)
-
     bk = _prepare(p, r, grid, l_max)
-    zero = np.zeros((len(grid), l_max))
-    actions = np.full((len(grid), l_max), int(Action.SENSE_FALLBACK), dtype=np.int8)
-    for it in range(1, max_iter + 1):
-        # Immediate rewards: the backup of a zero table.
-        reward = np.choose(actions, _apply_backup(zero, bk, r))
-        v = _evaluate(actions, reward, bk)
-        w, improved = _greedy(*_apply_backup(v, bk, r))
-        span = float(np.ptp(w - v))
-        if np.array_equal(improved, actions):
-            break
-        actions = improved
-    else:
-        raise NoConvergence(max_iter, span, tol)
-    if span > tol:
-        raise NoConvergence(it, span, tol)
-    gain = float(w[bk.ref, 0])
-
+    actions, values, gain, steps, span = policy_iteration(
+        (len(grid), l_max),
+        (bk.ref, 0),
+        lambda actions, _v: _evaluate(actions, bk),
+        lambda v: _backup(v, bk),
+        tol,
+        max_iter,
+    )
     return ValueFunction(
         grid=grid,
-        values=w - gain,
+        values=values,
         actions=actions,
         gain=gain,
         l_max=l_max,
         channel=p,
         rewards=r,
-        iterations=it,
+        iterations=steps,
         residual_span=span,
         tol=tol,
         reference_index=bk.ref,

@@ -168,12 +168,11 @@ def descriptor_backup(space, index, values, r, l_max):
         b = float(max(space.belief[c] for c in codes))
         v = [float(values[index[key]]) for key in descriptor_successors(space, codes, l, l_max)]
         f = r.gamma * math.log(l)
-        extra = f if r.penalty_on_transmit else 0.0
         q = [
-            r.phi - r.c_s - extra + b * (-r.p_p + v[-2]) + (1.0 - b) * (-r.p_3g + v[-1])
+            r.phi - r.c_s + b * (-r.p_p + v[-2]) + (1.0 - b) * (-r.p_3g + v[-1])
         ]
         if l < l_max:
             q.append(-f + v[0])
-            q.append(-r.c_s + b * (r.phi - r.p_p - extra + v[1]) + (1.0 - b) * (-f + v[2]))
+            q.append(-r.c_s + b * (r.phi - r.p_p + v[1]) + (1.0 - b) * (-f + v[2]))
         out[sid] = max(q)
     return out

@@ -236,17 +236,22 @@ def test_rerun_round_trip(argv, tmp_path, monkeypatch):
 
 def _solve_outputs(argv, out, capsys):
     assert run(argv + ["--lmax", 8, "--ktrunc", 6, "--out", out]) == 0
-    gain = next(line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("  gain:"))
-    return gain, (out / "policy.csv").read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    gain = next(line for line in lines if line.startswith("  gain:"))
+    return lines[0].partition(":")[0], gain, (out / "policy.csv").read_bytes()
 
 
 def test_model_flags_override_the_preset(tmp_path, capsys):
-    preset = _solve_outputs(["solve", "--scenario", 2, "--gamma", 500, "--n", 2],
-                            tmp_path / "preset", capsys)
-    custom = _solve_outputs(["solve", "--alpha", 0.85, "--beta", 0.7, "--n", 2,
-                             "--gamma", 500], tmp_path / "custom", capsys)
+    name, *preset = _solve_outputs(["solve", "--scenario", 2, "--gamma", 500, "--n", 2],
+                                   tmp_path / "preset", capsys)
+    _, *custom = _solve_outputs(["solve", "--alpha", 0.85, "--beta", 0.7, "--n", 2,
+                                 "--gamma", 500], tmp_path / "custom", capsys)
     assert preset == custom
+    assert name == "solved scenario-2-often-idle (n_channels=2, gamma=500.0)"
+    # A flag that repeats the preset's value changes nothing, not even the name.
+    unchanged, *_ = _solve_outputs(["solve", "--scenario", 2, "--gamma", 10],
+                                   tmp_path / "unchanged", capsys)
+    assert unchanged == "solved scenario-2-often-idle"
     params = json.loads((tmp_path / "preset" / "manifest_solve.json").read_text())["params"]
     assert (params["scenario"], params["n_channels"], params["gamma"]) == (2, 2, 500.0)
 

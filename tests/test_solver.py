@@ -5,6 +5,7 @@ import pytest
 
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
+from osa.multichannel import solve_multichannel
 from osa.solver import (
     BeliefGrid,
     DelayPenalty,
@@ -159,15 +160,20 @@ def test_backup_preserves_delay_monotonicity(scen1_channel, preset_rewards):
     assert np.all(values[:, :-1] - values[:, 1:] >= -1e-9)
 
 
-def test_solver_rejects_degenerate_and_bad_args(preset_rewards):
+@pytest.mark.parametrize(
+    "solve",
+    [solve_single_channel, lambda p, r, **kw: solve_multichannel(2, p, r, **kw)],
+    ids=["grid", "descriptor"],
+)
+def test_solver_rejects_degenerate_and_bad_args(solve, preset_rewards):
     with pytest.raises(DegenerateChain):
-        solve_single_channel(ChannelParams(1.0, 0.0), preset_rewards)
+        solve(ChannelParams(1.0, 0.0), preset_rewards)
     with pytest.raises(DegenerateChain):
-        solve_single_channel(ChannelParams(0.0, 0.0), preset_rewards)
+        solve(ChannelParams(0.0, 0.0), preset_rewards)
     with pytest.raises(ValueError):
-        solve_single_channel(ChannelParams(0.15, 0.1), preset_rewards, tol=0.0)
+        solve(ChannelParams(0.15, 0.1), preset_rewards, tol=0.0)
     with pytest.raises(ValueError):
-        solve_single_channel(ChannelParams(0.15, 0.1), preset_rewards, l_max=1)
+        solve(ChannelParams(0.15, 0.1), preset_rewards, l_max=1)
 
 
 def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards):
