@@ -47,7 +47,7 @@ from .sim import (
     sweep_rows_to_csv,
     write_trace_csv,
 )
-from .solver import solve_single_channel
+from .solver import check_settings, solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -142,12 +142,9 @@ def _scenario_of(args) -> Scenario:
     Writes the resolved model back into args, so the manifest records what
     ran."""
     with _inputs():
-        if args.lmax < 2:
-            raise ValueError("l_max must be at least 2")
+        check_settings(args.tol if "tol" in args else None, args.lmax)
         if "ktrunc" in args and args.ktrunc < 1:
             raise ValueError("k_trunc must be >= 1")
-        if "tol" in args and args.tol <= 0:
-            raise ValueError("tol must be positive")
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
     elif args.alpha is None or args.beta is None:

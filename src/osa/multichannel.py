@@ -29,6 +29,7 @@ Decision Processes, sections 8.6, 9.2 and 11.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +98,14 @@ class DescriptorSpace:
         for j in range(codes.shape[1]):
             keys = keys * len(self.belief) + codes[:, j]
         return keys
+
+    def key(self, codes, delay: int) -> int:
+        """pack() of one state: Python-int codes in any order and a delay."""
+        n_codes = len(self.belief)
+        key = delay - 1
+        for c in sorted(codes):
+            key = key * n_codes + c
+        return key
 
     def moves(self, codes: np.ndarray):
         """Descriptors after one slot, per row of sorted codes.
@@ -186,6 +195,11 @@ class MultichannelValueFunction:
 
     def action_for(self, codes, delay: int) -> Action:
         return Action(int(self.actions[self.state_id(codes, delay)]))
+
+    @cached_property
+    def action_by_key(self) -> dict:
+        """Action index by packed state key (DescriptorSpace.key), as ints."""
+        return dict(zip(self.space.pack(self.codes, self.delays).tolist(), self.actions.tolist()))
 
     def max_belief(self, codes) -> float:
         return float(max(self.space.belief[c] for c in codes))

@@ -15,6 +15,7 @@ agree by accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .multichannel import (
     MultichannelValueFunction,
     solve_multichannel,
 )
-from .policy import MemorylessPolicy, extract_thresholds
+from .policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from .solver import Action, RewardParams, solve_single_channel
 
 DEFAULT_PACKETS = 3000
@@ -79,32 +80,81 @@ class TraceRow:
     reward: float
 
 
-class ChannelStreams:
-    """Per-channel uniform streams drawn in blocks.
+_WAIT, _SENSE_WAIT, _FALLBACK = (int(a) for a in Action)
+_GROW = 64  # belief-row entries added past an age that runs off its row
 
-    Each channel consumes exactly one uniform per slot whatever the policy
-    does, so channel realizations are shared across policies run with the
-    same seed (common random numbers).  Block drawing only batches the calls;
-    the draw order per channel is still one-per-slot.
+
+def idle_flags(u: np.ndarray, alpha: float, beta: float, prev: bool) -> list:
+    """Idle flags of one channel over consecutive slots whose uniforms are u,
+    given the flag of the slot before: slot by slot, idle = u < alpha after
+    an idle slot and u < beta after a busy one.
+
+    Below min(alpha, beta) both comparisons say idle and at or above
+    max(alpha, beta) both say busy.  In between, the slot repeats the
+    previous state when alpha > beta and flips it when alpha < beta, so a
+    slot takes the state of the last forced slot before it (or prev), flipped
+    once per slot since then when alpha < beta.
+    """
+    lo, hi = min(alpha, beta), max(alpha, beta)
+    pos = np.arange(len(u))
+    forced = np.maximum.accumulate(np.where((u < lo) | (u >= hi), pos, -1))
+    flags = np.where(forced >= 0, u[forced] < lo, prev)
+    if alpha < beta:
+        flags ^= (pos - forced) % 2 == 1
+    return flags.tolist()
+
+
+class ChannelStreams:
+    """The true idle/busy state of every channel, one block of slots at a
+    time.
+
+    Each channel owns a uniform stream and consumes exactly one uniform per
+    slot whatever the policy does, so channel realizations are shared across
+    policies run with the same seed (common random numbers).  The first
+    uniform draws the initial state from the stationary distribution; slot t
+    is idle when its uniform lies below alpha (previous slot idle) or beta
+    (previous slot busy).  Only the current block is kept.
     """
 
     BLOCK = 8192
 
-    def __init__(self, seed: int, n_channels: int):
-        self._rngs = [np.random.default_rng([seed, i]) for i in range(n_channels)]
-        self._blocks = [rng.random(self.BLOCK) for rng in self._rngs]
-        self._pos = [0] * n_channels
+    def __init__(self, seed: int, channels):
+        self._rngs = [np.random.default_rng([seed, i]) for i in range(len(channels))]
+        self._params = [(p.alpha, p.beta) for p in channels]
+        self.start = 0  # the first slot of the current block
+        self.idle = []  # per channel, the idle flags of the block's slots
+        for rng, p in zip(self._rngs, channels):
+            u = rng.random(self.BLOCK)
+            first = bool(u[0] < stationary_idle(p))
+            self.idle.append([first] + idle_flags(u[1:], p.alpha, p.beta, first))
 
-    def next_uniform(self, i: int) -> float:
-        pos = self._pos[i]
-        if pos == self.BLOCK:
-            self._blocks[i] = self._rngs[i].random(self.BLOCK)
-            pos = 0
-        self._pos[i] = pos + 1
-        return self._blocks[i][pos]
+    def advance(self) -> None:
+        """Move to the next block."""
+        self.start += self.BLOCK
+        self.idle = [
+            idle_flags(rng.random(self.BLOCK), alpha, beta, flags[-1])
+            for rng, (alpha, beta), flags in zip(self._rngs, self._params, self.idle)
+        ]
 
 
-_NEVER = -2  # last-sensed slot of an unsensed channel; never "the previous slot"
+def _compile(policy, l_max: int):
+    """A threshold or memoryless policy as two lists indexed by delay
+    1..l_max: wait while the target's belief is at most wait_below[delay],
+    else take the sensing action sense[delay] (ThresholdPolicy.act and
+    MemorylessPolicy.act)."""
+    delays = range(1, l_max + 1)
+    if isinstance(policy, ThresholdPolicy):
+        lam = policy.lambda_star.tolist()
+        th = [lam[min(d, policy.l_max) - 1] for d in delays]
+        wait_below = [t if t > 0.0 else -math.inf for t in th]
+        switch = policy.l_star
+    elif isinstance(policy, MemorylessPolicy):
+        wait_below = [-math.inf] * l_max
+        switch = policy.k
+    else:
+        raise TypeError(f"no slot rule for policy type {type(policy).__name__}")
+    sense = [_SENSE_WAIT if d < switch else _FALLBACK for d in delays]
+    return [None] + wait_below, [None] + sense
 
 
 class SlotEnv:
@@ -114,113 +164,149 @@ class SlotEnv:
     counters (slots sensed, sensed idle, and sensed idle right after an idle
     sensing: the estimator's M, I and K) persist across run() calls, so an
     episode is one call and the learner's windows are consecutive calls.
+
+    A channel's belief depends only on where it last started from (pi0 before
+    any sensing, alpha after an idle sensing, beta after a busy one) and the
+    slots since, so each channel keeps one row of beliefs per start, grown on
+    demand by the unsensed update beta + (alpha - beta) b, and the slot of its
+    last sensing.
     """
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
         n = len(channels)
         self.rewards = rewards
         self.l_max = l_max
-        self.streams = ChannelStreams(seed, n)
-        self.idle = [self.streams.next_uniform(i) < stationary_idle(channels[i]) for i in range(n)]
-        self.beliefs = [stationary_idle(p) for p in channels]
-        self.alphas = [p.alpha for p in channels]
-        self.betas = [p.beta for p in channels]
+        self.streams = ChannelStreams(seed, channels)
+        self.rows = [([stationary_idle(p)], [p.alpha], [p.beta]) for p in channels]
+        self.updates = [(p.beta, p.alpha - p.beta) for p in channels]
+        self.tables = [rows[0] for rows in self.rows]  # each channel's current row
+        self.last = [-1] * n  # slot of each channel's last sensing
+        # Rewards by delay (index 0 unused): wait, and busy sensing that waits.
+        delays = range(1, l_max + 1)
+        self.wait_reward = [None] + [-rewards.penalty(d) for d in delays]
+        self.busy_wait_reward = [None] + [-rewards.c_s - rewards.penalty(d) for d in delays]
         self.delay = 1
         self.slots = self.packets = self.delay_total = 0
         self.reward_total = 0.0
         self.sensed = [0] * n
         self.sensed_idle = [0] * n
         self.idle_pairs = [0] * n
-        self.last_idle = [_NEVER] * n
-        self.last_busy = [_NEVER] * n
 
-    def _codes(self, space) -> list:
-        """Descriptor codes rebuilt from each channel's last sensing."""
-        return [
-            STALE if max(li, lb) < 0 else space.codes_for(li > lb, self.slots - max(li, lb))
-            for li, lb in zip(self.last_idle, self.last_busy)
-        ]
+    def _beliefs(self, slot: int) -> list:
+        """Every channel's belief at the slot, growing the rows that need it."""
+        out = []
+        for table, last, (beta, slope) in zip(self.tables, self.last, self.updates):
+            age = slot - last - 1
+            while len(table) < age + _GROW:
+                table.append(beta + slope * table[-1])
+            out.append(table[age])
+        return out
 
     def run(self, policy, slots: int | None = None, packets: int | None = None, trace=None) -> float:
         """Run the policy for `slots` more slots or until `packets` more
         packets are delivered; returns the reward summed over those slots and
         appends a TraceRow per slot to a `trace` list.  Raises DelayOverflow
-        if the policy keeps a packet past l_max (the env is then unusable).
+        if the policy keeps a packet past l_max (the env is then unusable),
+        TypeError for a policy that is not a ThresholdPolicy,
+        MemorylessPolicy or MultichannelValueFunction.
         """
         if (slots is None) == (packets is None):
             raise ValueError("give exactly one of slots and packets")
         r = self.rewards
-        penalty = r.penalty
+        idle_reward = r.phi - r.c_s - r.p_p
+        fallback_reward = r.phi - r.c_s - r.p_3g
+        wait_reward, busy_wait_reward = self.wait_reward, self.busy_wait_reward
         l_max = self.l_max
-        n = len(self.beliefs)
-        rng_order = range(n)
-        next_uniform = self.streams.next_uniform
-        idle, beliefs = self.idle, self.beliefs
-        alphas, betas = self.alphas, self.betas
+        streams = self.streams
+        idle, start = streams.idle, streams.start
+        end = start + streams.BLOCK
+        tables, last = self.tables, self.last
+        idle_rows = [rows[1] for rows in self.rows]
+        busy_rows = [rows[2] for rows in self.rows]
+        chans = range(len(tables))
+        single, target = len(tables) == 1, 0
         sensed, sensed_idle, idle_pairs = self.sensed, self.sensed_idle, self.idle_pairs
-        last_idle, last_busy = self.last_idle, self.last_busy
         delay, slot, done, delay_total = self.delay, self.slots, self.packets, self.delay_total
         slot_end = None if slots is None else slot + slots
         packet_end = None if packets is None else done + packets
 
-        use_codes = isinstance(policy, MultichannelValueFunction)
-        if use_codes:
+        codes = None
+        if isinstance(policy, MultichannelValueFunction):
+            # Descriptor codes rebuilt from each channel's last sensing, then
+            # aged slot by slot as the model ages them.
             space = policy.space
-            codes = self._codes(space)
+            codes = [
+                STALE if t is rows[0] else space.codes_for(t is rows[1], slot - s)
+                for t, rows, s in zip(tables, self.rows, last)
+            ]
+            aged, key, by_key = space.aged.tolist(), space.key, policy.action_by_key
+            fresh = (space.idle_fresh, space.busy_fresh)
+            cap = policy.l_max
+        else:
+            wait_below, sense = _compile(policy, l_max)
 
         total = 0.0
         while slot != slot_end and done != packet_end:
-            target = max(rng_order, key=beliefs.__getitem__) if n > 1 else 0
-            if use_codes:
-                action = policy.action_for(codes, delay)
+            if slot == end:
+                streams.advance()
+                idle, start = streams.idle, end
+                end += streams.BLOCK
+            if single:
+                try:
+                    b = tables[0][slot - last[0] - 1]
+                except IndexError:
+                    b = self._beliefs(slot)[0]
             else:
-                action = policy.act(beliefs[target], delay)
+                try:
+                    beliefs = [tables[i][slot - last[i] - 1] for i in chans]
+                except IndexError:
+                    beliefs = self._beliefs(slot)
+                # The max-belief channel, lowest index among ties.
+                b = max(beliefs)
+                target = beliefs.index(b)
+            if codes is not None:
+                action = by_key[key(codes, min(delay, cap))]
+            elif b <= wait_below[delay]:
+                action = _WAIT
+            else:
+                action = sense[delay]
             transmitted = False
-            obs = -1
 
-            if action == Action.WAIT:
+            if action == _WAIT:
                 if delay >= l_max:
                     raise DelayOverflow(f"wait at delay cap {l_max}")
-                reward = -penalty(delay)
+                obs = -1
+                reward = wait_reward[delay]
             else:
                 sensed[target] += 1
-                if idle[target]:
+                if idle[target][slot - start]:
                     obs = 0
                     sensed_idle[target] += 1
-                    if last_idle[target] == slot - 1:
+                    if last[target] == slot - 1 and tables[target] is idle_rows[target]:
                         idle_pairs[target] += 1
-                    last_idle[target] = slot
-                    reward = r.phi - r.c_s - r.p_p
+                    tables[target] = idle_rows[target]
+                    reward = idle_reward
                     transmitted = True
                 else:
                     obs = 1
-                    last_busy[target] = slot
-                    if action == Action.SENSE_FALLBACK:
-                        reward = r.phi - r.c_s - r.p_3g
+                    tables[target] = busy_rows[target]
+                    if action == _FALLBACK:
+                        reward = fallback_reward
                         transmitted = True
                     else:
                         if delay >= l_max:
                             raise DelayOverflow(f"busy sense-wait at delay cap {l_max}")
-                        reward = -r.c_s - penalty(delay)
+                        reward = busy_wait_reward[delay]
+                last[target] = slot
 
             total += reward
             if trace is not None:
-                trace.append(TraceRow(slot, beliefs[target], delay, int(action), obs, reward))
+                trace.append(TraceRow(slot, b, delay, action, obs, reward))
             slot += 1
-
-            # Belief propagation, descriptor aging, and channel truth for the
-            # next slot; each channel consumes one uniform per slot.
-            for i in rng_order:
-                if action != Action.WAIT and i == target:
-                    beliefs[i] = alphas[i] if obs == 0 else betas[i]
-                else:
-                    beliefs[i] = betas[i] + (alphas[i] - betas[i]) * beliefs[i]
-                stay_idle = alphas[i] if idle[i] else betas[i]
-                idle[i] = next_uniform(i) < stay_idle
-            if use_codes:
-                codes = [space.aged[c] for c in codes]
-                if action != Action.WAIT:
-                    codes[target] = space.idle_fresh if obs == 0 else space.busy_fresh
+            if codes is not None:
+                codes = [aged[c] for c in codes]
+                if obs >= 0:
+                    codes[target] = fresh[obs]
 
             if transmitted:
                 delay_total += delay
@@ -337,49 +423,86 @@ def _solve_policy(cfg: SimConfig, gamma: float, tol: float):
     return mvf, r
 
 
+def _policy_key(policy):
+    """What an episode of a solved policy depends on besides the configuration."""
+    if isinstance(policy, ThresholdPolicy):
+        return tuple(policy.lambda_star.tolist()), policy.l_star
+    return policy.actions.tobytes()
+
+
+class _Episodes:
+    """Episodes of the policies solved for one configuration, by delay
+    penalty, with solves cached by gamma and episodes by policy.
+
+    An episode's metrics depend on gamma only through avg_reward, and nearby
+    gammas often solve to the same policy.  probe() may therefore return an
+    episode run at another gamma; metrics() returns one run at the gamma
+    asked for.
+    """
+
+    def __init__(self, cfg: SimConfig, solver_tol: float):
+        self.cfg, self.solver_tol = cfg, solver_tol
+        self.solves = {}
+        self.runs = {}  # policy key -> (gamma it ran at, metrics)
+
+    def _run(self, gamma: float):
+        if gamma not in self.solves:
+            self.solves[gamma] = _solve_policy(self.cfg, gamma, self.solver_tol)
+        pol, r = self.solves[gamma]
+        key = _policy_key(pol)
+        if key not in self.runs:
+            self.runs[key] = gamma, run_episode(replace(self.cfg, policy=pol, rewards=r))[0]
+        return self.runs[key]
+
+    def probe(self, gamma: float) -> SimMetrics:
+        return self._run(gamma)[1]
+
+    def metrics(self, gamma: float) -> SimMetrics:
+        ran_at, m = self._run(gamma)
+        if ran_at != gamma:
+            pol, r = self.solves[gamma]
+            m, _ = run_episode(replace(self.cfg, policy=pol, rewards=r))
+        return m
+
+
 def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = 1e-9):
     """One solve plus one episode per delay-penalty value, with the same seed
     across points for variance reduction.  Returns SweepRow per gamma."""
     gammas = sorted(float(g) for g in gammas)
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma values must be positive")
-    return [SweepRow.of(g, _delay_at_gamma(cfg, g, solver_tol)) for g in gammas]
+    runs = _Episodes(cfg, solver_tol)
+    return [SweepRow.of(g, runs.metrics(g)) for g in gammas]
 
 
-def _delay_at_gamma(cfg: SimConfig, gamma: float, solver_tol: float):
-    pol, r = _solve_policy(cfg, gamma, solver_tol)
-    m, _ = run_episode(replace(cfg, policy=pol, rewards=r))
-    return m
-
-
-def _match_gamma(cfg, target_delay, tol, bracket, solver_tol, iters=26):
+def _match_gamma(runs: _Episodes, target_delay, tol, bracket, iters=26):
     """Log-space bisection on gamma for a target average delay.  Returns
-    (gamma, metrics, within_tol, achieved) where achieved is the (low, high)
-    average delay at the bracket's ends."""
+    (gamma, within_tol, achieved) where achieved is the (low, high) average
+    delay at the bracket's ends."""
     g_lo, g_hi = bracket
-    m_lo = _delay_at_gamma(cfg, g_lo, solver_tol)
-    m_hi = _delay_at_gamma(cfg, g_hi, solver_tol)
+    m_lo = runs.probe(g_lo)
+    m_hi = runs.probe(g_hi)
     achieved = (m_hi.avg_delay, m_lo.avg_delay)
     if not (m_lo.avg_delay + tol >= target_delay >= m_hi.avg_delay - tol):
         raise TargetUnreachable(target_delay, *achieved)
     best = min(
-        [(abs(m_lo.avg_delay - target_delay), g_lo, m_lo),
-         (abs(m_hi.avg_delay - target_delay), g_hi, m_hi)],
+        [(abs(m_lo.avg_delay - target_delay), g_lo),
+         (abs(m_hi.avg_delay - target_delay), g_hi)],
         key=lambda t: t[0],
     )
     lo, hi = np.log(g_lo), np.log(g_hi)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         g = float(np.exp(mid))
-        m = _delay_at_gamma(cfg, g, solver_tol)
+        m = runs.probe(g)
         err = abs(m.avg_delay - target_delay)
         if err < best[0]:
-            best = (err, g, m)
+            best = (err, g)
         if m.avg_delay > target_delay:
             lo = mid
         else:
             hi = mid
-    return best[1], best[2], best[0] <= tol, achieved
+    return best[1], best[0] <= tol, achieved
 
 
 def gamma_for_target_delay(
@@ -398,10 +521,11 @@ def gamma_for_target_delay(
     range or no gamma lands within tol (the policy family changes
     discretely, so delay is a step function).
     """
-    g, m, ok, achieved = _match_gamma(cfg, target_delay, tol, bracket, solver_tol)
+    runs = _Episodes(cfg, solver_tol)
+    g, ok, achieved = _match_gamma(runs, target_delay, tol, bracket)
     if not ok:
         raise TargetUnreachable(target_delay, *achieved)
-    return g, m
+    return g, runs.metrics(g)
 
 
 @dataclass
@@ -445,12 +569,15 @@ def compare_with_memoryless(
 
     For each attempt limit k: simulate the baseline, tune gamma until the
     optimal policy reaches the same average delay (best effort within the
-    step structure), and report the per-packet energy reduction.
+    step structure), and report the per-packet energy reduction.  Solves and
+    optimal-policy episodes are shared across the k values.
     """
+    runs = _Episodes(cfg, solver_tol)
     rows = []
     for k in sorted(int(k) for k in k_values):
         m_mp, _ = run_episode(replace(cfg, policy=MemorylessPolicy(k)))
-        g, m_opt = _match_gamma(cfg, m_mp.avg_delay, tol, bracket, solver_tol)[:2]
+        g = _match_gamma(runs, m_mp.avg_delay, tol, bracket)[0]
+        m_opt = runs.metrics(g)
         rows.append(
             CompareRow(
                 k=k,

@@ -274,17 +274,21 @@ def q_sense_fallback(vf: ValueFunction, belief: float, delay: int) -> float:
     return _action_values(vf, belief, delay)[2]
 
 
-def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
-    """Raise DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless
-    when the channel is never or always idle), ValueError for tol <= 0 or
-    l_max < 2."""
-    pi0 = stationary_idle(p)
-    if pi0 == 0.0 or pi0 == 1.0:
-        raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
-    if tol <= 0:
+def check_settings(tol: float | None, l_max: int) -> None:
+    """Raise ValueError for tol <= 0 (None skips it) or l_max < 2."""
+    if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
+
+
+def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
+    """Raise DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless
+    when the channel is never or always idle), and as check_settings does."""
+    pi0 = stationary_idle(p)
+    if pi0 == 0.0 or pi0 == 1.0:
+        raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
+    check_settings(tol, l_max)
 
 
 def greedy(q0, q1, q2, cap):
@@ -308,8 +312,11 @@ def policy_iteration(shape, ref, evaluate, backup, tol: float, max_iter: int):
     that value as the gain, steps, span of the final Bellman residual).
 
     Raises NoConvergence when the table still changes after max_iter steps or
-    the residual span of the stable table exceeds tol.
+    the residual span of the stable table exceeds tol, ValueError when
+    max_iter < 1.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     actions = np.full(shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
     v = np.zeros(shape)
     for it in range(1, max_iter + 1):

@@ -3,13 +3,20 @@
 Everything here is deliberately written without reusing the package's backup
 machinery: plain dict/float finite-horizon dynamic programming over exactly
 reachable beliefs, a renewal-cycle average-reward calculator for
-fixed-shape policies, and a tuple-by-tuple closure and Bellman backup of the
-descriptor MDP.  Slow and simple on purpose.
+fixed-shape policies, a tuple-by-tuple closure and Bellman backup of the
+descriptor MDP, and the slot kernel as a per-slot loop.  Slow and simple on
+purpose.
 """
 
 import math
 
+import numpy as np
+
 from osa.channel import stationary_idle, update_unsensed
+from osa.errors import DelayOverflow
+from osa.multichannel import STALE, MultichannelValueFunction
+from osa.sim import TraceRow
+from osa.solver import Action
 
 
 def reachable_beliefs(p, depth):
@@ -176,3 +183,112 @@ def descriptor_backup(space, index, values, r, l_max):
             q.append(-r.c_s + b * (r.phi - r.p_p + v[1]) + (1.0 - b) * (-f + v[2]))
         out[sid] = max(q)
     return out
+
+
+class ReferenceSlotEnv:
+    """The slot kernel as a plain per-slot loop, for checking sim.SlotEnv.
+
+    Every slot draws one uniform per channel to advance its true state,
+    updates every belief, ages the descriptor codes, and asks the policy
+    through its own act() or action_for() method.  Keeps the same counters
+    and persists across run() calls as SlotEnv does.
+    """
+
+    BLOCK = 1000  # any block size draws the same uniforms
+
+    def __init__(self, channels, rewards, seed, l_max):
+        n = len(channels)
+        self.rewards = rewards
+        self.l_max = l_max
+        self._rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+        self._blocks = [rng.random(self.BLOCK) for rng in self._rngs]
+        self._pos = [0] * n
+        self.idle = [self._uniform(i) < stationary_idle(channels[i]) for i in range(n)]
+        self.beliefs = [stationary_idle(p) for p in channels]
+        self.alphas = [p.alpha for p in channels]
+        self.betas = [p.beta for p in channels]
+        self.delay = 1
+        self.slots = self.packets = self.delay_total = 0
+        self.reward_total = 0.0
+        self.sensed = [0] * n
+        self.sensed_idle = [0] * n
+        self.idle_pairs = [0] * n
+        self.last_idle = [-2] * n
+        self.last_busy = [-2] * n
+
+    def _uniform(self, i):
+        if self._pos[i] == self.BLOCK:
+            self._blocks[i] = self._rngs[i].random(self.BLOCK)
+            self._pos[i] = 0
+        self._pos[i] += 1
+        return self._blocks[i][self._pos[i] - 1]
+
+    def run(self, policy, slots=None, packets=None, trace=None):
+        r = self.rewards
+        n = len(self.beliefs)
+        use_codes = isinstance(policy, MultichannelValueFunction)
+        if use_codes:
+            space = policy.space
+            codes = [
+                STALE if max(li, lb) < 0 else space.codes_for(li > lb, self.slots - max(li, lb))
+                for li, lb in zip(self.last_idle, self.last_busy)
+            ]
+        slot_end = None if slots is None else self.slots + slots
+        packet_end = None if packets is None else self.packets + packets
+        total = 0.0
+        while self.slots != slot_end and self.packets != packet_end:
+            slot, delay = self.slots, self.delay
+            target = max(range(n), key=self.beliefs.__getitem__)
+            if use_codes:
+                action = policy.action_for(codes, delay)
+            else:
+                action = policy.act(self.beliefs[target], delay)
+            transmitted = False
+            obs = -1
+            if action == Action.WAIT:
+                if delay >= self.l_max:
+                    raise DelayOverflow("wait at the cap")
+                reward = -r.penalty(delay)
+            else:
+                self.sensed[target] += 1
+                if self.idle[target]:
+                    obs = 0
+                    self.sensed_idle[target] += 1
+                    if self.last_idle[target] == slot - 1:
+                        self.idle_pairs[target] += 1
+                    self.last_idle[target] = slot
+                    reward = r.phi - r.c_s - r.p_p
+                    transmitted = True
+                else:
+                    obs = 1
+                    self.last_busy[target] = slot
+                    if action == Action.SENSE_FALLBACK:
+                        reward = r.phi - r.c_s - r.p_3g
+                        transmitted = True
+                    else:
+                        if delay >= self.l_max:
+                            raise DelayOverflow("busy sense-wait at the cap")
+                        reward = -r.c_s - r.penalty(delay)
+            total += reward
+            if trace is not None:
+                trace.append(TraceRow(slot, self.beliefs[target], delay, int(action), obs, reward))
+            for i in range(n):
+                a, b = self.alphas[i], self.betas[i]
+                if action != Action.WAIT and i == target:
+                    self.beliefs[i] = a if obs == 0 else b
+                else:
+                    self.beliefs[i] = b + (a - b) * self.beliefs[i]
+                self.idle[i] = self._uniform(i) < (a if self.idle[i] else b)
+            if use_codes:
+                codes = [space.aged[c] for c in codes]
+                if action != Action.WAIT:
+                    codes[target] = space.idle_fresh if obs == 0 else space.busy_fresh
+            self.slots += 1
+            if transmitted:
+                self.delay_total += delay
+                self.packets += 1
+                self.delay = 1
+            else:
+                self.delay += 1
+        self.reward_total += total
+        return total

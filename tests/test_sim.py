@@ -1,17 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ReferenceSlotEnv
 from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
 from osa.errors import DelayOverflow, TargetUnreachable
 from osa.learn import CountingStats, update_counts
 from osa.multichannel import solve_multichannel
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from osa.sim import (
+    ChannelStreams,
     SimConfig,
     SlotEnv,
+    _Episodes,
+    _solve_policy,
     gamma_for_target_delay,
+    idle_flags,
     little_check,
     run_episode,
     sweep_gamma,
@@ -221,6 +229,21 @@ def test_gamma_bisection_between_delay_steps_reports_real_range():
     assert err.value.low < target < err.value.high
 
 
+def test_episode_memo_reruns_at_the_gamma_asked_for():
+    # Nearby gammas solve to the same policy, whose episode is shared; only
+    # avg_reward depends on gamma, so metrics() reruns it at its own gamma.
+    cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
+                    num_packets=500, l_max=15)
+    runs = _Episodes(cfg, 1e-7)
+    shared = runs.probe(10.0)
+    assert runs.probe(10.001) is shared
+    policy, r = _solve_policy(cfg, 10.001, 1e-7)
+    fresh, _ = run_episode(replace(cfg, policy=policy, rewards=r))
+    assert runs.metrics(10.001) == fresh
+    assert fresh.avg_reward != shared.avg_reward
+    assert replace(fresh, avg_reward=shared.avg_reward) == shared
+
+
 def test_sweep_rejects_heterogeneous_channels():
     cfg = SimConfig(channels=[SCEN1, SCEN1, ChannelParams(0.85, 0.7)], rewards=PRESET,
                     policy=None, num_packets=10)
@@ -284,3 +307,81 @@ def test_window_rewards_match_episode_trace(kind):
     rewards = [row.reward for row in trace]
     assert windows == [sum(rewards[j * S:(j + 1) * S]) for j in range(k)]
     assert env.slots == k * S
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.7, 0.3), (0.3, 0.7), (0.5, 0.5)])
+def test_idle_flags_match_the_slot_rule_at_the_boundaries(alpha, beta):
+    # Uniforms exactly at alpha and at beta, and one ulp either side, pin the
+    # strict u < p of the per-slot rule; middle values make long copy or
+    # flip runs.
+    values = [0.0, alpha, beta, 0.5 * (alpha + beta), 0.99]
+    values += [np.nextafter(p, side) for p in (alpha, beta) for side in (0.0, 1.0)]
+    u = np.random.default_rng(0).choice(values, 400)
+    for prev in (False, True):
+        expected, idle = [], prev
+        for x in u:
+            idle = bool(x < (alpha if idle else beta))
+            expected.append(idle)
+        assert idle_flags(u, alpha, beta, prev) == expected
+
+
+_probs = st.one_of(st.sampled_from([0.05, 0.15, 0.5, 0.85, 0.95]), st.floats(0.01, 0.99))
+
+
+@st.composite
+def _kernel_cases(draw):
+    alpha = draw(_probs)
+    beta = draw(st.one_of(st.just(alpha), _probs))  # alpha = beta, above or below
+    p, n, l_max = ChannelParams(alpha, beta), draw(st.integers(1, 3)), 6
+    kind = draw(st.sampled_from(["threshold", "memoryless", "descriptor"]))
+    if kind == "threshold":
+        lam = draw(st.lists(st.sampled_from([0.0, 0.2, alpha, beta, 0.6, 1.0]),
+                            min_size=l_max, max_size=l_max))
+        lam[-1] = 0.0  # never wait at the cap
+        policy = ThresholdPolicy(np.array(lam), draw(st.integers(1, l_max)), l_max)
+    elif kind == "memoryless":
+        policy = MemorylessPolicy(draw(st.integers(1, l_max + 2)))
+    else:
+        policy = solve_multichannel(n, p, PRESET, k_trunc=draw(st.integers(1, 12)),
+                                    l_max=l_max, tol=1e-6)
+    runs = draw(st.lists(st.tuples(st.sampled_from(["slots", "packets"]),
+                                   st.integers(1, 300)), min_size=1, max_size=5))
+    return [p] * n, policy, l_max, runs, draw(st.integers(0, 2**16)), draw(st.integers(1, 40))
+
+
+def _kernel_outcome(env, policy, runs) -> dict:
+    """Each part of a run's outcome as its repr, so equal means bit-identical.
+    After a failure only the windows and the trace up to it count: the env is
+    then unusable."""
+    trace, windows = [], []
+    try:
+        for how, count in runs:
+            windows.append(env.run(policy, trace=trace, **{how: count}))
+    except Exception as exc:  # compared: both kernels must fail alike
+        return {"window rewards": repr(windows + [type(exc).__name__]), "trace rows": repr(trace)}
+    return {
+        "window rewards": repr(windows),
+        "trace rows": repr(trace),
+        "metrics": repr(SlotEnv.metrics(env) if env.packets else None),
+        "counters": repr((env.slots, env.delay, env.sensed, env.sensed_idle, env.idle_pairs)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_slot_kernel_matches_the_per_slot_reference(case):
+    # Metrics, trace rows, window rewards and the M/I/K counters agree to the
+    # bit with the per-slot loop, across blocks shorter than the runs.
+    channels, policy, l_max, runs, seed, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ChannelStreams, "BLOCK", block)
+        got = _kernel_outcome(SlotEnv(channels, PRESET, seed, l_max), policy, runs)
+    want = _kernel_outcome(ReferenceSlotEnv(channels, PRESET, seed, l_max), policy, runs)
+    differ = [part for part in want if got.get(part) != want[part]]
+    assert not differ  # named parts only: a diff of long reprs is slow to shrink on
+
+
+def test_slot_kernel_rejects_unknown_policy_types():
+    env = SlotEnv([SCEN1], PRESET, seed=0, l_max=5)
+    with pytest.raises(TypeError, match="str"):
+        env.run("always sense", slots=1)

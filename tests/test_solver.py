@@ -174,6 +174,8 @@ def test_solver_rejects_degenerate_and_bad_args(solve, preset_rewards):
         solve(ChannelParams(0.15, 0.1), preset_rewards, tol=0.0)
     with pytest.raises(ValueError):
         solve(ChannelParams(0.15, 0.1), preset_rewards, l_max=1)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve(ChannelParams(0.15, 0.1), preset_rewards, max_iter=0)
 
 
 def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards):
