@@ -32,7 +32,7 @@ from .errors import (
     TargetUnreachable,
 )
 from .learn import LearnerConfig, run_learning, write_learn_trace_csv
-from .multichannel import solve_multichannel
+from .multichannel import check_k_trunc, solve_multichannel
 from .policy import MemorylessPolicy, ThresholdPolicy, check_structure, extract_thresholds
 from .scenarios import SCENARIOS, Scenario
 from .sim import (
@@ -143,8 +143,8 @@ def _scenario_of(args) -> Scenario:
     ran."""
     with _inputs():
         check_settings(args.tol if "tol" in args else None, args.lmax)
-        if "ktrunc" in args and args.ktrunc < 1:
-            raise ValueError("k_trunc must be >= 1")
+        if "ktrunc" in args:
+            check_k_trunc(args.ktrunc)
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
     elif args.alpha is None or args.beta is None:

@@ -56,6 +56,12 @@ _STEP = 0.5
 STALE = 0  # age >= k_trunc or never observed: belief is the stationary pi0
 
 
+def check_k_trunc(k_trunc: int) -> None:
+    """Raise ValueError for a truncation age below 1."""
+    if k_trunc < 1:
+        raise ValueError("k_trunc must be >= 1")
+
+
 class DescriptorSpace:
     """Per-channel descriptor codes and their dynamics.
 
@@ -65,8 +71,7 @@ class DescriptorSpace:
     """
 
     def __init__(self, p: ChannelParams, k_trunc: int):
-        if k_trunc < 1:
-            raise ValueError("k_trunc must be >= 1")
+        check_k_trunc(k_trunc)
         self.channel = p
         self.k_trunc = k_trunc
         k = k_trunc
@@ -307,6 +312,11 @@ class _Table:
     idle1: np.ndarray
     busy1: np.ndarray
 
+    @property
+    def cap(self):
+        """The delay-cap states, the last layer."""
+        return np.s_[self.layers[-2]:]
+
 
 def _table(reach: ReachableStates, r: RewardParams, l_max: int) -> _Table:
     delays = reach.delays
@@ -331,7 +341,7 @@ def _backup(t: _Table, v: np.ndarray):
     q0 = t.rewards[0] + v[t.up_wait]
     q1 = t.rewards[1] + (q_idle + (1.0 - t.b) * v[t.up_busy])
     q2 = t.rewards[2] + (q_idle + (1.0 - t.b) * v[t.busy1])
-    return greedy(q0, q1, q2, np.s_[t.layers[-2]:])
+    return greedy(q0, q1, q2, t.cap)
 
 
 def _evaluate(t: _Table, actions: np.ndarray, v1: np.ndarray, tol: float, max_iter: int):
@@ -403,6 +413,7 @@ def solve_multichannel(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     state_cap: int = DEFAULT_STATE_CAP,
+    start: np.ndarray | None = None,
 ) -> MultichannelValueFunction:
     """Howard policy iteration over the reachable descriptor MDP.
 
@@ -410,7 +421,10 @@ def solve_multichannel(
     are unavailable at the delay cap.  Each action table is evaluated on the
     embedded delay-1 chain, warm-started from the previous table's delay-1
     values; the returned values are the final backup renormalized at the
-    reference state (all channels stale, delay 1).
+    reference state (all channels stale, delay 1).  start, an action table
+    over the same reachable states such as the one solved at a nearby gamma,
+    is where the iteration begins; it changes only the step count, not the
+    actions returned, and the gain and values only in their last digits.
 
     max_iter caps both the policy-iteration steps and the evaluation sweeps
     of each step.  Raises as check_model and policy_iteration do, and
@@ -422,10 +436,12 @@ def solve_multichannel(
     actions, values, gain, steps, span = policy_iteration(
         len(reach.delays),
         0,
+        t.cap,
         lambda actions, v: _evaluate(t, actions, v[: t.layers[1]], tol, max_iter),
         lambda v: _backup(t, v),
         tol,
         max_iter,
+        start=start,
     )
     return MultichannelValueFunction(
         space=reach.space,

@@ -29,7 +29,7 @@ from .multichannel import (
     solve_multichannel,
 )
 from .policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
-from .solver import Action, RewardParams, solve_single_channel
+from .solver import Action, RewardParams, ValueFunction, solve_single_channel
 
 DEFAULT_PACKETS = 3000
 
@@ -191,6 +191,7 @@ class SlotEnv:
         self.sensed = [0] * n
         self.sensed_idle = [0] * n
         self.idle_pairs = [0] * n
+        self.overflow = None  # the DelayOverflow a run() raised, if any
 
     def _beliefs(self, slot: int) -> list:
         """Every channel's belief at the slot, growing the rows that need it."""
@@ -206,10 +207,12 @@ class SlotEnv:
         """Run the policy for `slots` more slots or until `packets` more
         packets are delivered; returns the reward summed over those slots and
         appends a TraceRow per slot to a `trace` list.  Raises DelayOverflow
-        if the policy keeps a packet past l_max (the env is then unusable),
+        if the policy keeps a packet past l_max, and on every later run() or
+        metrics() call, since the tallies then stop part way through a slot;
         TypeError for a policy that is not a ThresholdPolicy,
         MemorylessPolicy or MultichannelValueFunction.
         """
+        self._check_usable()
         if (slots is None) == (packets is None):
             raise ValueError("give exactly one of slots and packets")
         r = self.rewards
@@ -274,7 +277,7 @@ class SlotEnv:
 
             if action == _WAIT:
                 if delay >= l_max:
-                    raise DelayOverflow(f"wait at delay cap {l_max}")
+                    raise self._overflowed("wait")
                 obs = -1
                 reward = wait_reward[delay]
             else:
@@ -295,7 +298,7 @@ class SlotEnv:
                         transmitted = True
                     else:
                         if delay >= l_max:
-                            raise DelayOverflow(f"busy sense-wait at delay cap {l_max}")
+                            raise self._overflowed("busy sense-wait")
                         reward = busy_wait_reward[delay]
                 last[target] = slot
 
@@ -319,8 +322,19 @@ class SlotEnv:
         self.reward_total += total
         return total
 
+    def _overflowed(self, action: str) -> DelayOverflow:
+        """Record that a run() stopped at the delay cap; returns the error."""
+        self.overflow = DelayOverflow(f"{action} at delay cap {self.l_max}")
+        return self.overflow
+
+    def _check_usable(self) -> None:
+        if self.overflow is not None:
+            raise DelayOverflow(f"env unusable after an earlier run raised: {self.overflow}")
+
     def metrics(self, energy_metric: str = "full") -> SimMetrics:
-        """Episode metrics over every slot run so far."""
+        """Episode metrics over every slot run so far.  Raises DelayOverflow
+        after a run() that raised it."""
+        self._check_usable()
         r = self.rewards
         slots, packets = self.slots, self.packets
         senses = sum(self.sensed)
@@ -404,9 +418,10 @@ def sweep_rows_to_csv(rows, path) -> None:
             )
 
 
-def _solve_policy(cfg: SimConfig, gamma: float, tol: float):
-    """Solve the configured instance at a given delay penalty and return the
-    policy object the simulator should run."""
+def _solve(cfg: SimConfig, gamma: float, tol: float, start=None):
+    """Solve the configured instance at a given delay penalty, policy
+    iteration starting from the action table start.  Returns the value
+    function and the rewards it was solved with."""
     differing = [f"{i}: {p}" for i, p in enumerate(cfg.channels) if p != cfg.channels[0]]
     if differing:
         raise ValueError(
@@ -415,12 +430,24 @@ def _solve_policy(cfg: SimConfig, gamma: float, tol: float):
         )
     r = replace(cfg.rewards, gamma=gamma)
     if len(cfg.channels) == 1:
-        vf = solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol)
-        return extract_thresholds(vf), r
+        return solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start), r
     mvf = solve_multichannel(
-        len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol
+        len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol,
+        start=start,
     )
     return mvf, r
+
+
+def _policy_of(vf):
+    """The policy object the simulator runs for a solved value function."""
+    return extract_thresholds(vf) if isinstance(vf, ValueFunction) else vf
+
+
+def _solve_policy(cfg: SimConfig, gamma: float, tol: float):
+    """Solve the configured instance at a given delay penalty and return the
+    policy object the simulator should run."""
+    vf, r = _solve(cfg, gamma, tol)
+    return _policy_of(vf), r
 
 
 def _policy_key(policy):
@@ -434,6 +461,11 @@ class _Episodes:
     """Episodes of the policies solved for one configuration, by delay
     penalty, with solves cached by gamma and episodes by policy.
 
+    Each new gamma's solve starts from the action table of the nearest gamma
+    (in log gamma) solved so far.  The start changes only the number of
+    policy-iteration steps: the tables, and so the policies and episodes,
+    are the ones a solve from scratch gives.
+
     An episode's metrics depend on gamma only through avg_reward, and nearby
     gammas often solve to the same policy.  probe() may therefore return an
     episode run at another gamma; metrics() returns one run at the gamma
@@ -443,11 +475,15 @@ class _Episodes:
     def __init__(self, cfg: SimConfig, solver_tol: float):
         self.cfg, self.solver_tol = cfg, solver_tol
         self.solves = {}
+        self.tables = {}  # gamma -> solved action table
         self.runs = {}  # policy key -> (gamma it ran at, metrics)
 
     def _run(self, gamma: float):
         if gamma not in self.solves:
-            self.solves[gamma] = _solve_policy(self.cfg, gamma, self.solver_tol)
+            near = min(self.tables, key=lambda g: abs(math.log(g / gamma)), default=None)
+            vf, r = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near))
+            self.tables[gamma] = vf.actions
+            self.solves[gamma] = _policy_of(vf), r
         pol, r = self.solves[gamma]
         key = _policy_key(pol)
         if key not in self.runs:

@@ -188,14 +188,13 @@ class ValueFunction:
         return Action(int(self.actions[i, delay - 1]))
 
     def to_csv(self, path) -> None:
+        beliefs = [repr(b) for b in self.grid.points.tolist()]
         with open(path, "w") as fh:
             fh.write("belief,delay,value,action\n")
             for l in range(1, self.l_max + 1):
-                for i, b in enumerate(self.grid.points):
-                    fh.write(
-                        f"{float(b)!r},{l},{float(self.values[i, l - 1])!r},"
-                        f"{int(self.actions[i, l - 1])}\n"
-                    )
+                values = self.values[:, l - 1].tolist()
+                actions = self.actions[:, l - 1].tolist()
+                fh.writelines(f"{b},{l},{v!r},{a}\n" for b, v, a in zip(beliefs, values, actions))
 
     def metadata(self) -> dict:
         return {
@@ -304,20 +303,34 @@ def greedy(q0, q1, q2, cap):
     return w, actions
 
 
-def policy_iteration(shape, ref, evaluate, backup, tol: float, max_iter: int):
-    """Howard policy iteration from fallback everywhere until the action table
-    repeats.  evaluate(actions, v) gives a table's relative values, warm-started
-    from the previous ones (zeros at first); backup(v) gives the greedy backup
-    values and table.  Returns (actions, final backup minus its value at ref,
-    that value as the gain, steps, span of the final Bellman residual).
+def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, max_iter: int, start=None):
+    """Howard policy iteration from the start table (fallback everywhere when
+    None) until the action table repeats.  evaluate(actions, v) gives a
+    table's relative values, warm-started from the previous ones (zeros at
+    first); backup(v) gives the greedy backup values and table, fallback at
+    the delay-cap states that cap indexes.  Returns (actions, final backup
+    minus its value at ref, that value as the gain, steps, span of the final
+    Bellman residual).
+
+    The start table changes only the step count: the loop stops at the
+    table that is greedy on its own values whatever it starts from.  An
+    exact evaluation then returns the same values and gain bit for bit; an
+    iterative one (the descriptor solver's) agrees to its rounding.
 
     Raises NoConvergence when the table still changes after max_iter steps or
     the residual span of the stable table exceeds tol, ValueError when
-    max_iter < 1.
+    max_iter < 1 or when start has another shape or another action than
+    fallback at cap.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     actions = np.full(shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
+    if start is not None:
+        if np.shape(start) != actions.shape:
+            raise ValueError(f"start table has shape {np.shape(start)}, not {actions.shape}")
+        actions[...] = start
+        if np.any(actions[cap] != Action.SENSE_FALLBACK):
+            raise ValueError("start table must hold the fallback action at the delay cap")
     v = np.zeros(shape)
     for it in range(1, max_iter + 1):
         v = evaluate(actions, v)
@@ -332,6 +345,9 @@ def policy_iteration(shape, ref, evaluate, backup, tol: float, max_iter: int):
         raise NoConvergence(it, span, tol)
     gain = float(w[ref])
     return actions, w - gain, gain, it, span
+
+
+_CAP = np.s_[:, -1]  # the delay-cap states of a (belief, delay) table
 
 
 @dataclass
@@ -372,7 +388,7 @@ def _backup(v: np.ndarray, bk: _Backup):
     q0 = bk.rewards[0] + (bk.w[:, None] * v_next[bk.lo] + (1.0 - bk.w)[:, None] * v_next[bk.hi])
     q1 = bk.rewards[1] + (q_idle + (1.0 - bk.lam) * v_next[bk.i_beta][None, :])
     q2 = bk.rewards[2] + (q_idle + (1.0 - bk.lam) * v[bk.i_beta, 0])
-    return greedy(q0, q1, q2, np.s_[:, -1])
+    return greedy(q0, q1, q2, _CAP)
 
 
 def bellman_backup(vf: ValueFunction):
@@ -427,13 +443,17 @@ def solve_single_channel(
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: np.ndarray | None = None,
 ) -> ValueFunction:
     """Howard policy iteration for the single-channel problem.
 
     Each action table is evaluated exactly; the returned values are the final
     backup renormalized at the reference state (the grid point holding pi0,
-    delay 1).  Deterministic given identical inputs.  Raises as check_model
-    and policy_iteration do.
+    delay 1).  Deterministic given identical inputs.  start, an action table
+    over the same grid and l_max such as the one solved at a nearby gamma,
+    is where the iteration begins; it changes only the step count, not the
+    actions, values or gain returned.  Raises as check_model and
+    policy_iteration do.
     """
     check_model(p, tol, l_max)
     if grid is None:
@@ -442,10 +462,12 @@ def solve_single_channel(
     actions, values, gain, steps, span = policy_iteration(
         (len(grid), l_max),
         (bk.ref, 0),
+        _CAP,
         lambda actions, _v: _evaluate(actions, bk),
         lambda v: _backup(v, bk),
         tol,
         max_iter,
+        start=start,
     )
     return ValueFunction(
         grid=grid,

@@ -215,6 +215,7 @@ class ReferenceSlotEnv:
         self.idle_pairs = [0] * n
         self.last_idle = [-2] * n
         self.last_busy = [-2] * n
+        self.overflowed = False
 
     def _uniform(self, i):
         if self._pos[i] == self.BLOCK:
@@ -223,7 +224,14 @@ class ReferenceSlotEnv:
         self._pos[i] += 1
         return self._blocks[i][self._pos[i] - 1]
 
+    def _check_usable(self):
+        """Refuse reuse after a DelayOverflow, as SlotEnv does; SlotEnv.metrics
+        calls it too."""
+        if self.overflowed:
+            raise DelayOverflow("env unusable after an overflow")
+
     def run(self, policy, slots=None, packets=None, trace=None):
+        self._check_usable()
         r = self.rewards
         n = len(self.beliefs)
         use_codes = isinstance(policy, MultichannelValueFunction)
@@ -247,6 +255,7 @@ class ReferenceSlotEnv:
             obs = -1
             if action == Action.WAIT:
                 if delay >= self.l_max:
+                    self.overflowed = True
                     raise DelayOverflow("wait at the cap")
                 reward = -r.penalty(delay)
             else:
@@ -267,6 +276,7 @@ class ReferenceSlotEnv:
                         transmitted = True
                     else:
                         if delay >= self.l_max:
+                            self.overflowed = True
                             raise DelayOverflow("busy sense-wait at the cap")
                         reward = -r.c_s - r.penalty(delay)
             total += reward

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osa.solver
 from oracles import ReferenceSlotEnv
 from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
 from osa.errors import DelayOverflow, TargetUnreachable
@@ -18,6 +19,7 @@ from osa.sim import (
     SlotEnv,
     _Episodes,
     _solve_policy,
+    compare_with_memoryless,
     gamma_for_target_delay,
     idle_flags,
     little_check,
@@ -174,6 +176,18 @@ def test_delay_overflow_detected():
         run_episode(cfg)
 
 
+def test_env_refuses_reuse_after_delay_overflow():
+    # The overflow stops the tallies part way through a slot, so the env
+    # must not run on or report metrics.
+    env = SlotEnv([ChannelParams(0.05, 0.05)], PRESET, seed=0, l_max=6)
+    with pytest.raises(DelayOverflow, match="busy sense-wait at delay cap 6"):
+        env.run(MemorylessPolicy(7), packets=10)
+    with pytest.raises(DelayOverflow, match="unusable"):
+        env.run(MemorylessPolicy(1), slots=1)
+    with pytest.raises(DelayOverflow, match="unusable"):
+        env.metrics()
+
+
 def test_sweep_trends_scenario1():
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
                     num_packets=1000)
@@ -242,6 +256,31 @@ def test_episode_memo_reruns_at_the_gamma_asked_for():
     assert runs.metrics(10.001) == fresh
     assert fresh.avg_reward != shared.avg_reward
     assert replace(fresh, avg_reward=shared.avg_reward) == shared
+
+
+def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
+    # The same compare runs twice through a wrapped Howard loop: once as it
+    # is, once with every start table dropped.  Steps are counted, not timed.
+    real = osa.solver.policy_iteration
+    calls, steps = {}, {}
+
+    def counted(cold):
+        def wrapped(*args, start=None, **kwargs):
+            out = real(*args, start=None if cold else start, **kwargs)
+            calls[cold] = calls.get(cold, 0) + 1
+            steps[cold] = steps.get(cold, 0) + out[3]
+            return out
+        return wrapped
+
+    cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
+                    num_packets=500, l_max=15)
+    rows = {}
+    for cold in (False, True):
+        monkeypatch.setattr(osa.solver, "policy_iteration", counted(cold))
+        rows[cold] = compare_with_memoryless(cfg, [2, 3], solver_tol=1e-7)
+    assert rows[False] == rows[True]
+    assert calls[False] == calls[True]
+    assert steps[False] < steps[True]
 
 
 def test_sweep_rejects_heterogeneous_channels():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
@@ -246,3 +248,81 @@ def test_value_csv_roundtrip(tmp_path, scen1_channel, preset_rewards):
     assert float(b) == vf.grid.points[0]
     assert int(l) == 1
     assert float(v) == vf.values[0, 0]
+
+
+def test_value_csv_matches_the_row_by_row_format(tmp_path, scen1_channel, preset_rewards):
+    vf = solve_single_channel(scen1_channel, preset_rewards, l_max=7, tol=1e-6)
+    path = tmp_path / "vf.csv"
+    vf.to_csv(path)
+    rows = "".join(
+        f"{float(b)!r},{l},{float(vf.values[i, l - 1])!r},{int(vf.actions[i, l - 1])}\n"
+        for l in range(1, vf.l_max + 1)
+        for i, b in enumerate(vf.grid.points)
+    )
+    assert path.read_text() == "belief,delay,value,action\n" + rows
+
+
+WARM_CHANNELS = [ChannelParams(0.15, 0.1), ChannelParams(0.85, 0.7), ChannelParams(0.95, 0.05)]
+GAMMA_LADDER = [float(g) for g in np.geomspace(0.5, 2000.0, 8)]
+
+
+@pytest.fixture(scope="module")
+def cold_solves():
+    """Grid solves from the all-fallback table, by (channel, l_max, gamma)."""
+    cache = {}
+
+    def get(p, l_max, gamma):
+        if (p, l_max, gamma) not in cache:
+            r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
+            cache[p, l_max, gamma] = solve_single_channel(p, r, l_max=l_max)
+        return cache[p, l_max, gamma]
+
+    return get
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.sampled_from(WARM_CHANNELS),
+    l_max=st.sampled_from([15, 50]),
+    order=st.permutations(GAMMA_LADDER),
+)
+def test_warm_started_grid_solves_equal_cold_solves(cold_solves, p, l_max, order):
+    # Each solve starts from the table of the gamma solved before it in a
+    # shuffled ladder; the start may change the steps, never the answer.
+    start = None
+    for gamma in order:
+        r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
+        warm = solve_single_channel(p, r, l_max=l_max, start=start)
+        cold = cold_solves(p, l_max, gamma)
+        assert np.array_equal(warm.actions, cold.actions)
+        assert np.array_equal(warm.values, cold.values)
+        assert warm.gain == cold.gain
+        start = warm.actions
+
+
+@pytest.mark.parametrize("p", WARM_CHANNELS)
+def test_warm_started_descriptor_solves_match_cold_solves(p):
+    start = None
+    for gamma in reversed(GAMMA_LADDER):
+        r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
+        warm = solve_multichannel(2, p, r, k_trunc=8, l_max=10, start=start)
+        cold = solve_multichannel(2, p, r, k_trunc=8, l_max=10)
+        assert np.array_equal(warm.actions, cold.actions)
+        assert abs(warm.gain - cold.gain) <= 1e-9
+        start = warm.actions
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [solve_single_channel, lambda p, r, **kw: solve_multichannel(2, p, r, k_trunc=4, **kw)],
+    ids=["grid", "descriptor"],
+)
+def test_start_table_must_fit_the_model(solve, scen1_channel, preset_rewards):
+    table = solve(scen1_channel, preset_rewards, l_max=6).actions
+    assert np.array_equal(solve(scen1_channel, preset_rewards, l_max=6, start=table).actions,
+                          table)
+    with pytest.raises(ValueError, match="shape"):
+        solve(scen1_channel, preset_rewards, l_max=7, start=table)
+    waiting = np.zeros_like(table)  # waits everywhere, the delay cap included
+    with pytest.raises(ValueError, match="fallback action at the delay cap"):
+        solve(scen1_channel, preset_rewards, l_max=6, start=waiting)
