@@ -254,7 +254,9 @@ def cmd_solve(args) -> int:
             "gain": mvf.gain,
             "iterations": mvf.iterations,
             "l_star": tp.l_star,
-            "states": len(mvf.states),
+            "states": len(mvf.delays),
+            "k_trunc": mvf.space.k_trunc,
+            "truncation_bound": mvf.space.truncation_bound,
             "summary_violations": violations,
         }
     tp.to_csv(policy_path)

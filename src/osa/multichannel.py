@@ -14,6 +14,10 @@ rule on the unmerged system.
 States are enumerated breadth-first, one frontier at a time, over arrays: each
 (sorted code multiset, delay) packs into one int64 key, delay first, so the
 sorted states run layer by layer in delay and the delay-1 states come first.
+The solver works on these arrays alone; the (codes tuple, delay) view of the
+states and its index are built only when something reads them.  The
+successor tables do not depend on the rewards, so solves of one model at
+several delay penalties can share one enumeration.
 
 The Howard policy-iteration core of solver.py solves the MDP; this module
 supplies the packed-key successor tables and the evaluation step.  Under a
@@ -112,6 +116,14 @@ class DescriptorSpace:
             key = key * n_codes + c
         return key
 
+    @property
+    def truncation_bound(self) -> float:
+        """Largest belief error a descriptor takes on when it collapses to
+        stale: max(|alpha - pi0|, |beta - pi0|) |alpha - beta|^(k_trunc - 1)."""
+        p = self.channel
+        pi0 = stationary_idle(p)
+        return max(abs(p.alpha - pi0), abs(p.beta - pi0)) * abs(p.alpha - p.beta) ** (self.k_trunc - 1)
+
     def moves(self, codes: np.ndarray):
         """Descriptors after one slot, per row of sorted codes.
 
@@ -135,20 +147,23 @@ class DescriptorSpace:
 
 @dataclass
 class ReachableStates:
-    """Reachable descriptor states, sorted by (delay, codes).
+    """Reachable descriptor states up to delay l_max, sorted by (delay, codes).
 
     codes holds one sorted code row per state and delays its delay; keys are
     their packed int64 keys, ascending.  Unpacks as (space, states, index),
     where states lists the (codes tuple, delay) pairs and index maps each pair
-    to its position.
+    to its position; those two, and the successor table, are built the first
+    time they are read.
     """
 
     space: DescriptorSpace
+    l_max: int
     codes: np.ndarray
     delays: np.ndarray
     keys: np.ndarray
 
-    def __post_init__(self):
+    @cached_property
+    def states(self) -> list:
         # Tuple elements keep the types the tuple-by-tuple closure gave them:
         # aged codes are numpy int32 scalars, while the freshly sensed code
         # and the start state's codes are Python ints.  Recorded digests of
@@ -161,8 +176,17 @@ class ReachableStates:
         fresh = np.isin(self.codes, [c for c in (space.idle_fresh, space.busy_fresh) if c != STALE])
         fresh[0] = True  # the start state, key 0
         elements = kinds[fresh.astype(np.intp), self.codes]
-        self.states = list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
-        self.index = dict(zip(self.states, range(len(self.states))))
+        return list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
+
+    @cached_property
+    def index(self) -> dict:
+        return dict(zip(self.states, range(len(self.states))))
+
+    @cached_property
+    def table(self) -> _Table:
+        """Successors of every state: the part of the MDP that does not
+        depend on the rewards."""
+        return _table(self)
 
     def __iter__(self):
         return iter((self.space, self.states, self.index))
@@ -173,26 +197,44 @@ class ReachableStates:
 
 @dataclass
 class MultichannelValueFunction:
-    """Relative values and optimal actions over reachable descriptor states."""
+    """Relative values and optimal actions over reachable descriptor states,
+    in the order of reach."""
 
-    space: DescriptorSpace
+    reach: ReachableStates
     n_channels: int
     l_max: int
-    states: list
-    state_index: dict
     values: np.ndarray
     actions: np.ndarray
     gain: float
     rewards: RewardParams
-    codes: np.ndarray
-    delays: np.ndarray
     iterations: int = 0
     residual_span: float = float("nan")
     tol: float = DEFAULT_TOL
 
     @property
+    def space(self) -> DescriptorSpace:
+        return self.reach.space
+
+    @property
     def channel(self) -> ChannelParams:
         return self.space.channel
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self.reach.codes
+
+    @property
+    def delays(self) -> np.ndarray:
+        return self.reach.delays
+
+    @property
+    def states(self) -> list:
+        """(codes tuple, delay) per state, built on first read."""
+        return self.reach.states
+
+    @property
+    def state_index(self) -> dict:
+        return self.reach.index
 
     def state_id(self, codes, delay: int) -> int:
         key = (tuple(sorted(codes)), min(delay, self.l_max))
@@ -204,7 +246,7 @@ class MultichannelValueFunction:
     @cached_property
     def action_by_key(self) -> dict:
         """Action index by packed state key (DescriptorSpace.key), as ints."""
-        return dict(zip(self.space.pack(self.codes, self.delays).tolist(), self.actions.tolist()))
+        return dict(zip(self.reach.keys.tolist(), self.actions.tolist()))
 
     def max_belief(self, codes) -> float:
         return float(max(self.space.belief[c] for c in codes))
@@ -290,12 +332,12 @@ def build_reachable_states(
         found.append((codes, delays, keys))
     codes, delays, keys = (np.concatenate(part) for part in zip(*found))
     order = np.argsort(keys)
-    return ReachableStates(space, codes[order], delays[order], keys[order])
+    return ReachableStates(space, l_max, codes[order], delays[order], keys[order])
 
 
 @dataclass
 class _Table:
-    """Successors and rewards of every descriptor state, sorted by delay.
+    """Successors of every descriptor state, sorted by delay.
 
     layers[l] is the first state at delay l + 1; b is the belief of the
     channel sensing would target.  up_wait and up_busy are the successors at
@@ -306,7 +348,6 @@ class _Table:
 
     layers: np.ndarray
     b: np.ndarray
-    rewards: tuple
     up_wait: np.ndarray
     up_busy: np.ndarray
     idle1: np.ndarray
@@ -318,8 +359,8 @@ class _Table:
         return np.s_[self.layers[-2]:]
 
 
-def _table(reach: ReachableStates, r: RewardParams, l_max: int) -> _Table:
-    delays = reach.delays
+def _table(reach: ReachableStates) -> _Table:
+    delays, l_max = reach.delays, reach.l_max
     waited, after_idle, after_busy, b = reach.space.moves(reach.codes)
     cap = delays == l_max
     up = np.minimum(delays + 1, l_max)
@@ -327,7 +368,6 @@ def _table(reach: ReachableStates, r: RewardParams, l_max: int) -> _Table:
     return _Table(
         layers=np.searchsorted(delays, np.arange(1, l_max + 2)),
         b=b,
-        rewards=immediate_rewards(r, b, r.penalty.table(l_max)[delays - 1]),
         up_wait=np.where(cap, own, reach.lookup(waited, up)),
         up_busy=np.where(cap, own, reach.lookup(after_busy, up)),
         idle1=reach.lookup(after_idle, 1),
@@ -335,16 +375,17 @@ def _table(reach: ReachableStates, r: RewardParams, l_max: int) -> _Table:
     )
 
 
-def _backup(t: _Table, v: np.ndarray):
+def _backup(t: _Table, rewards: tuple, v: np.ndarray):
     """One Bellman backup: the backup values and the greedy action table."""
     q_idle = t.b * v[t.idle1]
-    q0 = t.rewards[0] + v[t.up_wait]
-    q1 = t.rewards[1] + (q_idle + (1.0 - t.b) * v[t.up_busy])
-    q2 = t.rewards[2] + (q_idle + (1.0 - t.b) * v[t.busy1])
+    q0 = rewards[0] + v[t.up_wait]
+    q1 = rewards[1] + (q_idle + (1.0 - t.b) * v[t.up_busy])
+    q2 = rewards[2] + (q_idle + (1.0 - t.b) * v[t.busy1])
     return greedy(q0, q1, q2, t.cap)
 
 
-def _evaluate(t: _Table, actions: np.ndarray, v1: np.ndarray, tol: float, max_iter: int):
+def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, tol: float,
+              max_iter: int):
     """Relative values of a fixed action table, zero at the reference state 0.
 
     The delay-1 values v1 warm-start damped relative value iteration on the
@@ -354,7 +395,7 @@ def _evaluate(t: _Table, actions: np.ndarray, v1: np.ndarray, tol: float, max_it
     """
     wait = actions == Action.WAIT
     sense_wait = actions == Action.SENSE_WAIT
-    reward = np.choose(actions, t.rewards)
+    reward = np.choose(actions, rewards)
     # The one successor at delay l + 1 and the chance of moving there; every
     # other exit lands at delay 1.
     up = np.where(sense_wait, t.up_busy, t.up_wait)
@@ -414,6 +455,7 @@ def solve_multichannel(
     max_iter: int = DEFAULT_MAX_ITER,
     state_cap: int = DEFAULT_STATE_CAP,
     start: np.ndarray | None = None,
+    reach: ReachableStates | None = None,
 ) -> MultichannelValueFunction:
     """Howard policy iteration over the reachable descriptor MDP.
 
@@ -425,36 +467,42 @@ def solve_multichannel(
     over the same reachable states such as the one solved at a nearby gamma,
     is where the iteration begins; it changes only the step count, not the
     actions returned, and the gain and values only in their last digits.
+    reach, the states of an earlier solve of the same n_channels, p, k_trunc
+    and l_max (its `reach`), spares enumerating them and building their
+    successor table again: only the rewards depend on r.
 
     max_iter caps both the policy-iteration steps and the evaluation sweeps
-    of each step.  Raises as check_model and policy_iteration do, and
-    NoConvergence when an evaluation hits max_iter.
+    of each step.  Raises as check_model and policy_iteration do,
+    NoConvergence when an evaluation hits max_iter, and ValueError when reach
+    belongs to another model.
     """
     check_model(p, tol, l_max)
-    reach = build_reachable_states(n_channels, p, k_trunc, l_max, state_cap)
-    t = _table(reach, r, l_max)
+    if reach is None:
+        reach = build_reachable_states(n_channels, p, k_trunc, l_max, state_cap)
+    elif (reach.codes.shape[1], reach.space.channel, reach.space.k_trunc, reach.l_max) != (
+        n_channels, p, k_trunc, l_max
+    ):
+        raise ValueError("reach holds the states of another model")
+    t = reach.table
+    rewards = immediate_rewards(r, t.b, r.penalty.table(l_max)[reach.delays - 1])
     actions, values, gain, steps, span = policy_iteration(
         len(reach.delays),
         0,
         t.cap,
-        lambda actions, v: _evaluate(t, actions, v[: t.layers[1]], tol, max_iter),
-        lambda v: _backup(t, v),
+        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]], tol, max_iter),
+        lambda v: _backup(t, rewards, v),
         tol,
         max_iter,
         start=start,
     )
     return MultichannelValueFunction(
-        space=reach.space,
+        reach=reach,
         n_channels=n_channels,
         l_max=l_max,
-        states=reach.states,
-        state_index=reach.index,
         values=values,
         actions=actions,
         gain=gain,
         rewards=r,
-        codes=reach.codes,
-        delays=reach.delays,
         iterations=steps,
         residual_span=span,
         tol=tol,

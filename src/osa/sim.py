@@ -418,10 +418,11 @@ def sweep_rows_to_csv(rows, path) -> None:
             )
 
 
-def _solve(cfg: SimConfig, gamma: float, tol: float, start=None):
+def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
     """Solve the configured instance at a given delay penalty, policy
-    iteration starting from the action table start.  Returns the value
-    function and the rewards it was solved with."""
+    iteration starting from the action table start and, at N > 1, on the
+    descriptor states reach of an earlier solve of the same instance when
+    given.  Returns the value function and the rewards it was solved with."""
     differing = [f"{i}: {p}" for i, p in enumerate(cfg.channels) if p != cfg.channels[0]]
     if differing:
         raise ValueError(
@@ -433,7 +434,7 @@ def _solve(cfg: SimConfig, gamma: float, tol: float, start=None):
         return solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start), r
     mvf = solve_multichannel(
         len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol,
-        start=start,
+        start=start, reach=reach,
     )
     return mvf, r
 
@@ -464,7 +465,9 @@ class _Episodes:
     Each new gamma's solve starts from the action table of the nearest gamma
     (in log gamma) solved so far.  The start changes only the number of
     policy-iteration steps: the tables, and so the policies and episodes,
-    are the ones a solve from scratch gives.
+    are the ones a solve from scratch gives.  With several channels every
+    solve runs on the descriptor states, and their successor table, that the
+    first one enumerated; they live as long as this object.
 
     An episode's metrics depend on gamma only through avg_reward, and nearby
     gammas often solve to the same policy.  probe() may therefore return an
@@ -477,11 +480,14 @@ class _Episodes:
         self.solves = {}
         self.tables = {}  # gamma -> solved action table
         self.runs = {}  # policy key -> (gamma it ran at, metrics)
+        self.reach = None  # descriptor states of the first solve, at N > 1
 
     def _run(self, gamma: float):
         if gamma not in self.solves:
             near = min(self.tables, key=lambda g: abs(math.log(g / gamma)), default=None)
-            vf, r = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near))
+            vf, r = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near), self.reach)
+            if isinstance(vf, MultichannelValueFunction):
+                self.reach = vf.reach
             self.tables[gamma] = vf.actions
             self.solves[gamma] = _policy_of(vf), r
         pol, r = self.solves[gamma]

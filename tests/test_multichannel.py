@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from osa.channel import ChannelParams, stationary_idle
+import osa.cli
+from osa.channel import ChannelParams, iterate_unsensed, stationary_idle
 from osa.errors import NoConvergence, StateSpaceTooLarge
 from osa.multichannel import (
     STALE,
@@ -11,6 +12,7 @@ from osa.multichannel import (
     build_reachable_states,
     solve_multichannel,
 )
+from osa.sim import SlotEnv
 from osa.solver import Action, RewardParams, solve_single_channel
 
 PRESET = RewardParams(350.0, 50.0, 100.0, 800.0, 10.0)
@@ -165,6 +167,71 @@ def test_reachable_states_match_tuple_closure(n, k_trunc, l_max, alpha, beta):
     assert all(index[state] == i for i, state in enumerate(states))
     # Element types too: digests of action tables hash the repr of states.
     assert repr(sorted(states)) == repr(sorted(oracle))
+
+
+@pytest.mark.parametrize("n,k_trunc,l_max", [(2, 8, 8), (3, 4, 5)])
+def test_state_tuples_are_built_on_first_read(n, k_trunc, l_max):
+    from oracles import descriptor_backup, reachable_descriptor_states
+
+    p = ChannelParams(0.15, 0.1)
+    mvf = solve_multichannel(n, p, PRESET, k_trunc=k_trunc, l_max=l_max)
+    SlotEnv([p] * n, PRESET, seed=1, l_max=l_max).run(mvf, slots=200)
+    assert "states" not in mvf.reach.__dict__ and "index" not in mvf.reach.__dict__
+    states = mvf.states
+    oracle = reachable_descriptor_states(mvf.space, n, l_max)
+    assert set(states) == oracle
+    assert repr(sorted(states)) == repr(sorted(oracle))
+    assert all(mvf.state_id(codes, l) == i for i, (codes, l) in enumerate(states))
+    key = mvf.space.key
+    assert all(
+        mvf.action_for(codes[::-1], l) == Action(mvf.action_by_key[key(codes, l)])
+        for codes, l in states
+    )
+    backup = np.array(descriptor_backup(mvf.space, mvf.state_index, mvf.values, PRESET, l_max))
+    assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
+
+
+def test_cli_solve_summary_leaves_state_tuples_unbuilt(monkeypatch, tmp_path, capsys):
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(solve_multichannel(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(osa.cli, "solve_multichannel", solve)
+    argv = ["solve", "--scenario", "3", "--ktrunc", "6", "--lmax", "8", "--out", str(tmp_path)]
+    assert osa.cli.main(argv) == 0
+    (mvf,) = solved
+    assert "states" not in mvf.reach.__dict__
+    out = capsys.readouterr().out
+    assert f"  states: {len(mvf.delays)}\n" in out
+    assert "  k_trunc: 6\n" in out
+    assert f"  truncation_bound: {mvf.space.truncation_bound}\n" in out
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,k_trunc",
+    [(0.15, 0.1, 20), (0.85, 0.7, 20), (0.95, 0.05, 20), (0.95, 0.05, 40), (0.3, 0.8, 5),
+     (0.6, 0.2, 1)],
+)
+def test_truncation_bound_is_the_belief_error_at_collapse(alpha, beta, k_trunc):
+    # A channel last sensed k_trunc slots ago is stale; its exact belief then
+    # is the k_trunc - 1 fold unsensed update of alpha or beta.  Beliefs
+    # resolve differences from pi0 only down to a few ulps of pi0.
+    p = ChannelParams(alpha, beta)
+    pi0 = stationary_idle(p)
+    error = max(abs(iterate_unsensed(p, start, k_trunc - 1) - pi0) for start in (alpha, beta))
+    bound = DescriptorSpace(p, k_trunc).truncation_bound
+    assert bound == pytest.approx(error, rel=1e-9, abs=4 * np.spacing(pi0))
+
+
+def test_reach_of_another_model_is_rejected():
+    p = ChannelParams(0.85, 0.7)
+    reach = solve_multichannel(2, p, PRESET, k_trunc=6, l_max=6).reach
+    assert solve_multichannel(2, p, PRESET, k_trunc=6, l_max=6, reach=reach).reach is reach
+    for n, q, k, l in [(3, p, 6, 6), (2, ChannelParams(0.85, 0.6), 6, 6), (2, p, 5, 6), (2, p, 6, 7)]:
+        with pytest.raises(ValueError, match="another model"):
+            solve_multichannel(n, q, PRESET, k_trunc=k, l_max=l, reach=reach)
 
 
 def test_state_keys_past_int64_raise():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osa.multichannel
+import osa.sim
 import osa.solver
 from oracles import ReferenceSlotEnv
 from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
@@ -281,6 +283,52 @@ def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
     assert rows[False] == rows[True]
     assert calls[False] == calls[True]
     assert steps[False] < steps[True]
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]),
+    lambda cfg: gamma_for_target_delay(cfg, 1.5, tol=0.3),
+    lambda cfg: compare_with_memoryless(cfg, [2, 3]),
+], ids=["sweep", "target", "compare"])
+def test_descriptor_calls_enumerate_once(monkeypatch, call):
+    # Each call runs twice: as it is, and with every solve made from scratch
+    # (no start table, no shared states).  The first enumerates the
+    # descriptor states once, the second once per gamma; rows, action tables
+    # and gains agree.
+    real_enumerate, real_solve, real_sim_solve = (
+        osa.multichannel.build_reachable_states, osa.sim.solve_multichannel, osa.sim._solve)
+    enumerations, solved = {}, {}
+
+    def counting(cold):
+        def enumerate_states(*args, **kwargs):
+            enumerations[cold] = enumerations.get(cold, 0) + 1
+            return real_enumerate(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            mvf = real_solve(*args, **kwargs)
+            solved.setdefault(cold, {})[mvf.rewards.gamma] = mvf
+            return mvf
+        return enumerate_states, solve
+
+    cfg = SimConfig(channels=[ChannelParams(0.85, 0.7)] * 2, rewards=PRESET, policy=None,
+                    seed=2, num_packets=200, l_max=6, k_trunc=4)
+    out = {}
+    for cold in (False, True):
+        enumerate_states, solve = counting(cold)
+        monkeypatch.setattr(osa.multichannel, "build_reachable_states", enumerate_states)
+        monkeypatch.setattr(osa.sim, "solve_multichannel", solve)
+        if cold:
+            monkeypatch.setattr(osa.sim, "_solve", lambda cfg, gamma, tol, *_: real_sim_solve(cfg, gamma, tol))
+        out[cold] = call(cfg)
+    assert out[False] == out[True]
+    assert enumerations[False] == 1
+    assert enumerations[True] == len(solved[True]) > 1
+    assert solved[False].keys() == solved[True].keys()
+    for gamma, mvf in solved[False].items():
+        cold = solved[True][gamma]
+        assert np.array_equal(mvf.actions, cold.actions)
+        assert mvf.gain == pytest.approx(cold.gain, abs=1e-9)
+        assert mvf.reach is solved[False][min(solved[False])].reach
 
 
 def test_sweep_rejects_heterogeneous_channels():
