@@ -1,13 +1,14 @@
 """Online estimation of primary-user activity and the windowed Q-learning of
 threshold policies.
 
-The transition rates are estimated from three counters per channel: slots the
-channel was sensed, slots it was sensed idle, and slots it was sensed idle
-immediately after being sensed idle (consecutive slots only; a sensing gap
-breaks the pair).  The policy learner keeps a Q-value per (alpha bin, beta
-bin, candidate policy), picks candidates epsilon-greedily, runs each for a
-fixed window of slots, and folds the accumulated window reward back into the
-table.  The windows are consecutive runs of the simulator's slot kernel
+The channels are N copies of one channel, so the learner estimates one
+(alpha, beta) pair.  It does so from three counters summed over the channels:
+slots a channel was sensed, slots it was sensed idle, and slots it was sensed
+idle immediately after being sensed idle (consecutive slots only; a sensing
+gap breaks the pair).  The policy learner keeps a Q-value per (alpha bin,
+beta bin, candidate policy), picks candidates epsilon-greedily, runs each for
+a fixed window of slots, and folds the accumulated window reward back into
+the table.  The windows are consecutive runs of the simulator's slot kernel
 (`sim.SlotEnv`), which also keeps the sensing counters.
 """
 
@@ -42,18 +43,6 @@ class CountingStats:
             k=np.zeros(n_channels, dtype=np.int64),
             i=np.zeros(n_channels, dtype=np.int64),
             m=np.zeros(n_channels, dtype=np.int64),
-        )
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.m)
-
-    def pooled(self) -> "CountingStats":
-        """Counters summed across channels, for symmetric-channel use."""
-        return CountingStats(
-            k=np.array([self.k.sum()]),
-            i=np.array([self.i.sum()]),
-            m=np.array([self.m.sum()]),
         )
 
 
@@ -209,7 +198,6 @@ class LearningResult:
     learned_policy: ThresholdPolicy
     learned_policy_id: int
     candidates: list
-    estimates: Estimates
 
 
 def run_learning(
@@ -227,8 +215,9 @@ def run_learning(
         Q[prev bins, prev candidate] <-
             rho_k Q[prev] + (1 - rho_k) (R + eta Q[new bins, new candidate])
     with rho_k = 1/k (the factors swap when cfg.rho_on_old is False).
-    Deterministic for a fixed seed.  Channels are treated as i.i.d.: counters
-    are pooled into a single (alpha, beta) estimate for the table index.
+    Deterministic for a fixed seed.  The channels must be identical
+    (ValueError otherwise); the env's counters, summed over them, give the
+    one (alpha, beta) estimate that indexes the table.
     """
     candidates = cfg.candidates()
     n_cand = len(candidates)
@@ -242,16 +231,15 @@ def run_learning(
     est_a, est_b = INITIAL_ESTIMATE
     bins = (discretize(est_a, cfg.m), discretize(est_b, cfg.m))
     trace = []
-    est = None
 
     for k in range(1, iterations + 1):
         prev_idx = cur_idx
         prev_bins = bins
         stats = CountingStats(
-            k=np.array(env.idle_pairs), i=np.array(env.sensed_idle), m=np.array(env.sensed)
+            k=np.array([env.idle_pairs]), i=np.array([env.sensed_idle]), m=np.array([env.sensed])
         )
         try:
-            est = estimate(stats.pooled())
+            est = estimate(stats)
             est_a = float(est.alpha_hat[0])
             est_b = float(est.beta_hat[0])
         except InsufficientData:
@@ -278,18 +266,10 @@ def run_learning(
         )
 
     greedy = int(np.argmax(q[bins[0], bins[1]]))
-    if est is None:
-        est = Estimates(
-            alpha_hat=np.array([est_a]),
-            beta_hat=np.array([est_b]),
-            pi0_hat=np.array([float("nan")]),
-            degenerate=np.array([False]),
-        )
     return LearningResult(
         q_table=q,
         trace=trace,
         learned_policy=candidates[greedy],
         learned_policy_id=greedy,
         candidates=candidates,
-        estimates=est,
     )

@@ -1,6 +1,10 @@
 """Slot-level Monte Carlo simulation of a secondary user over N licensed
 channels, plus the experiment sweeps built on it.
 
+The N channels are N copies of one channel: the same (alpha, beta), hence
+the same stationary idle probability and belief update.  SimConfig and
+SlotEnv reject a channel list whose entries differ with ValueError.
+
 `SlotEnv` is the one slot kernel: episodes run it until a packet count is
 delivered, and the online learner (`learn.run_learning`) runs it window by
 window, so both score policies under the same dynamics.
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import stationary_idle
+from .channel import ChannelParams, stationary_idle
 from .errors import DelayOverflow, TargetUnreachable
 from .multichannel import (
     DEFAULT_K_TRUNC,
@@ -43,16 +47,26 @@ class SimConfig:
     seed: int = 0
     l_max: int = 50
     k_trunc: int = DEFAULT_K_TRUNC
-    energy_metric: str = "full"  # "full" counts prices, "sensing" only c_s
     collect_trace: bool = False
 
     def __post_init__(self):
         if self.num_packets < 1:
             raise ValueError("num_packets must be >= 1")
-        if not self.channels:
-            raise ValueError("channel list must be non-empty")
-        if self.energy_metric not in ("full", "sensing"):
-            raise ValueError(f"unknown energy metric {self.energy_metric!r}")
+        _identical_channel(self.channels)
+
+
+def _identical_channel(channels) -> ChannelParams:
+    """The one channel that a non-empty list of identical channels copies;
+    raises ValueError for any other list."""
+    if not channels:
+        raise ValueError("channel list must be non-empty")
+    differing = [f"{i}: {p}" for i, p in enumerate(channels) if p != channels[0]]
+    if differing:
+        raise ValueError(
+            f"channels must be identical; these differ from channel 0 "
+            f"({channels[0]}): " + ", ".join(differing)
+        )
+    return channels[0]
 
 
 @dataclass
@@ -105,8 +119,8 @@ def idle_flags(u: np.ndarray, alpha: float, beta: float, prev: bool) -> list:
 
 
 class ChannelStreams:
-    """The true idle/busy state of every channel, one block of slots at a
-    time.
+    """The true idle/busy state of n copies of channel p, one block of slots
+    at a time.
 
     Each channel owns a uniform stream and consumes exactly one uniform per
     slot whatever the policy does, so channel realizations are shared across
@@ -118,22 +132,23 @@ class ChannelStreams:
 
     BLOCK = 8192
 
-    def __init__(self, seed: int, channels):
-        self._rngs = [np.random.default_rng([seed, i]) for i in range(len(channels))]
-        self._params = [(p.alpha, p.beta) for p in channels]
+    def __init__(self, seed: int, n: int, p: ChannelParams):
+        self._rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+        self._alpha, self._beta = p.alpha, p.beta
+        pi0 = stationary_idle(p)
         self.start = 0  # the first slot of the current block
         self.idle = []  # per channel, the idle flags of the block's slots
-        for rng, p in zip(self._rngs, channels):
+        for rng in self._rngs:
             u = rng.random(self.BLOCK)
-            first = bool(u[0] < stationary_idle(p))
+            first = bool(u[0] < pi0)
             self.idle.append([first] + idle_flags(u[1:], p.alpha, p.beta, first))
 
     def advance(self) -> None:
         """Move to the next block."""
         self.start += self.BLOCK
         self.idle = [
-            idle_flags(rng.random(self.BLOCK), alpha, beta, flags[-1])
-            for rng, (alpha, beta), flags in zip(self._rngs, self._params, self.idle)
+            idle_flags(rng.random(self.BLOCK), self._alpha, self._beta, flags[-1])
+            for rng, flags in zip(self._rngs, self.idle)
         ]
 
 
@@ -158,28 +173,31 @@ def _compile(policy, l_max: int):
 
 
 class SlotEnv:
-    """The slot dynamics of one saturated secondary user over N channels.
+    """The slot dynamics of one saturated secondary user over N copies of one
+    channel.
 
-    Channel truth, beliefs, delay, the tallies and the per-channel sensing
-    counters (slots sensed, sensed idle, and sensed idle right after an idle
-    sensing: the estimator's M, I and K) persist across run() calls, so an
-    episode is one call and the learner's windows are consecutive calls.
+    Channel truth, beliefs, delay, the tallies and the sensing counters,
+    summed over the channels (slots sensed, sensed idle, and sensed idle
+    right after an idle sensing of the same channel: the estimator's M, I
+    and K), persist across run() calls, so an episode is one call and the
+    learner's windows are consecutive calls.
 
     A channel's belief depends only on where it last started from (pi0 before
     any sensing, alpha after an idle sensing, beta after a busy one) and the
-    slots since, so each channel keeps one row of beliefs per start, grown on
-    demand by the unsensed update beta + (alpha - beta) b, and the slot of its
-    last sensing.
+    slots since.  The channels share one row of beliefs per start, grown on
+    demand by the unsensed update beta + (alpha - beta) b; each channel keeps
+    its current row and the slot of its last sensing.
     """
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
+        p = _identical_channel(channels)
         n = len(channels)
         self.rewards = rewards
         self.l_max = l_max
-        self.streams = ChannelStreams(seed, channels)
-        self.rows = [([stationary_idle(p)], [p.alpha], [p.beta]) for p in channels]
-        self.updates = [(p.beta, p.alpha - p.beta) for p in channels]
-        self.tables = [rows[0] for rows in self.rows]  # each channel's current row
+        self.streams = ChannelStreams(seed, n, p)
+        self.pi0_row, self.idle_row, self.busy_row = [stationary_idle(p)], [p.alpha], [p.beta]
+        self.update = p.beta, p.alpha - p.beta
+        self.tables = [self.pi0_row] * n  # each channel's current row
         self.last = [-1] * n  # slot of each channel's last sensing
         # Rewards by delay (index 0 unused): wait, and busy sensing that waits.
         delays = range(1, l_max + 1)
@@ -188,15 +206,14 @@ class SlotEnv:
         self.delay = 1
         self.slots = self.packets = self.delay_total = 0
         self.reward_total = 0.0
-        self.sensed = [0] * n
-        self.sensed_idle = [0] * n
-        self.idle_pairs = [0] * n
+        self.sensed = self.sensed_idle = self.idle_pairs = 0
         self.overflow = None  # the DelayOverflow a run() raised, if any
 
     def _beliefs(self, slot: int) -> list:
         """Every channel's belief at the slot, growing the rows that need it."""
+        beta, slope = self.update
         out = []
-        for table, last, (beta, slope) in zip(self.tables, self.last, self.updates):
+        for table, last in zip(self.tables, self.last):
             age = slot - last - 1
             while len(table) < age + _GROW:
                 table.append(beta + slope * table[-1])
@@ -210,7 +227,8 @@ class SlotEnv:
         if the policy keeps a packet past l_max, and on every later run() or
         metrics() call, since the tallies then stop part way through a slot;
         TypeError for a policy that is not a ThresholdPolicy,
-        MemorylessPolicy or MultichannelValueFunction.
+        MemorylessPolicy or MultichannelValueFunction; ValueError for a
+        MultichannelValueFunction solved for another number of channels.
         """
         self._check_usable()
         if (slots is None) == (packets is None):
@@ -224,8 +242,7 @@ class SlotEnv:
         idle, start = streams.idle, streams.start
         end = start + streams.BLOCK
         tables, last = self.tables, self.last
-        idle_rows = [rows[1] for rows in self.rows]
-        busy_rows = [rows[2] for rows in self.rows]
+        pi0_row, idle_row, busy_row = self.pi0_row, self.idle_row, self.busy_row
         chans = range(len(tables))
         single, target = len(tables) == 1, 0
         sensed, sensed_idle, idle_pairs = self.sensed, self.sensed_idle, self.idle_pairs
@@ -237,10 +254,15 @@ class SlotEnv:
         if isinstance(policy, MultichannelValueFunction):
             # Descriptor codes rebuilt from each channel's last sensing, then
             # aged slot by slot as the model ages them.
+            if policy.n_channels != len(tables):
+                raise ValueError(
+                    f"descriptor policy solved for {policy.n_channels} channels "
+                    f"run on {len(tables)}"
+                )
             space = policy.space
             codes = [
-                STALE if t is rows[0] else space.codes_for(t is rows[1], slot - s)
-                for t, rows, s in zip(tables, self.rows, last)
+                STALE if t is pi0_row else space.codes_for(t is idle_row, slot - s)
+                for t, s in zip(tables, last)
             ]
             aged, key, by_key = space.aged.tolist(), space.key, policy.action_by_key
             fresh = (space.idle_fresh, space.busy_fresh)
@@ -281,18 +303,18 @@ class SlotEnv:
                 obs = -1
                 reward = wait_reward[delay]
             else:
-                sensed[target] += 1
+                sensed += 1
                 if idle[target][slot - start]:
                     obs = 0
-                    sensed_idle[target] += 1
-                    if last[target] == slot - 1 and tables[target] is idle_rows[target]:
-                        idle_pairs[target] += 1
-                    tables[target] = idle_rows[target]
+                    sensed_idle += 1
+                    if last[target] == slot - 1 and tables[target] is idle_row:
+                        idle_pairs += 1
+                    tables[target] = idle_row
                     reward = idle_reward
                     transmitted = True
                 else:
                     obs = 1
-                    tables[target] = busy_rows[target]
+                    tables[target] = busy_row
                     if action == _FALLBACK:
                         reward = fallback_reward
                         transmitted = True
@@ -319,6 +341,7 @@ class SlotEnv:
                 delay += 1
 
         self.delay, self.slots, self.packets, self.delay_total = delay, slot, done, delay_total
+        self.sensed, self.sensed_idle, self.idle_pairs = sensed, sensed_idle, idle_pairs
         self.reward_total += total
         return total
 
@@ -331,19 +354,15 @@ class SlotEnv:
         if self.overflow is not None:
             raise DelayOverflow(f"env unusable after an earlier run raised: {self.overflow}")
 
-    def metrics(self, energy_metric: str = "full") -> SimMetrics:
+    def metrics(self) -> SimMetrics:
         """Episode metrics over every slot run so far.  Raises DelayOverflow
         after a run() that raised it."""
         self._check_usable()
         r = self.rewards
         slots, packets = self.slots, self.packets
-        senses = sum(self.sensed)
-        primary_tx = sum(self.sensed_idle)
+        senses, primary_tx = self.sensed, self.sensed_idle
         dedicated_tx = packets - primary_tx
-        if energy_metric == "sensing":
-            energy = r.c_s * senses
-        else:
-            energy = r.c_s * senses + r.p_p * primary_tx + r.p_3g * dedicated_tx
+        energy = r.c_s * senses + r.p_p * primary_tx + r.p_3g * dedicated_tx
         return SimMetrics(
             avg_delay=self.delay_total / packets,
             energy_per_packet=energy / packets,
@@ -369,7 +388,7 @@ def run_episode(cfg: SimConfig):
     env = SlotEnv(cfg.channels, cfg.rewards, cfg.seed, cfg.l_max)
     trace = [] if cfg.collect_trace else None
     env.run(cfg.policy, packets=cfg.num_packets, trace=trace)
-    return env.metrics(cfg.energy_metric), trace
+    return env.metrics(), trace
 
 
 def little_check(m: SimMetrics) -> float:
@@ -423,12 +442,6 @@ def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
     iteration starting from the action table start and, at N > 1, on the
     descriptor states reach of an earlier solve of the same instance when
     given.  Returns the value function and the rewards it was solved with."""
-    differing = [f"{i}: {p}" for i, p in enumerate(cfg.channels) if p != cfg.channels[0]]
-    if differing:
-        raise ValueError(
-            f"solvers need identical channels; these differ from channel 0 "
-            f"({cfg.channels[0]}): " + ", ".join(differing)
-        )
     r = replace(cfg.rewards, gamma=gamma)
     if len(cfg.channels) == 1:
         return solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start), r

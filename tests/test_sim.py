@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import osa.solver
 from oracles import ReferenceSlotEnv
 from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
 from osa.errors import DelayOverflow, TargetUnreachable
-from osa.learn import CountingStats, update_counts
+from osa.learn import CountingStats, LearnerConfig, run_learning, update_counts
 from osa.multichannel import solve_multichannel
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from osa.sim import (
@@ -73,14 +74,6 @@ def test_accounting_conservation():
     energy = 50 * m.senses + 100 * m.primary_tx + 800 * m.dedicated_tx
     assert m.energy_per_packet == pytest.approx(energy / m.packets)
     assert m.energy_per_slot == pytest.approx(energy / m.slots)
-
-
-def test_energy_metric_flag():
-    full, _ = run_episode(mp_cfg(k=2, seed=3))
-    sensing, _ = run_episode(mp_cfg(k=2, seed=3, energy_metric="sensing"))
-    assert sensing.energy_per_packet == pytest.approx(50 * sensing.senses / sensing.packets)
-    assert sensing.energy_per_packet < full.energy_per_packet
-    assert sensing.senses == full.senses
 
 
 def test_little_identity_exact():
@@ -168,6 +161,18 @@ def test_multichannel_descriptor_policy_runs():
     m, _ = run_episode(cfg)
     assert m.avg_reward == pytest.approx(mvf.gain, abs=5.0)
     assert little_check(m) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_descriptor_policy_on_another_channel_count_is_rejected(n):
+    # Keys packed for two channels mean nothing at n channels: the run stops
+    # before its first slot, naming both counts.
+    p = ChannelParams(0.85, 0.7)
+    mvf = solve_multichannel(2, p, PRESET, k_trunc=6, l_max=8, tol=1e-8)
+    cfg = SimConfig(channels=[p] * n, rewards=PRESET, policy=mvf, seed=3,
+                    num_packets=100, l_max=8, k_trunc=6)
+    with pytest.raises(ValueError, match=f"solved for 2 channels run on {n}"):
+        run_episode(cfg)
 
 
 def test_delay_overflow_detected():
@@ -332,10 +337,23 @@ def test_descriptor_calls_enumerate_once(monkeypatch, call):
 
 
 def test_sweep_rejects_heterogeneous_channels():
-    cfg = SimConfig(channels=[SCEN1, SCEN1, ChannelParams(0.85, 0.7)], rewards=PRESET,
-                    policy=None, num_packets=10)
     with pytest.raises(ValueError, match=r"2: ChannelParams\(alpha=0\.85, beta=0\.7\)"):
+        cfg = SimConfig(channels=[SCEN1, SCEN1, ChannelParams(0.85, 0.7)], rewards=PRESET,
+                        policy=None, num_packets=10)
         sweep_gamma(cfg, [10.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda chans: SimConfig(channels=chans, rewards=PRESET, policy=MemorylessPolicy(1)),
+    lambda chans: SlotEnv(chans, PRESET, seed=0, l_max=5),
+    lambda chans: run_learning(LearnerConfig(), chans, PRESET, iterations=1),
+], ids=["SimConfig", "SlotEnv", "run_learning"])
+def test_channel_lists_other_than_copies_of_one_channel_are_rejected(make):
+    differing = r"these differ from channel 0 \(ChannelParams\(alpha=0\.15, beta=0\.1\)\): "
+    with pytest.raises(ValueError, match=differing + r"1: ChannelParams\(alpha=0\.85, beta=0\.7\)$"):
+        make([SCEN1, ChannelParams(0.85, 0.7), SCEN1])
+    with pytest.raises(ValueError, match="non-empty"):
+        make([])
 
 
 def test_trace_csv(tmp_path):
@@ -368,9 +386,7 @@ def test_sensing_counters_replay_update_counts():
         if row.observation != -1:
             update_counts(stats, 0, prev_idle, row.observation)
         prev_idle = row.observation == 0
-    assert env.idle_pairs == stats.k.tolist()
-    assert env.sensed_idle == stats.i.tolist()
-    assert env.sensed == stats.m.tolist()
+    assert [env.idle_pairs, env.sensed_idle, env.sensed] == [stats.k[0], stats.i[0], stats.m[0]]
     assert 0 < stats.k[0] < stats.i[0] < stats.m[0] < len(trace)
 
 
@@ -419,7 +435,7 @@ _probs = st.one_of(st.sampled_from([0.05, 0.15, 0.5, 0.85, 0.95]), st.floats(0.0
 def _kernel_cases(draw):
     alpha = draw(_probs)
     beta = draw(st.one_of(st.just(alpha), _probs))  # alpha = beta, above or below
-    p, n, l_max = ChannelParams(alpha, beta), draw(st.integers(1, 3)), 6
+    p, n, l_max = ChannelParams(alpha, beta), draw(st.integers(1, 4)), 6
     kind = draw(st.sampled_from(["threshold", "memoryless", "descriptor"]))
     if kind == "threshold":
         lam = draw(st.lists(st.sampled_from([0.0, 0.2, alpha, beta, 0.6, 1.0]),
@@ -439,13 +455,18 @@ def _kernel_cases(draw):
 def _kernel_outcome(env, policy, runs) -> dict:
     """Each part of a run's outcome as its repr, so equal means bit-identical.
     After a failure only the windows and the trace up to it count: the env is
-    then unusable."""
+    then unusable.  The reference keeps its counters per channel; their sums
+    stand for SlotEnv's pooled counters."""
     trace, windows = [], []
     try:
         for how, count in runs:
             windows.append(env.run(policy, trace=trace, **{how: count}))
     except Exception as exc:  # compared: both kernels must fail alike
         return {"window rewards": repr(windows + [type(exc).__name__]), "trace rows": repr(trace)}
+    if isinstance(env, ReferenceSlotEnv):
+        env = copy.copy(env)
+        env.sensed, env.sensed_idle, env.idle_pairs = map(
+            sum, (env.sensed, env.sensed_idle, env.idle_pairs))
     return {
         "window rewards": repr(windows),
         "trace rows": repr(trace),
