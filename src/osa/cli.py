@@ -32,10 +32,12 @@ from .errors import (
     TargetUnreachable,
 )
 from .learn import LearnerConfig, run_learning, write_learn_trace_csv
-from .multichannel import check_k_trunc, solve_multichannel
+from .multichannel import DEFAULT_K_TRUNC, check_k_trunc, solve_multichannel
 from .policy import MemorylessPolicy, ThresholdPolicy, check_structure, extract_thresholds
 from .scenarios import SCENARIOS, Scenario
 from .sim import (
+    DEFAULT_MATCH_TOL,
+    DEFAULT_PACKETS,
     SimConfig,
     SweepRow,
     _solve_policy,
@@ -47,7 +49,7 @@ from .sim import (
     sweep_rows_to_csv,
     write_trace_csv,
 )
-from .solver import check_settings, solve_single_channel
+from .solver import DEFAULT_L_MAX, DEFAULT_TOL, check_settings, solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -66,11 +68,11 @@ FLAGS = {
     "--pp": {"dest": "p_p", "type": float},
     "--p3g": {"dest": "p_3g", "type": float},
     "--gamma": {"type": float},
-    "--tol": {"type": float, "default": 1e-9},
-    "--lmax": {"type": int, "default": 50},
-    "--ktrunc": {"type": int, "default": 20},
+    "--tol": {"type": float, "default": DEFAULT_TOL},
+    "--lmax": {"type": int, "default": DEFAULT_L_MAX},
+    "--ktrunc": {"type": int, "default": DEFAULT_K_TRUNC},
     "--seed": {"type": int, "default": 0},
-    "--packets": {"type": int, "default": 3000},
+    "--packets": {"type": int, "default": DEFAULT_PACKETS},
 }
 MODEL = ["--scenario", "--alpha", "--beta", "--n", "--phi", "--cs", "--pp", "--p3g"]
 EPISODES = ["--tol", "--lmax", "--ktrunc", "--seed", "--packets"]
@@ -122,13 +124,13 @@ def build_parser() -> _Parser:
             sub.add_argument("--gammas", type=str, default="2,4,8,16,32,64,128,256,512,1024")
         if name == "compare":
             sub.add_argument("--ks", type=str, default="2,3,5,8")
-            sub.add_argument("--match-tol", type=float, default=0.25)
+            sub.add_argument("--match-tol", type=float, default=DEFAULT_MATCH_TOL)
         if name == "learn":
             sub.add_argument("--iterations", type=int, default=200)
-            sub.add_argument("--nbslot", type=int, default=100)
-            sub.add_argument("--epsilon", type=float, default=0.1)
-            sub.add_argument("--eta", type=float, default=0.5)
-            sub.add_argument("--bins", type=int, default=10)
+            sub.add_argument("--nbslot", type=int, default=LearnerConfig.nbslot)
+            sub.add_argument("--epsilon", type=float, default=LearnerConfig.epsilon)
+            sub.add_argument("--eta", type=float, default=LearnerConfig.eta)
+            sub.add_argument("--bins", type=int, default=LearnerConfig.m)
 
     rerun = subs.add_parser("rerun", help="re-execute a command from its manifest",
                             allow_abbrev=False)
@@ -243,13 +245,7 @@ def cmd_solve(args) -> int:
             tol=args.tol,
         )
         lam, violations = mvf.lambda_summary()
-        tp = ThresholdPolicy(
-            lambda_star=lam,
-            l_star=mvf.dedicated_switch_delay(),
-            l_max=mvf.l_max,
-            channel=scenario.channel,
-            rewards=scenario.rewards,
-        )
+        tp = ThresholdPolicy(lambda_star=lam, l_star=mvf.dedicated_switch_delay(), l_max=mvf.l_max)
         info = {
             "gain": mvf.gain,
             "iterations": mvf.iterations,

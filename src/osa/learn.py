@@ -1,15 +1,16 @@
 """Online estimation of primary-user activity and the windowed Q-learning of
 threshold policies.
 
-The channels are N copies of one channel, so the learner estimates one
-(alpha, beta) pair.  It does so from three counters summed over the channels:
-slots a channel was sensed, slots it was sensed idle, and slots it was sensed
-idle immediately after being sensed idle (consecutive slots only; a sensing
-gap breaks the pair).  The policy learner keeps a Q-value per (alpha bin,
-beta bin, candidate policy), picks candidates epsilon-greedily, runs each for
-a fixed window of slots, and folds the accumulated window reward back into
-the table.  The windows are consecutive runs of the simulator's slot kernel
-(`sim.SlotEnv`), which also keeps the sensing counters.
+The channels are N copies of one channel, so one pooled counting estimator
+gives the one (alpha, beta) pair the learner needs.  Its three counters are
+plain ints summed over the channels: slots a channel was sensed, slots it was
+sensed idle, and slots it was sensed idle immediately after being sensed idle
+(consecutive slots only; a sensing gap breaks the pair).  The policy learner
+keeps a Q-value per (alpha bin, beta bin, candidate policy), picks candidates
+epsilon-greedily, runs each for a fixed window of slots, and folds the
+accumulated window reward back into the table.  The windows are consecutive
+runs of the simulator's slot kernel (`sim.SlotEnv`), which also keeps the
+sensing counters.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import InsufficientData
 from .policy import ThresholdPolicy
 from .sim import SlotEnv
-from .solver import RewardParams
+from .solver import DEFAULT_L_MAX, RewardParams
 
 # Transition-rate estimate used until the counters support one.
 INITIAL_ESTIMATE = (0.5, 0.5)
@@ -30,73 +31,65 @@ INITIAL_ESTIMATE = (0.5, 0.5)
 
 @dataclass
 class CountingStats:
-    """Sensing counters per channel: idle-after-idle pairs, idle slots,
-    sensed slots."""
+    """Sensing counters summed over the channels: idle-after-idle pairs (K),
+    sensed-idle slots (I) and sensed slots (M)."""
 
-    k: np.ndarray
-    i: np.ndarray
-    m: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_channels: int) -> "CountingStats":
-        return cls(
-            k=np.zeros(n_channels, dtype=np.int64),
-            i=np.zeros(n_channels, dtype=np.int64),
-            m=np.zeros(n_channels, dtype=np.int64),
-        )
+    k: int = 0
+    i: int = 0
+    m: int = 0
 
 
-def update_counts(stats: CountingStats, channel: int, prev_sensed_idle: bool, obs) -> CountingStats:
+def update_counts(stats: CountingStats, prev_sensed_idle: bool, obs) -> CountingStats:
     """Record one sensing outcome.
 
     obs is truthy for busy (matches Observation/ChannelState numbering);
-    prev_sensed_idle must be True only when this channel was sensed idle in
-    the immediately preceding slot.
+    prev_sensed_idle must be True only when the same channel was sensed idle
+    in the immediately preceding slot.
     """
-    idle = int(obs) == 0
-    stats.m[channel] += 1
-    if idle:
-        stats.i[channel] += 1
+    stats.m += 1
+    if int(obs) == 0:
+        stats.i += 1
         if prev_sensed_idle:
-            stats.k[channel] += 1
+            stats.k += 1
     return stats
 
 
 @dataclass
 class Estimates:
-    """Per-channel estimated transition pair and stationary idle probability.
+    """Estimated transition pair and stationary idle probability.
 
-    beta_hat is recovered from alpha_hat and pi0_hat; when a channel has only
-    ever been seen idle (pi0_hat = 1) the recovery is undefined and beta_hat
-    is clamped to 1 with the degenerate flag set.
+    beta_hat is recovered from alpha_hat and pi0_hat; when the channels have
+    only ever been seen idle (pi0_hat = 1) the recovery is undefined and
+    beta_hat is clamped to 1 with the degenerate flag set.
     """
 
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-    pi0_hat: np.ndarray
-    degenerate: np.ndarray
+    alpha_hat: float
+    beta_hat: float
+    pi0_hat: float
+    degenerate: bool
+
+
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
 
 
 def estimate(stats: CountingStats) -> Estimates:
     """Point estimates from the counters: alpha = K/I, pi0 = I/M and
     beta = (1 - alpha) pi0 / (1 - pi0), clamped to [0, 1].
 
-    Raises InsufficientData when any channel has no idle observation yet
-    (alpha undefined) or has never been sensed.
+    Raises InsufficientData before the first idle observation (alpha
+    undefined) or the first sensing.
     """
-    if np.any(stats.m < 1) or np.any(stats.i < 1):
-        raise InsufficientData(
-            f"need at least one sensed-idle slot per channel: i={stats.i.tolist()}, m={stats.m.tolist()}"
-        )
+    if stats.m < 1 or stats.i < 1:
+        raise InsufficientData(f"need at least one sensed-idle slot: i={stats.i}, m={stats.m}")
     alpha = stats.k / stats.i
     pi0 = stats.i / stats.m
     degenerate = pi0 >= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(degenerate, 1.0, (1.0 - alpha) * pi0 / (1.0 - pi0))
+    beta = 1.0 if degenerate else (1.0 - alpha) * pi0 / (1.0 - pi0)
     return Estimates(
-        alpha_hat=np.clip(alpha, 0.0, 1.0),
-        beta_hat=np.clip(beta, 0.0, 1.0),
-        pi0_hat=np.clip(pi0, 0.0, 1.0),
+        alpha_hat=_clamp01(alpha),
+        beta_hat=_clamp01(beta),
+        pi0_hat=_clamp01(pi0),
         degenerate=degenerate,
     )
 
@@ -140,7 +133,7 @@ class LearnerConfig:
     candidate_levels: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     candidate_switch_delays: tuple = tuple(range(1, 16))
     include_wait_depth: bool = True
-    l_max: int = 50
+    l_max: int = DEFAULT_L_MAX
     rho_on_old: bool = True  # rho weights the old value; False weights the target
 
     def __post_init__(self):
@@ -235,13 +228,9 @@ def run_learning(
     for k in range(1, iterations + 1):
         prev_idx = cur_idx
         prev_bins = bins
-        stats = CountingStats(
-            k=np.array([env.idle_pairs]), i=np.array([env.sensed_idle]), m=np.array([env.sensed])
-        )
         try:
-            est = estimate(stats)
-            est_a = float(est.alpha_hat[0])
-            est_b = float(est.beta_hat[0])
+            est = estimate(CountingStats(env.idle_pairs, env.sensed_idle, env.sensed))
+            est_a, est_b = est.alpha_hat, est.beta_hat
         except InsufficientData:
             est_a, est_b = INITIAL_ESTIMATE
         bins = (discretize(est_a, cfg.m), discretize(est_b, cfg.m))

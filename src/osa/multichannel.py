@@ -14,10 +14,10 @@ rule on the unmerged system.
 States are enumerated breadth-first, one frontier at a time, over arrays: each
 (sorted code multiset, delay) packs into one int64 key, delay first, so the
 sorted states run layer by layer in delay and the delay-1 states come first.
-The solver works on these arrays alone; the (codes tuple, delay) view of the
-states and its index are built only when something reads them.  The
-successor tables do not depend on the rewards, so solves of one model at
-several delay penalties can share one enumeration.
+The solver works on these arrays alone, and the packed key is the only state
+lookup; the (codes tuple, delay) view of the states is built only when
+something reads it.  The successor tables do not depend on the rewards, so
+solves of one model at several delay penalties can share one enumeration.
 
 The Howard policy-iteration core of solver.py solves the MDP; this module
 supplies the packed-key successor tables and the evaluation step.  Under a
@@ -150,10 +150,8 @@ class ReachableStates:
     """Reachable descriptor states up to delay l_max, sorted by (delay, codes).
 
     codes holds one sorted code row per state and delays its delay; keys are
-    their packed int64 keys, ascending.  Unpacks as (space, states, index),
-    where states lists the (codes tuple, delay) pairs and index maps each pair
-    to its position; those two, and the successor table, are built the first
-    time they are read.
+    their packed int64 keys, ascending.  states lists the (codes tuple, delay)
+    pairs; it and the successor table are built the first time they are read.
     """
 
     space: DescriptorSpace
@@ -179,17 +177,10 @@ class ReachableStates:
         return list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
 
     @cached_property
-    def index(self) -> dict:
-        return dict(zip(self.states, range(len(self.states))))
-
-    @cached_property
     def table(self) -> _Table:
         """Successors of every state: the part of the MDP that does not
         depend on the rewards."""
         return _table(self)
-
-    def __iter__(self):
-        return iter((self.space, self.states, self.index))
 
     def lookup(self, codes: np.ndarray, delays) -> np.ndarray:
         return np.searchsorted(self.keys, self.space.pack(codes, delays))
@@ -216,14 +207,6 @@ class MultichannelValueFunction:
         return self.reach.space
 
     @property
-    def channel(self) -> ChannelParams:
-        return self.space.channel
-
-    @property
-    def codes(self) -> np.ndarray:
-        return self.reach.codes
-
-    @property
     def delays(self) -> np.ndarray:
         return self.reach.delays
 
@@ -232,24 +215,18 @@ class MultichannelValueFunction:
         """(codes tuple, delay) per state, built on first read."""
         return self.reach.states
 
-    @property
-    def state_index(self) -> dict:
-        return self.reach.index
-
-    def state_id(self, codes, delay: int) -> int:
-        key = (tuple(sorted(codes)), min(delay, self.l_max))
-        return self.state_index[key]
-
     def action_for(self, codes, delay: int) -> Action:
-        return Action(int(self.actions[self.state_id(codes, delay)]))
+        """The action at the state of these codes, in any order, and this
+        delay (capped at l_max)."""
+        # Aged codes are numpy int32 scalars; int() keeps key()'s arithmetic
+        # in Python ints, which cannot overflow.
+        key = self.space.key([int(c) for c in codes], min(delay, self.l_max))
+        return Action(self.action_by_key[key])
 
     @cached_property
     def action_by_key(self) -> dict:
         """Action index by packed state key (DescriptorSpace.key), as ints."""
         return dict(zip(self.reach.keys.tolist(), self.actions.tolist()))
-
-    def max_belief(self, codes) -> float:
-        return float(max(self.space.belief[c] for c in codes))
 
     def lambda_summary(self) -> tuple[np.ndarray, list]:
         """Per-delay wait threshold in the belief of the would-be sensed
@@ -262,7 +239,7 @@ class MultichannelValueFunction:
         reported rather than raised since the max-belief is not a sufficient
         statistic of the multichannel state.
         """
-        belief = self.space.belief[self.codes].max(axis=1)
+        belief = self.space.belief[self.reach.codes].max(axis=1)
         layer = self.delays - 1
         wait = self.actions == int(Action.WAIT)
         top_wait = np.full(self.l_max, -np.inf)

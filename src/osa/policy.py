@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, stationary_idle, update_unsensed
+from .channel import stationary_idle, update_unsensed
 from .errors import DegenerateDenominator, NotThreshold
 from .solver import Action, RewardParams, ValueFunction, interpolate
 
 DENOM_TOL = 1e-12
+CSV_HEADER = "delay,lambda_star,action_above_threshold"
 
 
 class DelayCapBound(UserWarning):
@@ -39,8 +40,6 @@ class ThresholdPolicy:
     lambda_star: np.ndarray
     l_star: int
     l_max: int
-    channel: ChannelParams | None = None
-    rewards: RewardParams | None = None
     cap_bound: bool = False
 
     def threshold(self, delay: int) -> float:
@@ -54,32 +53,41 @@ class ThresholdPolicy:
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("delay,lambda_star,action_above_threshold\n")
+            fh.write(CSV_HEADER + "\n")
             for l in range(1, self.l_max + 1):
                 name = "sense_wait" if l < self.l_star else "sense_fallback"
                 fh.write(f"{l},{float(self.lambda_star[l - 1])!r},{name}\n")
 
     @classmethod
     def from_csv(cls, path) -> "ThresholdPolicy":
-        delays, thresholds, l_star = [], [], None
+        """Read a policy that to_csv wrote.  Raises ValueError unless the
+        delays run 1..l_max in order, every threshold lies in [0, 1], and the
+        actions read sense_wait up to the switch delay and sense_fallback from
+        it through l_max."""
+        thresholds, names = [], []
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != "delay,lambda_star,action_above_threshold":
+            if header != CSV_HEADER:
                 raise ValueError(f"unexpected policy header: {header}")
-            for line in fh:
+            for delay, line in enumerate(fh, start=1):
                 d, th, name = line.strip().split(",")
-                delays.append(int(d))
+                if int(d) != delay:
+                    raise ValueError("policy delays must run 1, 2, ..., l_max in order")
                 thresholds.append(float(th))
-                if name == "sense_fallback" and l_star is None:
-                    l_star = int(d)
-        if delays != list(range(1, len(delays) + 1)):
-            raise ValueError("policy delays must run 1, 2, ..., l_max in order")
-        l_max = max(delays)
-        return cls(
-            lambda_star=np.asarray(thresholds),
-            l_star=l_star if l_star is not None else l_max,
-            l_max=l_max,
-        )
+                if not 0.0 <= thresholds[-1] <= 1.0:
+                    raise ValueError(f"delay {d}: threshold {th} lies outside [0, 1]")
+                if name not in ("sense_wait", "sense_fallback"):
+                    raise ValueError(f"delay {d}: unknown action {name!r}")
+                names.append(name)
+        if not names or names[-1] != "sense_fallback":
+            raise ValueError("the last policy row must be sense_fallback")
+        l_star = names.index("sense_fallback") + 1
+        if "sense_wait" in names[l_star:]:
+            raise ValueError(
+                f"sense_wait at delay {names.index('sense_wait', l_star) + 1} "
+                f"after sense_fallback at delay {l_star}"
+            )
+        return cls(lambda_star=np.asarray(thresholds), l_star=l_star, l_max=len(names))
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,6 @@ def extract_thresholds(vf: ValueFunction) -> ThresholdPolicy:
         lambda_star=lam,
         l_star=l_star,
         l_max=vf.l_max,
-        channel=vf.channel,
-        rewards=vf.rewards,
         cap_bound=cap_bound,
     )
 

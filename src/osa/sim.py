@@ -33,9 +33,20 @@ from .multichannel import (
     solve_multichannel,
 )
 from .policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
-from .solver import Action, RewardParams, ValueFunction, solve_single_channel
+from .solver import (
+    DEFAULT_L_MAX,
+    DEFAULT_TOL,
+    Action,
+    RewardParams,
+    ValueFunction,
+    solve_single_channel,
+)
 
 DEFAULT_PACKETS = 3000
+# Average-delay tolerance of compare's delay matching.
+DEFAULT_MATCH_TOL = 0.25
+# The delay penalties between which gamma bisection searches.
+GAMMA_BRACKET = (0.5, 2000.0)
 
 
 @dataclass
@@ -45,7 +56,7 @@ class SimConfig:
     policy: object
     num_packets: int = DEFAULT_PACKETS
     seed: int = 0
-    l_max: int = 50
+    l_max: int = DEFAULT_L_MAX
     k_trunc: int = DEFAULT_K_TRUNC
     collect_trace: bool = False
 
@@ -520,7 +531,7 @@ class _Episodes:
         return m
 
 
-def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = 1e-9):
+def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = DEFAULT_TOL):
     """One solve plus one episode per delay-penalty value, with the same seed
     across points for variance reduction.  Returns SweepRow per gamma."""
     gammas = sorted(float(g) for g in gammas)
@@ -564,8 +575,8 @@ def gamma_for_target_delay(
     cfg: SimConfig,
     target_delay: float,
     tol: float = 0.1,
-    bracket=(0.5, 2000.0),
-    solver_tol: float = 1e-9,
+    bracket=GAMMA_BRACKET,
+    solver_tol: float = DEFAULT_TOL,
 ):
     """Find the delay-penalty coefficient whose optimal policy attains the
     target average delay.
@@ -616,9 +627,9 @@ def compare_rows_to_csv(rows, path) -> None:
 def compare_with_memoryless(
     cfg: SimConfig,
     k_values,
-    tol: float = 0.25,
-    bracket=(0.5, 2000.0),
-    solver_tol: float = 1e-9,
+    tol: float = DEFAULT_MATCH_TOL,
+    bracket=GAMMA_BRACKET,
+    solver_tol: float = DEFAULT_TOL,
 ):
     """Energy comparison against the always-sense baselines at matched delay.
 

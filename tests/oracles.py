@@ -190,8 +190,10 @@ class ReferenceSlotEnv:
 
     Every slot draws one uniform per channel to advance its true state,
     updates every belief, ages the descriptor codes, and asks the policy
-    through its own act() or action_for() method.  Keeps the same counters
-    and persists across run() calls as SlotEnv does.
+    through its act() method or, for a descriptor policy, reads the action
+    at the position of the (sorted codes, delay) tuple in policy.states, not
+    through the packed keys the kernel uses.  Keeps the same counters and
+    persists across run() calls as SlotEnv does.
     """
 
     BLOCK = 1000  # any block size draws the same uniforms
@@ -237,6 +239,7 @@ class ReferenceSlotEnv:
         use_codes = isinstance(policy, MultichannelValueFunction)
         if use_codes:
             space = policy.space
+            position = {state: i for i, state in enumerate(policy.states)}
             codes = [
                 STALE if max(li, lb) < 0 else space.codes_for(li > lb, self.slots - max(li, lb))
                 for li, lb in zip(self.last_idle, self.last_busy)
@@ -248,7 +251,8 @@ class ReferenceSlotEnv:
             slot, delay = self.slots, self.delay
             target = max(range(n), key=self.beliefs.__getitem__)
             if use_codes:
-                action = policy.action_for(codes, delay)
+                state = (tuple(sorted(codes)), min(delay, policy.l_max))
+                action = Action(int(policy.actions[position[state]]))
             else:
                 action = policy.act(self.beliefs[target], delay)
             transmitted = False

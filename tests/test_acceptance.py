@@ -202,20 +202,18 @@ def test_criterion_8_estimator_consistency():
     """Counting estimators on 1e5 continuously sensed slots."""
     p = ChannelParams(0.15, 0.1)
     rng = np.random.default_rng(42)
-    stats = CountingStats.zeros(1)
+    stats = CountingStats()
     s = ChannelState.IDLE if rng.random() < stationary_idle(p) else ChannelState.BUSY
     prev_idle = False
     for _ in range(100_000):
         obs = int(s)
-        update_counts(stats, 0, prev_idle, obs)
+        update_counts(stats, prev_idle, obs)
         prev_idle = obs == 0
         s = step_true_state(p, s, rng)
     est = estimate(stats)
-    a_err = abs(est.alpha_hat[0] - 0.15)
-    b_err = abs(est.beta_hat[0] - 0.10)
-    ident = abs(
-        stationary_idle(ChannelParams(est.alpha_hat[0], est.beta_hat[0])) - est.pi0_hat[0]
-    )
+    a_err = abs(est.alpha_hat - 0.15)
+    b_err = abs(est.beta_hat - 0.10)
+    ident = abs(stationary_idle(ChannelParams(est.alpha_hat, est.beta_hat)) - est.pi0_hat)
     ok = a_err <= 0.01 and b_err <= 0.02 and ident <= 1e-12
     detail = f"|a_err|={a_err:.4f}<=0.01, |b_err|={b_err:.4f}<=0.02, identity={ident:.1e}"
     assert report(8, "estimator consistency", ok, detail)

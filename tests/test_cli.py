@@ -23,8 +23,13 @@ def test_usage_error_exit_code(capsys):
     ["learn", "--alpha", 0.15, "--beta", 0.1, "--lmax", 10],
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 2, "--policy", "policy.csv"],
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "no-such-policy.csv"],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "typo-policy.csv"],
 ])
-def test_invalid_input_is_usage_error(argv, tmp_path, capsys):
+def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "typo-policy.csv").write_text(
+        "delay,lambda_star,action_above_threshold\n1,0.0,sense_wait\n2,0.0,sense_fallbak\n"
+    )
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")

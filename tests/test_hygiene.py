@@ -35,3 +35,53 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) for each _-prefixed function, class or constant a module
+    defines at its top level."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found.append((node.lineno, name.id))
+    return [(line, name) for line, name in found if name[:1] == "_" and name[:2] != "__"]
+
+
+def names_read(source: str) -> set:
+    """Every name a module loads, reads as an attribute or imports by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_definition_scan_sees_reads_only():
+    source = "_A, _B = 1, 2\n_C: int = 3\ndef _f(): return _A\nclass _K: pass\nx = m._K\n"
+    defined = private_definitions(source)
+    assert defined == [(1, "_A"), (1, "_B"), (2, "_C"), (3, "_f"), (4, "_K")]
+    read = names_read(source)
+    assert [name for _, name in defined if name not in read] == ["_B", "_C", "_f"]
+
+
+def test_no_unread_private_definitions():
+    # A private helper that nothing in the package reads is dead code.
+    files = sorted((ROOT / "src" / "osa").glob("*.py"))
+    read = set().union(*(names_read(path.read_text()) for path in files))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in files
+        for line, name in private_definitions(path.read_text())
+        if name not in read
+    ]
+    assert found == []

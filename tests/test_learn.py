@@ -20,78 +20,73 @@ SCEN1 = ChannelParams(0.15, 0.1)
 
 
 def test_update_counts_first_observation():
-    stats = CountingStats.zeros(1)
-    update_counts(stats, 0, False, 0)
-    assert (stats.k[0], stats.i[0], stats.m[0]) == (0, 1, 1)
+    stats = update_counts(CountingStats(), False, 0)
+    assert (stats.k, stats.i, stats.m) == (0, 1, 1)
 
 
 def test_update_counts_consecutive_idle():
-    stats = CountingStats.zeros(1)
-    update_counts(stats, 0, False, 0)
-    update_counts(stats, 0, True, 0)
-    assert (stats.k[0], stats.i[0], stats.m[0]) == (1, 2, 2)
+    stats = CountingStats()
+    update_counts(stats, False, 0)
+    update_counts(stats, True, 0)
+    assert (stats.k, stats.i, stats.m) == (1, 2, 2)
 
 
 def test_update_counts_busy_only_m():
-    stats = CountingStats.zeros(1)
-    update_counts(stats, 0, False, 1)
-    assert (stats.k[0], stats.i[0], stats.m[0]) == (0, 0, 1)
+    stats = update_counts(CountingStats(), False, 1)
+    assert (stats.k, stats.i, stats.m) == (0, 0, 1)
 
 
 def test_update_counts_gap_breaks_pair():
-    stats = CountingStats.zeros(1)
-    update_counts(stats, 0, False, 0)
+    stats = CountingStats()
+    update_counts(stats, False, 0)
     # The channel was not sensed in between, so the pair is broken.
-    update_counts(stats, 0, False, 0)
-    assert stats.k[0] == 0
+    update_counts(stats, False, 0)
+    assert stats.k == 0
 
 
 def test_estimate_hand_values():
-    stats = CountingStats(k=np.array([8]), i=np.array([10]), m=np.array([20]))
-    est = estimate(stats)
-    assert est.alpha_hat[0] == pytest.approx(0.8)
-    assert est.pi0_hat[0] == pytest.approx(0.5)
-    assert est.beta_hat[0] == pytest.approx(0.2)
-    assert not est.degenerate[0]
+    est = estimate(CountingStats(k=8, i=10, m=20))
+    assert est.alpha_hat == pytest.approx(0.8)
+    assert est.pi0_hat == pytest.approx(0.5)
+    assert est.beta_hat == pytest.approx(0.2)
+    assert not est.degenerate
 
 
 def test_estimate_degenerate_always_idle():
-    stats = CountingStats(k=np.array([9]), i=np.array([10]), m=np.array([10]))
-    est = estimate(stats)
-    assert est.pi0_hat[0] == 1.0
-    assert est.degenerate[0]
-    assert est.beta_hat[0] == 1.0  # clamped
+    est = estimate(CountingStats(k=9, i=10, m=10))
+    assert est.pi0_hat == 1.0
+    assert est.degenerate
+    assert est.beta_hat == 1.0  # clamped
 
 
 def test_estimate_insufficient_data():
     with pytest.raises(InsufficientData):
-        estimate(CountingStats.zeros(1))
+        estimate(CountingStats())
     with pytest.raises(InsufficientData):
-        estimate(CountingStats(k=np.array([0]), i=np.array([0]), m=np.array([5])))
+        estimate(CountingStats(k=0, i=0, m=5))
 
 
 def test_estimate_identity_with_stationary():
     # Plugging the recovered pair into the stationary formula returns the
     # estimated idle fraction (up to float rounding).
-    stats = CountingStats(k=np.array([700]), i=np.array([1000]), m=np.array([1900]))
-    est = estimate(stats)
-    p = ChannelParams(est.alpha_hat[0], est.beta_hat[0])
-    assert abs(stationary_idle(p) - est.pi0_hat[0]) <= 1e-12
+    est = estimate(CountingStats(k=700, i=1000, m=1900))
+    p = ChannelParams(est.alpha_hat, est.beta_hat)
+    assert abs(stationary_idle(p) - est.pi0_hat) <= 1e-12
 
 
 def test_estimator_consistency_long_run():
     rng = np.random.default_rng(42)
-    stats = CountingStats.zeros(1)
+    stats = CountingStats()
     s = ChannelState.IDLE if rng.random() < stationary_idle(SCEN1) else ChannelState.BUSY
     prev_idle = False
     for _ in range(100_000):
         obs = int(s)
-        update_counts(stats, 0, prev_idle, obs)
+        update_counts(stats, prev_idle, obs)
         prev_idle = obs == 0
         s = step_true_state(SCEN1, s, rng)
     est = estimate(stats)
-    assert abs(est.alpha_hat[0] - 0.15) <= 0.01
-    assert abs(est.beta_hat[0] - 0.10) <= 0.02
+    assert abs(est.alpha_hat - 0.15) <= 0.01
+    assert abs(est.beta_hat - 0.10) <= 0.02
 
 
 def test_discretize():

@@ -18,6 +18,11 @@ from osa.solver import Action, RewardParams, solve_single_channel
 PRESET = RewardParams(350.0, 50.0, 100.0, 800.0, 10.0)
 
 
+def _positions(mvf) -> dict:
+    """Position of each (codes tuple, delay) state in the solve's arrays."""
+    return {state: i for i, state in enumerate(mvf.states)}
+
+
 def test_descriptor_beliefs_match_channel_math():
     p = ChannelParams(0.85, 0.7)
     space = DescriptorSpace(p, k_trunc=6)
@@ -46,17 +51,16 @@ def test_reachable_states_single_channel_small_trunc():
     # k_trunc=2 leaves three descriptors per channel: stale, fresh idle,
     # fresh busy; every delay pairs with each reachable descriptor.
     p = ChannelParams(0.15, 0.1)
-    space, states, index = build_reachable_states(1, p, k_trunc=2, l_max=4)
+    states = build_reachable_states(1, p, k_trunc=2, l_max=4).states
     descs = {codes for codes, _l in states}
     assert descs == {(0,), (1,), (2,)}
     assert len(states) <= 3 * 4
-    assert (tuple([STALE]), 1) in index
+    assert states[0] == ((STALE,), 1)
 
 
 def test_reachable_states_merged_symmetric():
     p = ChannelParams(0.15, 0.1)
-    space, states, index = build_reachable_states(3, p, k_trunc=3, l_max=3)
-    for codes, _l in states:
+    for codes, _l in build_reachable_states(3, p, k_trunc=3, l_max=3).states:
         assert tuple(sorted(codes)) == codes
 
 
@@ -73,7 +77,7 @@ def test_single_channel_equivalence():
     vf = solve_single_channel(p, PRESET, l_max=15)
     assert mvf.gain == pytest.approx(vf.gain, abs=1e-3)
     agree = sum(
-        int(mvf.actions[sid]) == int(vf.action(mvf.max_belief(codes), l))
+        int(mvf.actions[sid]) == int(vf.action(float(mvf.space.belief[list(codes)].max()), l))
         for sid, (codes, l) in enumerate(mvf.states)
     )
     assert agree / len(mvf.states) >= 0.99
@@ -160,11 +164,13 @@ def test_reachable_states_match_tuple_closure(n, k_trunc, l_max, alpha, beta):
     from oracles import reachable_descriptor_states
 
     p = ChannelParams(alpha, beta)
-    space, states, index = build_reachable_states(n, p, k_trunc=k_trunc, l_max=l_max)
+    reach = build_reachable_states(n, p, k_trunc=k_trunc, l_max=l_max)
+    states = reach.states
     assert len(states) == len(set(states))
-    oracle = reachable_descriptor_states(space, n, l_max)
+    oracle = reachable_descriptor_states(reach.space, n, l_max)
     assert set(states) == oracle
-    assert all(index[state] == i for i, state in enumerate(states))
+    key = reach.space.key
+    assert reach.keys.tolist() == [key([int(c) for c in codes], l) for codes, l in states]
     # Element types too: digests of action tables hash the repr of states.
     assert repr(sorted(states)) == repr(sorted(oracle))
 
@@ -176,18 +182,16 @@ def test_state_tuples_are_built_on_first_read(n, k_trunc, l_max):
     p = ChannelParams(0.15, 0.1)
     mvf = solve_multichannel(n, p, PRESET, k_trunc=k_trunc, l_max=l_max)
     SlotEnv([p] * n, PRESET, seed=1, l_max=l_max).run(mvf, slots=200)
-    assert "states" not in mvf.reach.__dict__ and "index" not in mvf.reach.__dict__
+    assert "states" not in mvf.reach.__dict__
     states = mvf.states
     oracle = reachable_descriptor_states(mvf.space, n, l_max)
     assert set(states) == oracle
     assert repr(sorted(states)) == repr(sorted(oracle))
-    assert all(mvf.state_id(codes, l) == i for i, (codes, l) in enumerate(states))
-    key = mvf.space.key
     assert all(
-        mvf.action_for(codes[::-1], l) == Action(mvf.action_by_key[key(codes, l)])
-        for codes, l in states
+        mvf.action_for(codes[::-1], l) == Action(mvf.actions[i])
+        for i, (codes, l) in enumerate(states)
     )
-    backup = np.array(descriptor_backup(mvf.space, mvf.state_index, mvf.values, PRESET, l_max))
+    backup = np.array(descriptor_backup(mvf.space, _positions(mvf), mvf.values, PRESET, l_max))
     assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
 
 
@@ -249,7 +253,7 @@ def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, 
     from oracles import descriptor_backup
 
     mvf = solve_multichannel(n, ChannelParams(alpha, beta), PRESET, k_trunc=k_trunc, l_max=l_max)
-    backup = np.array(descriptor_backup(mvf.space, mvf.state_index, mvf.values, PRESET, l_max))
+    backup = np.array(descriptor_backup(mvf.space, _positions(mvf), mvf.values, PRESET, l_max))
     assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateDenominator, NotThreshold
@@ -268,6 +270,40 @@ def test_policy_csv_with_missing_delays_is_rejected(tmp_path):
     )
     with pytest.raises(ValueError, match="policy delays"):
         ThresholdPolicy.from_csv(path)
+
+
+@pytest.mark.parametrize("rows,match", [
+    # Once read as l_star=2 with a NaN threshold and the typo taken for
+    # sense_wait; each of its defects is also checked alone below.
+    (["1,0.0,sense_wait", "2,0.0,sense_fallback", "3,0.0,sense_wait", "4,nan,sense_fallbak"],
+     "sense_wait at delay 3|nan|sense_fallbak"),
+    (["1,0.5,sense_wait", "2,0.0,sense_fallbak"], "unknown action 'sense_fallbak'"),
+    (["1,0.5,sense_wait", "2,0.0,sense_fallback", "3,0.0,sense_wait", "4,0.0,sense_fallback"],
+     "sense_wait at delay 3 after sense_fallback at delay 2"),
+    (["1,0.5,sense_wait", "2,0.0,sense_wait"], "last policy row"),
+    ([], "last policy row"),
+    (["1,nan,sense_wait", "2,0.0,sense_fallback"], "outside"),
+    (["1,1.5,sense_wait", "2,0.0,sense_fallback"], "outside"),
+    (["1,-0.1,sense_wait", "2,0.0,sense_fallback"], "outside"),
+])
+def test_policy_csv_that_to_csv_cannot_write_is_rejected(tmp_path, rows, match):
+    path = tmp_path / "policy.csv"
+    path.write_text("\n".join(["delay,lambda_star,action_above_threshold", *rows]) + "\n")
+    with pytest.raises(ValueError, match=match):
+        ThresholdPolicy.from_csv(path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_policy_csv_round_trip_property(tmp_path, data):
+    l_max = data.draw(st.integers(1, 60))
+    lam = data.draw(st.lists(st.floats(0.0, 1.0), min_size=l_max, max_size=l_max))
+    tp = ThresholdPolicy(np.array(lam), data.draw(st.integers(1, l_max)), l_max)
+    path = tmp_path / "policy.csv"
+    tp.to_csv(path)
+    back = ThresholdPolicy.from_csv(path)
+    assert (back.lambda_star.tolist(), back.l_star, back.l_max) == (lam, tp.l_star, l_max)
 
 
 def test_no_wait_above_stationary_positive_gain():

@@ -380,14 +380,14 @@ def test_sensing_counters_replay_update_counts():
     env = SlotEnv([ChannelParams(0.85, 0.7)], PRESET, seed=4, l_max=10)
     trace = []
     env.run(_sense_wait_policy(), packets=2000, trace=trace)
-    stats = CountingStats.zeros(1)
+    stats = CountingStats()
     prev_idle = False
     for row in trace:
         if row.observation != -1:
-            update_counts(stats, 0, prev_idle, row.observation)
+            update_counts(stats, prev_idle, row.observation)
         prev_idle = row.observation == 0
-    assert [env.idle_pairs, env.sensed_idle, env.sensed] == [stats.k[0], stats.i[0], stats.m[0]]
-    assert 0 < stats.k[0] < stats.i[0] < stats.m[0] < len(trace)
+    assert [env.idle_pairs, env.sensed_idle, env.sensed] == [stats.k, stats.i, stats.m]
+    assert 0 < stats.k < stats.i < stats.m < len(trace)
 
 
 @pytest.mark.parametrize("kind", ["threshold", "descriptor"])
