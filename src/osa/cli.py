@@ -40,7 +40,10 @@ from .sim import (
     DEFAULT_PACKETS,
     SimConfig,
     SweepRow,
-    _solve_policy,
+    _policy_of,
+    _solve,
+    check_match_tol,
+    check_seed,
     compare_rows_to_csv,
     compare_with_memoryless,
     little_check,
@@ -147,6 +150,8 @@ def _scenario_of(args) -> Scenario:
         check_settings(args.tol if "tol" in args else None, args.lmax)
         if "ktrunc" in args:
             check_k_trunc(args.ktrunc)
+        if "seed" in args:
+            check_seed(args.seed)
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
     elif args.alpha is None or args.beta is None:
@@ -271,9 +276,11 @@ def cmd_simulate(args) -> int:
             cfg.policy = MemorylessPolicy(args.mp)
         elif args.policy is not None:
             cfg.policy = ThresholdPolicy.from_csv(args.policy)
+            if cfg.policy.l_star > args.lmax or cfg.policy.threshold(args.lmax) > 0:
+                raise ValueError(f"{args.policy} waits or sense-waits at --lmax {args.lmax}")
     outdir = _outdir(args)
     if cfg.policy is None:
-        cfg.policy = _solve_policy(cfg, scenario.gamma, args.tol)[0]
+        cfg.policy = _policy_of(_solve(cfg, scenario.gamma, args.tol))
     metrics, trace = run_episode(cfg)
     outputs = [outdir / "metrics.csv"]
     sweep_rows_to_csv([SweepRow.of(scenario.gamma, metrics)], outputs[0])
@@ -315,6 +322,7 @@ def cmd_compare(args) -> int:
         ks = [int(x) for x in args.ks.split(",") if x]
         if any(k < 1 for k in ks):
             raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
+        check_match_tol(args.match_tol)
         cfg = _episode_config(scenario, args)
     path = _outdir(args) / "compare.csv"
     rows = compare_with_memoryless(cfg, ks, tol=args.match_tol, solver_tol=args.tol)

@@ -27,7 +27,8 @@ in l_max steps into an expected reward, an expected sojourn and at most
 2 l_max delay-1 landings.  A policy is evaluated on that embedded semi-Markov
 chain over the delay-1 states by damped relative value iteration, and the
 other layers are then filled backward in delay (Puterman 1994, Markov
-Decision Processes, sections 8.6, 9.2 and 11.4).
+Decision Processes, sections 8.6, 9.2 and 11.4).  A solved table's wait
+thresholds are read with policy.wait_threshold, as the belief grid's are.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 
 from .channel import ChannelParams, iterate_unsensed, stationary_idle
 from .errors import NoConvergence, StateSpaceTooLarge
+from .policy import wait_threshold
 from .solver import (
     Action,
     DEFAULT_MAX_ITER,
@@ -230,33 +232,17 @@ class MultichannelValueFunction:
 
     def lambda_summary(self) -> tuple[np.ndarray, list]:
         """Per-delay wait threshold in the belief of the would-be sensed
-        channel, plus any single-crossing violations.
+        channel, plus the delays whose threshold is violated.
 
-        For each delay: the midpoint between the largest max-belief among
-        waiting states and the smallest max-belief among non-waiting states
-        above it (0 when no state waits, 1 when all do).  A violation is a
-        non-waiting state sitting below a waiting one; those delays are
-        reported rather than raised since the max-belief is not a sufficient
-        statistic of the multichannel state.
+        Each delay layer is read with policy.wait_threshold on the max belief
+        of its states.  Violations are reported rather than raised since the
+        max belief is not a sufficient statistic of the multichannel state.
         """
         belief = self.space.belief[self.reach.codes].max(axis=1)
-        layer = self.delays - 1
         wait = self.actions == int(Action.WAIT)
-        top_wait = np.full(self.l_max, -np.inf)
-        np.maximum.at(top_wait, layer[wait], belief[wait])
-        other = ~wait
-        low_other = np.full(self.l_max, np.inf)
-        np.minimum.at(low_other, layer[other], belief[other])
-        above = other & (belief > top_wait[layer])
-        low_above = np.full(self.l_max, np.inf)
-        np.minimum.at(low_above, layer[above], belief[above])
-
-        has_wait = top_wait > -np.inf
-        has_other = low_other < np.inf
-        lam = np.where(has_other & (low_above < np.inf), 0.5 * (top_wait + low_above), 1.0)
-        lam[~has_wait] = 0.0
-        violations = np.flatnonzero(has_wait & (low_other < top_wait)) + 1
-        return lam, violations.tolist()
+        layers = np.searchsorted(self.delays, np.arange(1, self.l_max + 2))
+        read = [wait_threshold(belief[a:b], wait[a:b]) for a, b in zip(layers[:-1], layers[1:])]
+        return np.array([th for th, _ in read]), [l for l, (_, bad) in enumerate(read, 1) if bad]
 
     def dedicated_switch_delay(self) -> int:
         """Smallest delay from which busy sensing never waits: no state with
@@ -430,7 +416,6 @@ def solve_multichannel(
     l_max: int = 15,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    state_cap: int = DEFAULT_STATE_CAP,
     start: np.ndarray | None = None,
     reach: ReachableStates | None = None,
 ) -> MultichannelValueFunction:
@@ -455,7 +440,7 @@ def solve_multichannel(
     """
     check_model(p, tol, l_max)
     if reach is None:
-        reach = build_reachable_states(n_channels, p, k_trunc, l_max, state_cap)
+        reach = build_reachable_states(n_channels, p, k_trunc, l_max)
     elif (reach.codes.shape[1], reach.space.channel, reach.space.k_trunc, reach.l_max) != (
         n_channels, p, k_trunc, l_max
     ):

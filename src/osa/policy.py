@@ -142,33 +142,36 @@ def dedicated_switch_delay(vf: ValueFunction) -> int:
     return vf.l_max
 
 
-def extract_thresholds(vf: ValueFunction) -> ThresholdPolicy:
-    """Read the per-delay wait thresholds off the argmax action table.
+def wait_threshold(belief: np.ndarray, wait: np.ndarray) -> tuple[float, bool]:
+    """The wait threshold of one delay's states, given each one's belief (in
+    any order) and whether it waits: the midpoint between the largest waiting
+    belief and the smallest non-waiting belief above it, 0 when no state
+    waits and 1 when no non-waiting state lies above.  It is violated when a
+    non-waiting state sits strictly below a waiting one."""
+    if not wait.any():
+        return 0.0, False
+    top = belief[wait].max()
+    other = belief[~wait]
+    above = other[other > top]
+    threshold = 0.5 * (top + above.min()) if above.size else 1.0
+    return float(threshold), bool((other < top).any())
 
-    For each delay the wait region must be a prefix of the belief grid;
-    lambda_star is the midpoint between the last waiting grid point and the
-    first non-waiting one (0 when waiting is never optimal, 1 when always).
-    Raises NotThreshold when the wait region is interleaved.
-    """
+
+def extract_thresholds(vf: ValueFunction) -> ThresholdPolicy:
+    """Read the per-delay wait thresholds off the argmax action table, one
+    grid column at a time with wait_threshold.  Raises NotThreshold at the
+    first delay whose wait region is not a prefix of the belief grid, naming
+    the waiting grid points above its first non-waiting one."""
     pts = vf.grid.points
     lam = np.zeros(vf.l_max)
     for l in range(1, vf.l_max + 1):
         wait = vf.actions[:, l - 1] == int(Action.WAIT)
-        if not wait.any():
-            lam[l - 1] = 0.0
-            continue
-        if wait.all():
-            lam[l - 1] = 1.0
-            continue
-        first_non = int(np.argmin(wait))
-        if wait[first_non:].any():
-            bad = pts[first_non:][wait[first_non:]]
+        lam[l - 1], violated = wait_threshold(pts, wait)
+        if violated:
+            bad = pts[wait & (pts > pts[~wait].min())]
             raise NotThreshold(l, [float(b) for b in bad[:5]])
-        lam[l - 1] = 0.5 * (pts[first_non - 1] + pts[first_non])
     l_star = dedicated_switch_delay(vf)
-    cap_bound = l_star == vf.l_max and (
-        vf.l_max < 2 or switch_margin(vf, vf.l_max - 1) <= 0.0
-    )
+    cap_bound = l_star == vf.l_max
     if cap_bound:
         warnings.warn(
             f"dedicated-channel switch is forced by the delay cap l_max={vf.l_max}; "
@@ -329,13 +332,10 @@ def check_structure(vf: ValueFunction) -> StructureReport:
             detail=f"l_star={l_star}")
 
     # Wait region forms a belief prefix at every delay.
-    bad_delays = []
-    for l in range(1, vf.l_max + 1):
-        wait = vf.actions[:, l - 1] == int(Action.WAIT)
-        if wait.any() and not wait.all():
-            first_non = int(np.argmin(wait))
-            if wait[first_non:].any():
-                bad_delays.append(l)
+    bad_delays = [
+        l for l in range(1, vf.l_max + 1)
+        if wait_threshold(pts, vf.actions[:, l - 1] == int(Action.WAIT))[1]
+    ]
     rep.add(
         "threshold_prefix",
         "pass" if not bad_delays else "fail",

@@ -45,8 +45,9 @@ from .solver import (
 DEFAULT_PACKETS = 3000
 # Average-delay tolerance of compare's delay matching.
 DEFAULT_MATCH_TOL = 0.25
-# The delay penalties between which gamma bisection searches.
+# The delay penalties between which gamma bisection searches, and its steps.
 GAMMA_BRACKET = (0.5, 2000.0)
+GAMMA_STEPS = 26
 
 
 @dataclass
@@ -63,7 +64,20 @@ class SimConfig:
     def __post_init__(self):
         if self.num_packets < 1:
             raise ValueError("num_packets must be >= 1")
+        check_seed(self.seed)
         _identical_channel(self.channels)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError for a negative seed, which numpy cannot seed from."""
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
+
+
+def check_match_tol(tol: float) -> None:
+    """Raise ValueError for a delay-matching tolerance below 0 or not finite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"delay-matching tolerance {tol} must be finite and >= 0")
 
 
 def _identical_channel(channels) -> ChannelParams:
@@ -452,27 +466,19 @@ def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
     """Solve the configured instance at a given delay penalty, policy
     iteration starting from the action table start and, at N > 1, on the
     descriptor states reach of an earlier solve of the same instance when
-    given.  Returns the value function and the rewards it was solved with."""
+    given.  The value function's rewards are the ones it was solved with."""
     r = replace(cfg.rewards, gamma=gamma)
     if len(cfg.channels) == 1:
-        return solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start), r
-    mvf = solve_multichannel(
+        return solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start)
+    return solve_multichannel(
         len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol,
         start=start, reach=reach,
     )
-    return mvf, r
 
 
 def _policy_of(vf):
     """The policy object the simulator runs for a solved value function."""
     return extract_thresholds(vf) if isinstance(vf, ValueFunction) else vf
-
-
-def _solve_policy(cfg: SimConfig, gamma: float, tol: float):
-    """Solve the configured instance at a given delay penalty and return the
-    policy object the simulator should run."""
-    vf, r = _solve(cfg, gamma, tol)
-    return _policy_of(vf), r
 
 
 def _policy_key(policy):
@@ -509,11 +515,11 @@ class _Episodes:
     def _run(self, gamma: float):
         if gamma not in self.solves:
             near = min(self.tables, key=lambda g: abs(math.log(g / gamma)), default=None)
-            vf, r = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near), self.reach)
+            vf = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near), self.reach)
             if isinstance(vf, MultichannelValueFunction):
                 self.reach = vf.reach
             self.tables[gamma] = vf.actions
-            self.solves[gamma] = _policy_of(vf), r
+            self.solves[gamma] = _policy_of(vf), vf.rewards
         pol, r = self.solves[gamma]
         key = _policy_key(pol)
         if key not in self.runs:
@@ -541,11 +547,12 @@ def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = DEFAULT_TOL):
     return [SweepRow.of(g, runs.metrics(g)) for g in gammas]
 
 
-def _match_gamma(runs: _Episodes, target_delay, tol, bracket, iters=26):
-    """Log-space bisection on gamma for a target average delay.  Returns
-    (gamma, within_tol, achieved) where achieved is the (low, high) average
-    delay at the bracket's ends."""
-    g_lo, g_hi = bracket
+def _match_gamma(runs: _Episodes, target_delay, tol):
+    """Log-space bisection on gamma over GAMMA_BRACKET for a target average
+    delay.  Returns (gamma, within_tol, achieved) where achieved is the (low,
+    high) average delay at the bracket's ends."""
+    check_match_tol(tol)
+    g_lo, g_hi = GAMMA_BRACKET
     m_lo = runs.probe(g_lo)
     m_hi = runs.probe(g_hi)
     achieved = (m_hi.avg_delay, m_lo.avg_delay)
@@ -557,7 +564,7 @@ def _match_gamma(runs: _Episodes, target_delay, tol, bracket, iters=26):
         key=lambda t: t[0],
     )
     lo, hi = np.log(g_lo), np.log(g_hi)
-    for _ in range(iters):
+    for _ in range(GAMMA_STEPS):
         mid = 0.5 * (lo + hi)
         g = float(np.exp(mid))
         m = runs.probe(g)
@@ -575,20 +582,19 @@ def gamma_for_target_delay(
     cfg: SimConfig,
     target_delay: float,
     tol: float = 0.1,
-    bracket=GAMMA_BRACKET,
     solver_tol: float = DEFAULT_TOL,
 ):
     """Find the delay-penalty coefficient whose optimal policy attains the
     target average delay.
 
-    Average delay is non-increasing in gamma, which the bracket probe
-    validates before bisecting.  Raises TargetUnreachable, carrying the
-    delays achieved at the bracket's ends, when the target lies outside that
-    range or no gamma lands within tol (the policy family changes
-    discretely, so delay is a step function).
+    Average delay is non-increasing in gamma, which probing GAMMA_BRACKET's
+    ends validates before bisecting.  Raises TargetUnreachable, carrying the
+    delays achieved there, when the target lies outside that range or no
+    gamma lands within tol (the policy family changes discretely, so delay is
+    a step function), and ValueError as check_match_tol does.
     """
     runs = _Episodes(cfg, solver_tol)
-    g, ok, achieved = _match_gamma(runs, target_delay, tol, bracket)
+    g, ok, achieved = _match_gamma(runs, target_delay, tol)
     if not ok:
         raise TargetUnreachable(target_delay, *achieved)
     return g, runs.metrics(g)
@@ -628,21 +634,20 @@ def compare_with_memoryless(
     cfg: SimConfig,
     k_values,
     tol: float = DEFAULT_MATCH_TOL,
-    bracket=GAMMA_BRACKET,
     solver_tol: float = DEFAULT_TOL,
 ):
     """Energy comparison against the always-sense baselines at matched delay.
 
     For each attempt limit k: simulate the baseline, tune gamma until the
     optimal policy reaches the same average delay (best effort within the
-    step structure), and report the per-packet energy reduction.  Solves and
-    optimal-policy episodes are shared across the k values.
+    step structure), and report the per-packet energy reduction, sharing
+    solves and episodes across k.  Raises ValueError as check_match_tol does.
     """
     runs = _Episodes(cfg, solver_tol)
     rows = []
     for k in sorted(int(k) for k in k_values):
         m_mp, _ = run_episode(replace(cfg, policy=MemorylessPolicy(k)))
-        g = _match_gamma(runs, m_mp.avg_delay, tol, bracket)[0]
+        g = _match_gamma(runs, m_mp.avg_delay, tol)[0]
         m_opt = runs.metrics(g)
         rows.append(
             CompareRow(

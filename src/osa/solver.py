@@ -65,6 +65,9 @@ class RewardParams:
     gamma: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
         if self.c_s < 0:
             raise ValueError(f"c_s={self.c_s} must be >= 0")
         if self.gamma < 0:
@@ -274,9 +277,9 @@ def q_sense_fallback(vf: ValueFunction, belief: float, delay: int) -> float:
 
 
 def check_settings(tol: float | None, l_max: int) -> None:
-    """Raise ValueError for tol <= 0 (None skips it) or l_max < 2."""
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
+    """Raise ValueError for a tol not finite and positive (None skips it) or l_max < 2."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol={tol} must be finite and positive")
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
 
@@ -439,7 +442,6 @@ def _evaluate(actions: np.ndarray, bk: _Backup) -> np.ndarray:
 def solve_single_channel(
     p: ChannelParams,
     r: RewardParams,
-    grid: BeliefGrid | None = None,
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -447,17 +449,16 @@ def solve_single_channel(
 ) -> ValueFunction:
     """Howard policy iteration for the single-channel problem.
 
-    Each action table is evaluated exactly; the returned values are the final
-    backup renormalized at the reference state (the grid point holding pi0,
-    delay 1).  Deterministic given identical inputs.  start, an action table
-    over the same grid and l_max such as the one solved at a nearby gamma,
-    is where the iteration begins; it changes only the step count, not the
-    actions, values or gain returned.  Raises as check_model and
-    policy_iteration do.
+    Each action table over BeliefGrid.for_channel(p) is evaluated exactly;
+    the returned values are the final backup renormalized at the reference
+    state (the grid point holding pi0, delay 1).  Deterministic given
+    identical inputs.  start, an action table over the same grid and l_max
+    such as the one solved at a nearby gamma, is where the iteration begins;
+    it changes only the step count, not the actions, values or gain
+    returned.  Raises as check_model and policy_iteration do.
     """
     check_model(p, tol, l_max)
-    if grid is None:
-        grid = BeliefGrid.for_channel(p)
+    grid = BeliefGrid.for_channel(p)
     bk = _prepare(p, r, grid, l_max)
     actions, values, gain, steps, span = policy_iteration(
         (len(grid), l_max),

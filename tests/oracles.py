@@ -4,8 +4,8 @@ Everything here is deliberately written without reusing the package's backup
 machinery: plain dict/float finite-horizon dynamic programming over exactly
 reachable beliefs, a renewal-cycle average-reward calculator for
 fixed-shape policies, a tuple-by-tuple closure and Bellman backup of the
-descriptor MDP, and the slot kernel as a per-slot loop.  Slow and simple on
-purpose.
+descriptor MDP, the wait-threshold rule state by state, and the slot kernel as
+a per-slot loop.  Slow and simple on purpose.
 """
 
 import math
@@ -183,6 +183,40 @@ def descriptor_backup(space, index, values, r, l_max):
             q.append(-r.c_s + b * (r.phi - r.p_p + v[1]) + (1.0 - b) * (-f + v[2]))
         out[sid] = max(q)
     return out
+
+
+def wait_thresholds(states, l_max):
+    """Per-delay wait thresholds and the violating delays of (belief, delay,
+    waits) states, state by state.
+
+    At each delay the threshold is the midpoint between the largest waiting
+    belief and the smallest non-waiting belief above it, 0 when no state
+    waits and 1 when no non-waiting state lies above; the delay violates the
+    threshold rule when some non-waiting belief lies strictly below a
+    waiting one.  Returns (thresholds, violating delays).
+    """
+    layers = {l: [] for l in range(1, l_max + 1)}
+    for b, d, waits in states:
+        layers[d].append((b, waits))
+    thresholds, violations = [], []
+    for l, layer in layers.items():
+        top = None
+        for b, waits in layer:
+            if waits and (top is None or b > top):
+                top = b
+        if top is None:
+            thresholds.append(0.0)
+            continue
+        above, violated = None, False
+        for b, waits in layer:
+            if not waits:
+                if b > top and (above is None or b < above):
+                    above = b
+                violated = violated or b < top
+        thresholds.append(1.0 if above is None else 0.5 * (top + above))
+        if violated:
+            violations.append(l)
+    return thresholds, violations
 
 
 class ReferenceSlotEnv:

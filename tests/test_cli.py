@@ -24,11 +24,22 @@ def test_usage_error_exit_code(capsys):
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 2, "--policy", "policy.csv"],
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "no-such-policy.csv"],
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "typo-policy.csv"],
+    # Policies that can hold a packet at --lmax: sense-wait up to delay 49, and
+    # wait below belief 0.9 at the cap.
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "lmax50-policy.csv", "--lmax", 10],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "cap-wait-policy.csv", "--lmax", 2],
 ])
 def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    header = "delay,lambda_star,action_above_threshold\n"
     (tmp_path / "typo-policy.csv").write_text(
-        "delay,lambda_star,action_above_threshold\n1,0.0,sense_wait\n2,0.0,sense_fallbak\n"
+        header + "1,0.0,sense_wait\n2,0.0,sense_fallbak\n"
+    )
+    (tmp_path / "lmax50-policy.csv").write_text(
+        header + "".join(f"{l},0.0,sense_wait\n" for l in range(1, 50)) + "50,0.0,sense_fallback\n"
+    )
+    (tmp_path / "cap-wait-policy.csv").write_text(
+        header + "1,0.0,sense_wait\n2,0.9,sense_fallback\n"
     )
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
@@ -44,6 +55,17 @@ def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     ["solve", "--scenario", 1, "--ktrunc", 0],
     ["solve", "--alpha", 0.15, "--beta", 0.1, "--tol", 0],
     ["solve", "--alpha", 0.5, "--beta", 0.5, "--n", 0],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 5, "--gamma", "nan"],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 5, "--gamma", "inf"],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 5, "--cs", "nan"],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 5, "--phi", "nan"],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 5, "--tol", "nan"],
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--seed", -1],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--seed", -1],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--seed", -1],
+    ["learn", "--alpha", 0.15, "--beta", 0.1, "--seed", -1],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--match-tol", "nan"],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--match-tol", -1],
 ])
 def test_library_input_checks_are_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -125,12 +147,14 @@ def test_simulate_from_policy_csv(tmp_path):
     solve_out = tmp_path / "solve"
     assert run(["solve", "--alpha", 0.85, "--beta", 0.7, "--out", solve_out] + FAST_SOLVE) == 0
     sim_out = tmp_path / "sim"
-    code = run([
-        "simulate", "--alpha", 0.85, "--beta", 0.7, "--packets", 500,
-        "--policy", solve_out / "policy.csv", "--lmax", 20, "--out", sim_out,
-    ])
-    assert code == 0
-    assert (sim_out / "metrics.csv").exists()
+    # The policy's own l_max, and a larger one: it holds no packet at either.
+    for lmax in (20, 30):
+        code = run([
+            "simulate", "--alpha", 0.85, "--beta", 0.7, "--packets", 500,
+            "--policy", solve_out / "policy.csv", "--lmax", lmax, "--out", sim_out / str(lmax),
+        ])
+        assert code == 0
+        assert (sim_out / str(lmax) / "metrics.csv").exists()
 
 
 def test_simulate_trace_flag(tmp_path):

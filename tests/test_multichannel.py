@@ -1,9 +1,11 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import osa.cli
+from oracles import wait_thresholds
 from osa.channel import ChannelParams, iterate_unsensed, stationary_idle
 from osa.errors import NoConvergence, StateSpaceTooLarge
 from osa.multichannel import (
@@ -137,6 +139,38 @@ def test_lambda_summary_shape_and_range():
     assert np.all(lam >= 0) and np.all(lam <= 1)
     assert lam[-1] == 0.0  # cap row: fallback only
     assert isinstance(violations, list)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lambda_summary_matches_per_state_loop(n):
+    # Solved tables with and without violations, random tables, and random
+    # per-layer cuts with a few flipped states.  Many states share one max
+    # belief, so waiting and non-waiting states tie at the top waiting belief.
+    rng = np.random.default_rng(n)
+    ties = 0
+    for p, r in [
+        (ChannelParams(0.6, 0.2), RewardParams(350.0, 150.0, 100.0, 800.0, 10.0)),
+        (ChannelParams(0.95, 0.05), PRESET),
+    ]:
+        mvf = solve_multichannel(n, p, r, k_trunc=6, l_max=8)
+        beliefs = [max(mvf.space.belief[c] for c in codes) for codes, _ in mvf.states]
+        delays = [d for _, d in mvf.states]
+        cut = np.array(beliefs) <= rng.choice(beliefs, mvf.l_max)[mvf.delays - 1]
+        flipped = cut.copy()
+        flipped[rng.integers(0, len(cut), 6)] ^= True
+        tables = [mvf.actions, rng.integers(0, 3, len(beliefs))]
+        tables += [np.where(wait, int(Action.WAIT), int(Action.SENSE_FALLBACK)) for wait in (cut, flipped)]
+        for actions in tables:
+            waits = [a == int(Action.WAIT) for a in actions.tolist()]
+            lam, violations = replace(mvf, actions=actions).lambda_summary()
+            want_lam, want_violations = wait_thresholds(list(zip(beliefs, delays, waits)), mvf.l_max)
+            assert lam.tolist() == want_lam
+            assert violations == want_violations
+            for l in range(1, mvf.l_max + 1):
+                layer = [(b, w) for b, d, w in zip(beliefs, delays, waits) if d == l]
+                top = max((b for b, w in layer if w), default=None)
+                ties += any(b == top and not w for b, w in layer)
+    assert ties > 0
 
 
 def test_action_lookup_by_codes():

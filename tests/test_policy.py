@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import wait_thresholds
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateDenominator, NotThreshold
 from osa.policy import (
@@ -93,6 +94,43 @@ def test_extract_thresholds_rejects_interleaved(scen1_solve):
     corrupt = dc_replace(scen1_solve, actions=actions)
     with pytest.raises(NotThreshold):
         extract_thresholds(corrupt)
+
+
+def test_extract_thresholds_matches_per_state_loop(scen1_solve):
+    # The solved table and copies with a few grid points switched to wait or
+    # to sensing; each reads as the per-state loop reads it, and a copy that
+    # breaks the rule raises at its first violating delay.
+    from dataclasses import replace as dc_replace
+
+    rng = np.random.default_rng(3)
+    pts = scen1_solve.grid.points.tolist()
+    raised = 0
+    for trial in range(12):
+        actions = scen1_solve.actions.copy()
+        if trial:
+            rows = rng.integers(0, len(pts), 4)
+            cols = rng.integers(0, 12, 4)
+            actions[rows, cols] = int(Action.WAIT) if trial % 2 else int(Action.SENSE_WAIT)
+        vf = dc_replace(scen1_solve, actions=actions)
+        states = [
+            (b, l, a == int(Action.WAIT))
+            for l in range(1, vf.l_max + 1)
+            for b, a in zip(pts, actions[:, l - 1].tolist())
+        ]
+        want_lam, want_violations = wait_thresholds(states, vf.l_max)
+        detail = check_structure(vf)["threshold_prefix"].detail
+        assert detail == (f"violating delays {want_violations}" if want_violations else "")
+        if not want_violations:
+            assert extract_thresholds(vf).lambda_star.tolist() == want_lam
+            continue
+        raised += 1
+        with pytest.raises(NotThreshold) as err:
+            extract_thresholds(vf)
+        l = want_violations[0]
+        first_non = min(b for b, d, w in states if d == l and not w)
+        bad = [b for b, d, w in states if d == l and w and b > first_non]
+        assert (err.value.delay, err.value.beliefs) == (l, bad[:5])
+    assert 0 < raised < 11
 
 
 def test_threshold_policy_action_rule():

@@ -21,7 +21,8 @@ from osa.sim import (
     SimConfig,
     SlotEnv,
     _Episodes,
-    _solve_policy,
+    _policy_of,
+    _solve,
     compare_with_memoryless,
     gamma_for_target_delay,
     idle_flags,
@@ -258,8 +259,8 @@ def test_episode_memo_reruns_at_the_gamma_asked_for():
     runs = _Episodes(cfg, 1e-7)
     shared = runs.probe(10.0)
     assert runs.probe(10.001) is shared
-    policy, r = _solve_policy(cfg, 10.001, 1e-7)
-    fresh, _ = run_episode(replace(cfg, policy=policy, rewards=r))
+    vf = _solve(cfg, 10.001, 1e-7)
+    fresh, _ = run_episode(replace(cfg, policy=_policy_of(vf), rewards=vf.rewards))
     assert runs.metrics(10.001) == fresh
     assert fresh.avg_reward != shared.avg_reward
     assert replace(fresh, avg_reward=shared.avg_reward) == shared
@@ -341,6 +342,17 @@ def test_sweep_rejects_heterogeneous_channels():
         cfg = SimConfig(channels=[SCEN1, SCEN1, ChannelParams(0.85, 0.7)], rewards=PRESET,
                         policy=None, num_packets=10)
         sweep_gamma(cfg, [10.0])
+
+
+def test_negative_seed_and_match_tolerance_are_rejected():
+    with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+        SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=-1)
+    cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, num_packets=10)
+    for tol in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            compare_with_memoryless(cfg, [2], tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            gamma_for_target_delay(cfg, 2.0, tol=tol)
 
 
 @pytest.mark.parametrize("make", [

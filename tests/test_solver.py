@@ -14,6 +14,7 @@ from osa.solver import (
     RewardParams,
     ValueFunction,
     bellman_backup,
+    check_settings,
     interpolate,
     q_sense_fallback,
     q_sense_wait,
@@ -55,6 +56,16 @@ def test_reward_params_invariants():
         RewardParams(phi=350, c_s=50, p_p=100, p_3g=100, gamma=10)  # p_3g == p_p
     with pytest.raises(ValueError):
         RewardParams(phi=350, c_s=50, p_p=100, p_3g=800, gamma=-1)
+    for field in PRESET_REWARDS:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field}={value} must be finite"):
+                RewardParams(**{**PRESET_REWARDS, field: value})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_check_settings_rejects_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        check_settings(tol, 10)
 
 
 def test_delay_penalty():
