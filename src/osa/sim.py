@@ -7,7 +7,13 @@ SlotEnv reject a channel list whose entries differ with ValueError.
 
 `SlotEnv` is the one slot kernel: episodes run it until a packet count is
 delivered, and the online learner (`learn.run_learning`) runs it window by
-window, so both score policies under the same dynamics.
+window, so both score policies under the same dynamics.  Its cost per slot
+barely grows with N: when alpha > beta aging never reorders the channels, so
+it keeps them in belief order (idle sensing to the head, busy to the tail)
+and reads only the top one or two beliefs, scanning every channel only for
+a float tie at the top (lowest index wins) and, when alpha <= beta, in every
+slot.  A descriptor policy's state is a packed key walked through a memo of
+(key, sensed code, observation) moves.
 
 Each channel owns an independent random stream derived from the top-level
 seed, and its true state advances once per slot regardless of the policy, so
@@ -20,6 +26,7 @@ agree by accounting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -197,6 +204,23 @@ def _compile(policy, l_max: int):
     return [None] + wait_below, [None] + sense
 
 
+def _next_key(space, n: int, key: int, code: int, obs: int) -> int:
+    """The delay-1 key (DescriptorSpace.key) of n channels' codes one slot
+    after the codes of the delay-1 key `key`: every code ages, except that a
+    channel of the given code is sensed when obs >= 0 and becomes fresh."""
+    n_codes = len(space.belief)
+    codes = []
+    for _ in range(n):
+        key, c = divmod(key, n_codes)
+        codes.append(c)
+    if obs >= 0:
+        codes.remove(code)
+    codes = [int(space.aged[c]) for c in codes]
+    if obs >= 0:
+        codes.append(space.busy_fresh if obs else space.idle_fresh)
+    return space.key(codes, 1)
+
+
 class SlotEnv:
     """The slot dynamics of one saturated secondary user over N copies of one
     channel.
@@ -212,6 +236,28 @@ class SlotEnv:
     slots since.  The channels share one row of beliefs per start, grown on
     demand by the unsensed update beta + (alpha - beta) b; each channel keeps
     its current row and the slot of its last sensing.
+
+    Sensing targets the max-belief channel, the lowest index among ties.
+    When alpha > beta the update is increasing, and in floats it is monotone
+    (a rounded multiply and add), so aging never reorders the channels: it
+    can merge beliefs into ties but never reverse two.  Only the sensed
+    channel moves, to the head after an idle sensing (belief alpha, which
+    nothing else exceeds) and to the tail after a busy one (beta, which
+    nothing else undercuts).  run() therefore keeps the channels in an order
+    list, sorted once per call.  A wait slot reads only the head's belief,
+    the max that the threshold test and the trace need; a sensing slot also
+    reads the second belief and, only when the two are float-equal, scans
+    every channel for the lowest index among the ties.  With alpha <= beta
+    (or rows that could leave [beta, alpha] in floats) every slot of N > 1
+    channels takes that scan.
+
+    A descriptor policy's state is walked by its packed key: one running key
+    of the code multiset at delay 1, plus a per-call memo from (key, the
+    sensed channel's code, observation) to the next key.  The sensed code
+    comes from the channel's row and last sensing (DescriptorSpace.codes_for),
+    so it is the code of the channel the float beliefs chose.  Threshold and
+    memoryless policies are compiled on their first run() on an env; a policy
+    changed in place after that runs as it was compiled.
     """
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
@@ -220,14 +266,20 @@ class SlotEnv:
         self.rewards = rewards
         self.l_max = l_max
         self.streams = ChannelStreams(seed, n, p)
-        self.pi0_row, self.idle_row, self.busy_row = [stationary_idle(p)], [p.alpha], [p.beta]
-        self.update = p.beta, p.alpha - p.beta
+        pi0 = stationary_idle(p)
+        self.pi0_row, self.idle_row, self.busy_row = [pi0], [p.alpha], [p.beta]
+        self.update = beta, slope = p.beta, p.alpha - p.beta
+        # run()'s order list needs every belief in [beta, alpha] in floats:
+        # pi0 and the update of alpha must not exceed alpha (the update is
+        # monotone, and beta + slope * b >= beta for b >= 0).
+        self.ordered = n > 1 and slope > 0 and max(pi0, beta + slope * p.alpha) <= p.alpha
         self.tables = [self.pi0_row] * n  # each channel's current row
         self.last = [-1] * n  # slot of each channel's last sensing
         # Rewards by delay (index 0 unused): wait, and busy sensing that waits.
         delays = range(1, l_max + 1)
         self.wait_reward = [None] + [-rewards.penalty(d) for d in delays]
         self.busy_wait_reward = [None] + [-rewards.c_s - rewards.penalty(d) for d in delays]
+        self._rules = {}  # id(policy) -> (policy, wait_below, sense)
         self.delay = 1
         self.slots = self.packets = self.delay_total = 0
         self.reward_total = 0.0
@@ -245,6 +297,23 @@ class SlotEnv:
             out.append(table[age])
         return out
 
+    def _top(self, slot: int) -> tuple:
+        """The max belief at the slot and the lowest-index channel holding it."""
+        try:
+            beliefs = [t[slot - s - 1] for t, s in zip(self.tables, self.last)]
+        except IndexError:
+            beliefs = self._beliefs(slot)
+        b = max(beliefs)
+        return b, beliefs.index(b)
+
+    def _rule(self, policy) -> tuple:
+        """_compile(policy), once per policy object on this env.  The entry
+        holds the policy, so its id cannot pass to another object."""
+        entry = self._rules.get(id(policy))
+        if entry is None:
+            entry = self._rules[id(policy)] = (policy, *_compile(policy, self.l_max))
+        return entry[1:]
+
     def run(self, policy, slots: int | None = None, packets: int | None = None, trace=None) -> float:
         """Run the policy for `slots` more slots or until `packets` more
         packets are delivered; returns the reward summed over those slots and
@@ -252,12 +321,16 @@ class SlotEnv:
         if the policy keeps a packet past l_max, and on every later run() or
         metrics() call, since the tallies then stop part way through a slot;
         TypeError for a policy that is not a ThresholdPolicy,
-        MemorylessPolicy or MultichannelValueFunction; ValueError for a
+        MemorylessPolicy or MultichannelValueFunction; ValueError unless
+        exactly one count is given and it is an int >= 0, and for a
         MultichannelValueFunction solved for another number of channels.
         """
         self._check_usable()
         if (slots is None) == (packets is None):
             raise ValueError("give exactly one of slots and packets")
+        count = packets if slots is None else slots
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"slot or packet count {count!r} must be an int >= 0")
         r = self.rewards
         idle_reward = r.phi - r.c_s - r.p_p
         fallback_reward = r.phi - r.c_s - r.p_3g
@@ -268,32 +341,36 @@ class SlotEnv:
         end = start + streams.BLOCK
         tables, last = self.tables, self.last
         pi0_row, idle_row, busy_row = self.pi0_row, self.idle_row, self.busy_row
-        chans = range(len(tables))
-        single, target = len(tables) == 1, 0
         sensed, sensed_idle, idle_pairs = self.sensed, self.sensed_idle, self.idle_pairs
         delay, slot, done, delay_total = self.delay, self.slots, self.packets, self.delay_total
-        slot_end = None if slots is None else slot + slots
-        packet_end = None if packets is None else done + packets
+        slot_end = None if slots is None else slot + int(slots)
+        packet_end = None if packets is None else done + int(packets)
+        n = len(tables)
+        ordered, scan = self.ordered, n > 1 and not self.ordered
+        order = [0]
+        if ordered:
+            beliefs = self._beliefs(slot)
+            order = sorted(range(n), key=lambda i: -beliefs[i])
 
-        codes = None
+        by_key = None
         if isinstance(policy, MultichannelValueFunction):
-            # Descriptor codes rebuilt from each channel's last sensing, then
-            # aged slot by slot as the model ages them.
-            if policy.n_channels != len(tables):
+            if policy.n_channels != n:
                 raise ValueError(
-                    f"descriptor policy solved for {policy.n_channels} channels "
-                    f"run on {len(tables)}"
+                    f"descriptor policy solved for {policy.n_channels} channels run on {n}"
                 )
-            space = policy.space
-            codes = [
-                STALE if t is pi0_row else space.codes_for(t is idle_row, slot - s)
+            space, by_key = policy.space, policy.action_by_key
+            codes_for = space.codes_for
+            # The key of the code multiset at delay 1, plus the offset of the
+            # delay's layer (capped at the policy's l_max).
+            key = space.key([
+                STALE if t is pi0_row else codes_for(t is idle_row, slot - s)
                 for t, s in zip(tables, last)
-            ]
-            aged, key, by_key = space.aged.tolist(), space.key, policy.action_by_key
-            fresh = (space.idle_fresh, space.busy_fresh)
-            cap = policy.l_max
+            ], 1)
+            layer = len(space.belief) ** n
+            offset = [None] + [(min(d, policy.l_max) - 1) * layer for d in range(1, l_max + 1)]
+            memo = {}
         else:
-            wait_below, sense = _compile(policy, l_max)
+            wait_below, sense = self._rule(policy)
 
         total = 0.0
         while slot != slot_end and done != packet_end:
@@ -301,21 +378,16 @@ class SlotEnv:
                 streams.advance()
                 idle, start = streams.idle, end
                 end += streams.BLOCK
-            if single:
-                try:
-                    b = tables[0][slot - last[0] - 1]
-                except IndexError:
-                    b = self._beliefs(slot)[0]
+            if scan:
+                b, target = self._top(slot)
             else:
+                target = order[0]
                 try:
-                    beliefs = [tables[i][slot - last[i] - 1] for i in chans]
+                    b = tables[target][slot - last[target] - 1]
                 except IndexError:
-                    beliefs = self._beliefs(slot)
-                # The max-belief channel, lowest index among ties.
-                b = max(beliefs)
-                target = beliefs.index(b)
-            if codes is not None:
-                action = by_key[key(codes, min(delay, cap))]
+                    b = self._beliefs(slot)[target]
+            if by_key is not None:
+                action = by_key[key + offset[delay]]
             elif b <= wait_below[delay]:
                 action = _WAIT
             else:
@@ -325,9 +397,26 @@ class SlotEnv:
             if action == _WAIT:
                 if delay >= l_max:
                     raise self._overflowed("wait")
-                obs = -1
+                obs = code = -1
                 reward = wait_reward[delay]
             else:
+                if ordered:
+                    second = order[1]
+                    try:
+                        tied = tables[second][slot - last[second] - 1] == b
+                    except IndexError:
+                        tied = self._beliefs(slot)[second] == b
+                    if tied:
+                        b, target = self._top(slot)
+                    # Idle sensing sends the channel to the head, busy to the tail.
+                    order.remove(target)
+                    if idle[target][slot - start]:
+                        order.insert(0, target)
+                    else:
+                        order.append(target)
+                if by_key is not None:
+                    row = tables[target]
+                    code = STALE if row is pi0_row else codes_for(row is idle_row, slot - last[target])
                 sensed += 1
                 if idle[target][slot - start]:
                     obs = 0
@@ -353,10 +442,11 @@ class SlotEnv:
             if trace is not None:
                 trace.append(TraceRow(slot, b, delay, action, obs, reward))
             slot += 1
-            if codes is not None:
-                codes = [aged[c] for c in codes]
-                if obs >= 0:
-                    codes[target] = fresh[obs]
+            if by_key is not None:
+                move = key, code, obs
+                key = memo.get(move)
+                if key is None:
+                    key = memo[move] = _next_key(space, n, *move)
 
             if transmitted:
                 delay_total += delay

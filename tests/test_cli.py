@@ -1,8 +1,18 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osa.cli import main
+from osa.learn import LearnerConfig, run_learning, write_learn_trace_csv
+from osa.policy import MemorylessPolicy
+from osa.scenarios import SCENARIOS
+from osa.sim import SimConfig, SweepRow, _policy_of, _solve, run_episode, sweep_rows_to_csv
+from osa.solver import DEFAULT_TOL
 
 FAST_SOLVE = ["--tol", "1e-6", "--lmax", "20"]
 
@@ -312,3 +322,29 @@ def test_rerun_input_errors_are_usage_errors(content, tmp_path, capsys):
     assert run(["rerun", "--manifest", manifest]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not out.exists()
+
+
+@settings(max_examples=8, deadline=None)
+@given(scenario=st.sampled_from(sorted(SCENARIOS)), n=st.sampled_from([1, 4]),
+       seed=st.integers(0, 2**16), mp=st.sampled_from([None, 2, 5]),
+       packets=st.integers(1, 300), iterations=st.integers(1, 40))
+def test_simulate_and_learn_write_what_the_library_gives(scenario, n, seed, mp, packets,
+                                                         iterations):
+    # The CLI's metrics row and learn trace, byte for byte, against the same
+    # runs made through run_episode and run_learning.
+    sc = replace(SCENARIOS[scenario], n_channels=n)
+    model = ["--scenario", scenario, "--n", n, "--lmax", 15, "--seed", seed]
+    cfg = SimConfig(channels=sc.channels(), rewards=sc.rewards, policy=None,
+                    num_packets=packets, seed=seed, l_max=15)
+    cfg.policy = MemorylessPolicy(mp) if mp else _policy_of(_solve(cfg, sc.gamma, DEFAULT_TOL))
+    learned = run_learning(LearnerConfig(l_max=15), sc.channels(), sc.rewards, iterations, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        policy = ["--mp", mp] if mp else []
+        assert run(["simulate", *model, *policy, "--packets", packets, "--out", out / "sim"]) == 0
+        assert run(["learn", *model, "--iterations", iterations, "--out", out / "learn"]) == 0
+        sweep_rows_to_csv([SweepRow.of(sc.gamma, run_episode(cfg)[0])], out / "metrics.csv")
+        write_learn_trace_csv(learned.trace, out / "learn_trace.csv")
+        assert (out / "sim" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+        assert (out / "learn" / "learn_trace.csv").read_bytes() == (
+            out / "learn_trace.csv").read_bytes()

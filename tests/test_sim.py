@@ -13,9 +13,16 @@ import osa.solver
 from oracles import ReferenceSlotEnv
 from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
 from osa.errors import DelayOverflow, TargetUnreachable
-from osa.learn import CountingStats, LearnerConfig, run_learning, update_counts
-from osa.multichannel import solve_multichannel
+from osa.learn import (
+    CountingStats,
+    LearnerConfig,
+    constant_threshold_policy,
+    run_learning,
+    update_counts,
+)
+from osa.multichannel import STALE, solve_multichannel
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
+from osa.scenarios import SCENARIOS
 from osa.sim import (
     ChannelStreams,
     SimConfig,
@@ -447,7 +454,9 @@ _probs = st.one_of(st.sampled_from([0.05, 0.15, 0.5, 0.85, 0.95]), st.floats(0.0
 def _kernel_cases(draw):
     alpha = draw(_probs)
     beta = draw(st.one_of(st.just(alpha), _probs))  # alpha = beta, above or below
-    p, n, l_max = ChannelParams(alpha, beta), draw(st.integers(1, 4)), 6
+    # Long waits (thresholds of 1 at l_max up to 20) and runs of up to 1,000
+    # slots let beliefs converge in floats, so top beliefs tie.
+    p, n, l_max = ChannelParams(alpha, beta), draw(st.integers(1, 4)), draw(st.integers(2, 20))
     kind = draw(st.sampled_from(["threshold", "memoryless", "descriptor"]))
     if kind == "threshold":
         lam = draw(st.lists(st.sampled_from([0.0, 0.2, alpha, beta, 0.6, 1.0]),
@@ -459,8 +468,9 @@ def _kernel_cases(draw):
     else:
         policy = solve_multichannel(n, p, PRESET, k_trunc=draw(st.integers(1, 12)),
                                     l_max=l_max, tol=1e-6)
-    runs = draw(st.lists(st.tuples(st.sampled_from(["slots", "packets"]),
-                                   st.integers(1, 300)), min_size=1, max_size=5))
+    runs = draw(st.lists(st.one_of(st.tuples(st.just("slots"), st.integers(1, 1000)),
+                                   st.tuples(st.just("packets"), st.integers(1, 100))),
+                         min_size=1, max_size=5))
     return [p] * n, policy, l_max, runs, draw(st.integers(0, 2**16)), draw(st.integers(1, 40))
 
 
@@ -505,3 +515,98 @@ def test_slot_kernel_rejects_unknown_policy_types():
     env = SlotEnv([SCEN1], PRESET, seed=0, l_max=5)
     with pytest.raises(TypeError, match="str"):
         env.run("always sense", slots=1)
+
+
+@pytest.mark.parametrize("count", [dict(slots=-1), dict(packets=-1), dict(slots=2.5),
+                                   dict(packets=True)])
+def test_run_rejects_a_count_that_is_not_an_int_of_at_least_zero(count):
+    env = SlotEnv([SCEN1] * 3, PRESET, seed=0, l_max=5)
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        env.run(MemorylessPolicy(3), **count)
+    assert env.run(MemorylessPolicy(3), slots=0) == 0.0
+    assert env.run(MemorylessPolicy(3), packets=0) == 0.0
+    assert env.slots == 0
+
+
+def _windows(env, windows) -> tuple:
+    """Window rewards and the trace of consecutive run(slots=...) calls."""
+    trace = []
+    return [env.run(policy, slots=slots, trace=trace) for policy, slots in windows], trace
+
+
+def _replayed(trace, p: ChannelParams, n: int):
+    """Per trace row of n copies of channel p: every channel's belief before
+    the slot, the slot of its last sensing (-1 before any) and whether that
+    sensing saw idle, the row, and the channel sensed by the lowest-index
+    rule, replayed from the actions and observations alone."""
+    beliefs, last, saw_idle = [stationary_idle(p)] * n, [-1] * n, [False] * n
+    for row in trace:
+        target = max(range(n), key=beliefs.__getitem__)
+        assert beliefs[target] == row.belief_sensed_channel
+        yield beliefs, last, saw_idle, row, target
+        beliefs = [p.beta + (p.alpha - p.beta) * b for b in beliefs]
+        if row.observation >= 0:
+            beliefs[target] = p.beta if row.observation else p.alpha
+            last, saw_idle = last.copy(), saw_idle.copy()
+            last[target], saw_idle[target] = row.t, row.observation == 0
+
+
+def _codes(space, last, saw_idle, slot) -> list:
+    return [STALE if s < 0 else space.codes_for(idle, slot - s) for s, idle in zip(last, saw_idle)]
+
+
+@pytest.mark.parametrize("kind", ["threshold", "descriptor"])
+def test_tied_top_beliefs_sense_the_lowest_index_channel(kind, preset_solves):
+    # Preset 1 at N=4.  A learner candidate that waits 14 slots lets every
+    # belief converge to pi0 in floats, so many of its sensings meet tied top
+    # beliefs, where the lowest index need not be the order list's head;
+    # memoryless windows in between reorder the channels.  The solved
+    # descriptor policy meets ties too, between channels of different codes
+    # (ages past about 12 share one float belief), so its key walk must take
+    # the code of the channel the tie rule sensed.
+    sc = SCENARIOS[1]
+    if kind == "threshold":
+        waiting, memoryless = constant_threshold_policy(0.5, 15, 15), MemorylessPolicy(2)
+        windows = [(waiting if j % 3 else memoryless, 100) for j in range(12)]
+    else:
+        windows = [(preset_solves(1), 150)] * 8
+    env = SlotEnv(sc.channels(), sc.rewards, 3, 15)
+    ref = ReferenceSlotEnv(sc.channels(), sc.rewards, 3, 15)
+    got, want = _windows(env, windows), _windows(ref, windows)
+    same = repr(got) == repr(want)  # bit for bit; a diff of the reprs is slow
+    assert same
+    assert [env.sensed, env.sensed_idle, env.idle_pairs] == [
+        sum(ref.sensed), sum(ref.sensed_idle), sum(ref.idle_pairs)]
+    space = preset_solves(1).space
+    ties = distinct_codes = 0
+    for beliefs, last, saw_idle, row, _ in _replayed(want[1], sc.channel, 4):
+        tied = [c for c, b in zip(_codes(space, last, saw_idle, row.t), beliefs)
+                if b == max(beliefs)]
+        if row.observation >= 0 and len(tied) > 1:
+            ties += 1
+            distinct_codes += len(set(tied)) > 1
+    assert ties >= 20 and distinct_codes >= 15
+
+
+def test_descriptor_walk_keys_on_the_sensed_channels_code():
+    # Preset 3 at N=4 and k_trunc 3.  With |alpha - beta| = 0.9 a channel
+    # that collapses to stale keeps a float belief far from pi0, so the
+    # channel the float beliefs sense is often not the one the code model
+    # would sense (the argmax over code beliefs, lowest index among ties).
+    # The kernel walks the key with the code of the channel it sensed and
+    # matches the reference, which ages each channel's code per slot.
+    sc = SCENARIOS[3]
+    mvf = solve_multichannel(4, sc.channel, sc.rewards, k_trunc=3, l_max=15, tol=1e-6)
+    windows = [(mvf, 250)] * 8
+    env = SlotEnv(sc.channels(), sc.rewards, 1, 15)
+    ref = ReferenceSlotEnv(sc.channels(), sc.rewards, 1, 15)
+    got, want = _windows(env, windows), _windows(ref, windows)
+    same = repr(got) == repr(want)  # bit for bit; a diff of the reprs is slow
+    assert same
+    assert env.sensed == sum(ref.sensed)
+    differ = sum(
+        row.observation >= 0
+        and target != int(np.argmax(mvf.space.belief[_codes(mvf.space, last, saw_idle, row.t)]))
+        for _, last, saw_idle, row, target in _replayed(want[1], sc.channel, 4)
+    )
+    assert differ >= 20
