@@ -21,7 +21,6 @@ from .channel import (
 from .solver import (
     Action,
     BeliefGrid,
-    DelayPenalty,
     RewardParams,
     ValueFunction,
     bellman_backup,
@@ -38,7 +37,6 @@ from .policy import (
     check_structure,
     dedicated_switch_delay,
     extract_thresholds,
-    memoryless_act,
     never_wait_after_sensing,
     th1,
     th2,

@@ -43,14 +43,6 @@ class ChannelParams:
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta={self.beta} not a probability")
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the stationary idle probability is 0 or 1 (or undefined)."""
-        if self.alpha == 1.0 and self.beta == 0.0:
-            return True
-        pi0 = stationary_idle(self)
-        return pi0 in (0.0, 1.0)
-
 
 def stationary_idle(p: ChannelParams) -> float:
     """Stationary probability that the channel is idle: beta / (1 - alpha + beta).

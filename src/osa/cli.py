@@ -42,6 +42,7 @@ from .sim import (
     SweepRow,
     _policy_of,
     _solve,
+    check_count,
     check_match_tol,
     check_seed,
     compare_rows_to_csv,
@@ -339,8 +340,7 @@ def cmd_compare(args) -> int:
 def cmd_learn(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
-        if args.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        check_count("iterations", args.iterations, 1)
         cfg = LearnerConfig(
             m=args.bins,
             nbslot=args.nbslot,

@@ -22,11 +22,15 @@ import numpy as np
 
 from .errors import InsufficientData
 from .policy import ThresholdPolicy
-from .sim import SlotEnv
+from .sim import SlotEnv, check_count
 from .solver import DEFAULT_L_MAX, RewardParams
 
 # Transition-rate estimate used until the counters support one.
 INITIAL_ESTIMATE = (0.5, 0.5)
+# The candidate policies: each constant wait level with each switch delay,
+# then the wait-depth curves of each switch delay (255 in all).
+CANDIDATE_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+CANDIDATE_SWITCH_DELAYS = tuple(range(1, 16))
 
 
 @dataclass
@@ -130,38 +134,31 @@ class LearnerConfig:
     nbslot: int = 100
     epsilon: float = 0.1
     eta: float = 0.5
-    candidate_levels: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    candidate_switch_delays: tuple = tuple(range(1, 16))
-    include_wait_depth: bool = True
     l_max: int = DEFAULT_L_MAX
-    rho_on_old: bool = True  # rho weights the old value; False weights the target
 
     def __post_init__(self):
-        if self.m < 1 or self.nbslot < 1:
-            raise ValueError("m and nbslot must be >= 1")
+        check_count("m", self.m, 1)
+        check_count("nbslot", self.nbslot, 1)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must lie in [0, 1)")
         # Every candidate transmits by its switch delay, so none can keep a
         # packet past l_max.
-        outside = [sd for sd in self.candidate_switch_delays if not 1 <= sd <= self.l_max]
+        outside = [sd for sd in CANDIDATE_SWITCH_DELAYS if not 1 <= sd <= self.l_max]
         if outside:
             raise ValueError(f"candidate switch delays {outside} lie outside 1..l_max={self.l_max}")
 
     def candidates(self):
-        cands = [
+        return [
             constant_threshold_policy(level, sd, self.l_max)
-            for level in self.candidate_levels
-            for sd in self.candidate_switch_delays
+            for level in CANDIDATE_LEVELS
+            for sd in CANDIDATE_SWITCH_DELAYS
+        ] + [
+            wait_depth_policy(w, sd, self.l_max)
+            for sd in CANDIDATE_SWITCH_DELAYS
+            for w in range(1, sd)
         ]
-        if self.include_wait_depth:
-            cands += [
-                wait_depth_policy(w, sd, self.l_max)
-                for sd in self.candidate_switch_delays
-                for w in range(1, sd)
-            ]
-        return cands
 
 
 @dataclass
@@ -207,15 +204,14 @@ def run_learning(
     accumulating the window reward R, then update
         Q[prev bins, prev candidate] <-
             rho_k Q[prev] + (1 - rho_k) (R + eta Q[new bins, new candidate])
-    with rho_k = 1/k (the factors swap when cfg.rho_on_old is False).
-    Deterministic for a fixed seed.  The channels must be identical
-    (ValueError otherwise); the env's counters, summed over them, give the
-    one (alpha, beta) estimate that indexes the table.
+    with rho_k = 1/k.  Deterministic for a fixed seed.  The channels must be
+    identical, and iterations an int >= 1 (ValueError otherwise); the env's
+    counters, summed over the channels, give the one (alpha, beta) estimate
+    that indexes the table.
     """
+    check_count("iterations", iterations, 1)
     candidates = cfg.candidates()
     n_cand = len(candidates)
-    if n_cand == 0:
-        raise ValueError("candidate policy set must be non-empty")
     q = np.zeros((cfg.m, cfg.m, n_cand))
     env = SlotEnv(channels, rewards, seed, cfg.l_max)
     pick_rng = np.random.default_rng([seed, 999_983])
@@ -244,11 +240,7 @@ def run_learning(
 
         rho = 1.0 / k
         target = window_reward + cfg.eta * q[bins[0], bins[1], cur_idx]
-        old = q[prev_bins[0], prev_bins[1], prev_idx]
-        if cfg.rho_on_old:
-            new = rho * old + (1.0 - rho) * target
-        else:
-            new = (1.0 - rho) * old + rho * target
+        new = rho * q[prev_bins[0], prev_bins[1], prev_idx] + (1.0 - rho) * target
         q[prev_bins[0], prev_bins[1], prev_idx] = new
         trace.append(
             LearnTraceRow(k, est_a, est_b, cur_idx, window_reward, float(new))

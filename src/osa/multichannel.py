@@ -43,6 +43,7 @@ from .errors import NoConvergence, StateSpaceTooLarge
 from .policy import wait_threshold
 from .solver import (
     Action,
+    DEFAULT_L_MAX,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RewardParams,
@@ -256,7 +257,7 @@ def build_reachable_states(
     n_channels: int,
     p: ChannelParams,
     k_trunc: int = DEFAULT_K_TRUNC,
-    l_max: int = 15,
+    l_max: int = DEFAULT_L_MAX,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ReachableStates:
     """Breadth-first closure of the descriptor-state space under all actions.
@@ -413,7 +414,7 @@ def solve_multichannel(
     p: ChannelParams,
     r: RewardParams,
     k_trunc: int = DEFAULT_K_TRUNC,
-    l_max: int = 15,
+    l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
@@ -446,7 +447,7 @@ def solve_multichannel(
     ):
         raise ValueError("reach holds the states of another model")
     t = reach.table
-    rewards = immediate_rewards(r, t.b, r.penalty.table(l_max)[reach.delays - 1])
+    rewards = immediate_rewards(r, t.b, r.penalty_table(l_max)[reach.delays - 1])
     actions, values, gain, steps, span = policy_iteration(
         len(reach.delays),
         0,

@@ -102,13 +102,9 @@ class MemorylessPolicy:
             raise ValueError(f"k={self.k} must be >= 1")
 
     def act(self, belief: float, delay: int) -> Action:
-        return memoryless_act(self, delay)
-
-
-def memoryless_act(mp: MemorylessPolicy, delay: int) -> Action:
-    if delay < 1:
-        raise ValueError(f"delay={delay} must be >= 1")
-    return Action.SENSE_WAIT if delay < mp.k else Action.SENSE_FALLBACK
+        if delay < 1:
+            raise ValueError(f"delay={delay} must be >= 1")
+        return Action.SENSE_WAIT if delay < self.k else Action.SENSE_FALLBACK
 
 
 def switch_margin(vf: ValueFunction, delay: int) -> float:

@@ -69,10 +69,15 @@ class SimConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.num_packets < 1:
-            raise ValueError("num_packets must be >= 1")
+        check_count("num_packets", self.num_packets, 1)
         check_seed(self.seed)
         _identical_channel(self.channels)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an int (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name}={value!r} must be an int >= {low}")
 
 
 def check_seed(seed: int) -> None:
@@ -328,9 +333,8 @@ class SlotEnv:
         self._check_usable()
         if (slots is None) == (packets is None):
             raise ValueError("give exactly one of slots and packets")
-        count = packets if slots is None else slots
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise ValueError(f"slot or packet count {count!r} must be an int >= 0")
+        name, count = ("packets", packets) if slots is None else ("slots", slots)
+        check_count(name, count, 0)
         r = self.rewards
         idle_reward = r.phi - r.c_s - r.p_p
         fallback_reward = r.phi - r.c_s - r.p_3g
@@ -671,7 +675,7 @@ def _match_gamma(runs: _Episodes, target_delay, tol):
 def gamma_for_target_delay(
     cfg: SimConfig,
     target_delay: float,
-    tol: float = 0.1,
+    tol: float = DEFAULT_MATCH_TOL,
     solver_tol: float = DEFAULT_TOL,
 ):
     """Find the delay-penalty coefficient whose optimal policy attains the

@@ -80,23 +80,14 @@ class RewardParams:
         if not self.p_3g > self.p_p:
             raise ValueError(f"p_3g={self.p_3g} must exceed p_p={self.p_p}")
 
-    @property
-    def penalty(self) -> "DelayPenalty":
-        return DelayPenalty(self.gamma)
-
-
-@dataclass(frozen=True)
-class DelayPenalty:
-    """Increasing penalty gamma * log(l) for holding a packet of delay l >= 1."""
-
-    gamma: float
-
-    def __call__(self, delay) -> float:
+    def penalty(self, delay) -> float:
+        """The delay penalty gamma * log(delay) for a packet of delay >= 1."""
         if delay < 1:
             raise ValueError(f"delay={delay} must be >= 1")
         return self.gamma * math.log(delay)
 
-    def table(self, l_max: int) -> np.ndarray:
+    def penalty_table(self, l_max: int) -> np.ndarray:
+        """The delay penalties of delays 1..l_max as an array."""
         return self.gamma * np.log(np.arange(1, l_max + 1, dtype=float))
 
 
@@ -372,7 +363,7 @@ def _prepare(p: ChannelParams, r: RewardParams, grid: BeliefGrid, l_max: int) ->
     omega = p.beta + (p.alpha - p.beta) * pts
     lo, hi, w = grid.interp_weights(omega)
     return _Backup(
-        rewards=immediate_rewards(r, pts[:, None], r.penalty.table(l_max)[None, :]),
+        rewards=immediate_rewards(r, pts[:, None], r.penalty_table(l_max)[None, :]),
         lo=lo,
         hi=hi,
         w=w,

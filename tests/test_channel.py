@@ -16,6 +16,7 @@ from osa.channel import (
     update_unsensed,
 )
 from osa.errors import DegenerateChain
+from osa.solver import check_model
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -34,11 +35,15 @@ def test_stationary_idle_values():
 
 
 def test_stationary_idle_degenerate():
+    # A chain is degenerate when pi0 is 0 or 1, or undefined (alpha=1 with
+    # beta=0); check_model rejects exactly these.
     with pytest.raises(DegenerateChain):
         stationary_idle(ChannelParams(1.0, 0.0))
-    assert ChannelParams(0.0, 0.0).degenerate
-    assert ChannelParams(1.0, 1.0).degenerate
-    assert not ChannelParams(0.15, 0.1).degenerate
+    for alpha, beta in [(1.0, 0.0), (0.0, 0.0), (0.7, 0.0), (1.0, 1.0), (1.0, 0.3)]:
+        with pytest.raises(DegenerateChain):
+            check_model(ChannelParams(alpha, beta), 1e-9, 10)
+    for alpha, beta in [(0.15, 0.1), (0.0, 1.0), (0.5, 0.5), (0.999, 0.001)]:
+        check_model(ChannelParams(alpha, beta), 1e-9, 10)
 
 
 def test_update_unsensed_fixed_point_and_edges():

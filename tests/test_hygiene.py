@@ -85,3 +85,44 @@ def test_no_unread_private_definitions():
         if name not in read
     ]
     assert found == []
+
+
+def public_definitions(source: str) -> list:
+    """(line, name) for each public function or class a module defines at its
+    top level, and each public method of those classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [(line, name) for line, name in found if name[:1] != "_"]
+
+
+def test_public_definition_scan_sees_functions_classes_and_methods():
+    source = (
+        "X = 1\ndef f(): pass\ndef _g(): pass\n"
+        "class K:\n    def m(self): pass\n    def _n(self): pass\n    def __init__(self): pass\n"
+    )
+    assert public_definitions(source) == [(2, "f"), (4, "K"), (5, "m")]
+
+
+def test_no_unread_public_definitions():
+    # A public function, class or method that nothing in the package, the
+    # tests or the benchmark reads is dead code.  Re-exporting a name from
+    # the package's __init__ is not a use of it.
+    package = sorted((ROOT / "src" / "osa").glob("*.py"))
+    readers = [path for path in package if path.name != "__init__.py"]
+    readers += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "osabench").glob("*.py"))
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in package
+        for line, name in public_definitions(path.read_text())
+        if name not in read
+    ]
+    assert found == []

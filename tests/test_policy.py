@@ -12,7 +12,6 @@ from osa.policy import (
     check_structure,
     dedicated_switch_delay,
     extract_thresholds,
-    memoryless_act,
     never_wait_after_sensing,
     switch_margin,
     th1,
@@ -276,15 +275,15 @@ def test_threshold_fixed_point_consistency(scen1_solve):
 
 def test_memoryless_policy():
     mp = MemorylessPolicy(3)
-    assert memoryless_act(mp, 1) == Action.SENSE_WAIT
-    assert memoryless_act(mp, 2) == Action.SENSE_WAIT
-    assert memoryless_act(mp, 3) == Action.SENSE_FALLBACK
-    assert memoryless_act(mp, 9) == Action.SENSE_FALLBACK
-    assert memoryless_act(MemorylessPolicy(1), 1) == Action.SENSE_FALLBACK
+    assert mp.act(0.9, 1) == Action.SENSE_WAIT
+    assert mp.act(0.1, 2) == Action.SENSE_WAIT
+    assert mp.act(0.9, 3) == Action.SENSE_FALLBACK
+    assert mp.act(0.1, 9) == Action.SENSE_FALLBACK
+    assert MemorylessPolicy(1).act(0.5, 1) == Action.SENSE_FALLBACK
     with pytest.raises(ValueError):
         MemorylessPolicy(0)
     with pytest.raises(ValueError):
-        memoryless_act(mp, 0)
+        mp.act(0.5, 0)
 
 
 def test_policy_csv_roundtrip(tmp_path, scen1_solve):

@@ -528,6 +528,24 @@ def test_run_rejects_a_count_that_is_not_an_int_of_at_least_zero(count):
     assert env.slots == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, num_packets=2.5),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, num_packets=3.0),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, num_packets=True),
+    lambda: LearnerConfig(l_max=15, nbslot=2.5),
+    lambda: LearnerConfig(l_max=15, m=2.5),
+    lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=0),
+    lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=-3),
+    lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=2.5),
+], ids=["packets-2.5", "packets-3.0", "packets-True", "nbslot-2.5", "m-2.5",
+        "iterations-0", "iterations-neg", "iterations-2.5"])
+def test_counts_are_checked_where_they_enter(make):
+    # A count that is not an int of at least its bound fails when the config
+    # is built or the call made, not inside a later run.
+    with pytest.raises(ValueError, match="must be an int >= "):
+        make()
+
+
 def _windows(env, windows) -> tuple:
     """Window rewards and the trace of consecutive run(slots=...) calls."""
     trace = []
@@ -610,3 +628,27 @@ def test_descriptor_walk_keys_on_the_sensed_channels_code():
         for _, last, saw_idle, row, target in _replayed(want[1], sc.channel, 4)
     )
     assert differ >= 20
+
+
+def test_slot_kernel_senses_by_float_belief_at_the_default_k_trunc(preset_solves):
+    # Preset 1 at N=4, k_trunc 20 and l_max 15, the slots benchmark's own
+    # setting.  Ages past about 12 hold pi0 in floats, so a stale channel and
+    # an old busy one tie there, and the lowest-index rule often senses a
+    # channel whose code is not the code model's argmax.  The kernel must
+    # sense as the float beliefs do, as the reference does, not as a walk of
+    # the solver's successor table would.
+    sc = SCENARIOS[1]
+    mvf = preset_solves(1)
+    env = SlotEnv(sc.channels(), sc.rewards, 0, 15)
+    ref = ReferenceSlotEnv(sc.channels(), sc.rewards, 0, 15)
+    got, want = _windows(env, [(mvf, 10_000)]), _windows(ref, [(mvf, 10_000)])
+    same = repr(got) == repr(want)  # bit for bit; a diff of the reprs is slow
+    assert same
+    space = mvf.space
+    differ = 0
+    for _, last, saw_idle, row, target in _replayed(want[1], sc.channel, 4):
+        if row.observation >= 0:
+            codes = _codes(space, last, saw_idle, row.t)
+            ranked = sorted(codes)
+            differ += codes[target] != ranked[int(np.argmax(space.belief[ranked]))]
+    assert differ >= 50

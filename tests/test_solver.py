@@ -10,7 +10,6 @@ from osa.errors import DegenerateChain, NoConvergence
 from osa.multichannel import solve_multichannel
 from osa.solver import (
     BeliefGrid,
-    DelayPenalty,
     RewardParams,
     ValueFunction,
     bellman_backup,
@@ -69,16 +68,17 @@ def test_check_settings_rejects_tol(tol):
 
 
 def test_delay_penalty():
-    f = DelayPenalty(10.0)
-    assert f(1) == 0.0
-    assert f(math.e) == pytest.approx(10.0)
-    assert f(2) == pytest.approx(10 * math.log(2))
+    r = RewardParams(**PRESET_REWARDS)  # gamma 10
+    assert r.penalty(1) == 0.0
+    assert r.penalty(math.e) == pytest.approx(10.0)
+    assert r.penalty(2) == pytest.approx(10 * math.log(2))
     with pytest.raises(ValueError):
-        f(0.5)
-    # Non-decreasing on integers.
-    table = f.table(20)
+        r.penalty(0.5)
+    # Non-decreasing on integers, and the table holds the scalar penalties.
+    table = r.penalty_table(20)
     assert np.all(np.diff(table) >= 0)
     assert table[0] == 0.0
+    np.testing.assert_allclose(table, [r.penalty(l) for l in range(1, 21)], rtol=1e-15)
 
 
 def test_grid_contains_specials(scen1_channel):
