@@ -275,6 +275,8 @@ def cmd_simulate(args) -> int:
         cfg = _episode_config(scenario, args, collect_trace=args.trace)
         if args.mp is not None:
             cfg.policy = MemorylessPolicy(args.mp)
+            if args.mp > args.lmax:
+                raise ValueError(f"--mp {args.mp} sense-waits at --lmax {args.lmax}")
         elif args.policy is not None:
             cfg.policy = ThresholdPolicy.from_csv(args.policy)
             if cfg.policy.l_star > args.lmax or cfg.policy.threshold(args.lmax) > 0:
@@ -302,6 +304,8 @@ def cmd_sweep(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
         gammas = [float(x) for x in args.gammas.split(",") if x]
+        if not gammas:
+            raise ValueError("--gammas lists no value")
         if any(g <= 0 for g in gammas):
             raise ValueError("gamma values must be positive")
         cfg = _episode_config(scenario, args)
@@ -321,8 +325,12 @@ def cmd_compare(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
         ks = [int(x) for x in args.ks.split(",") if x]
+        if not ks:
+            raise ValueError("--ks lists no value")
         if any(k < 1 for k in ks):
             raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
+        if max(ks) > args.lmax:
+            raise ValueError(f"--ks {args.ks} sense-waits at --lmax {args.lmax}")
         check_match_tol(args.match_tol)
         cfg = _episode_config(scenario, args)
     path = _outdir(args) / "compare.csv"

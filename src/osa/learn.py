@@ -139,6 +139,7 @@ class LearnerConfig:
     def __post_init__(self):
         check_count("m", self.m, 1)
         check_count("nbslot", self.nbslot, 1)
+        check_count("l_max", self.l_max, 2)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.eta < 1.0:

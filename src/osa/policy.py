@@ -115,13 +115,10 @@ def switch_margin(vf: ValueFunction, delay: int) -> float:
     dedicated channel is preferred at delay l.
     """
     r = vf.rewards
-    beta = vf.channel.beta
-    return (
-        r.penalty(delay)
-        + r.phi
-        - r.p_3g
-        + interpolate(vf, beta, 1)
-        - interpolate(vf, beta, min(delay + 1, vf.l_max))
+    # beta is a grid point, where interpolation reads the table exactly.
+    v_beta = vf.values[vf.grid.index_of(vf.channel.beta)]
+    return float(
+        r.penalty(delay) + r.phi - r.p_3g + v_beta[0] - v_beta[min(delay + 1, vf.l_max) - 1]
     )
 
 

@@ -25,6 +25,7 @@ agree by accounting.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -71,6 +72,8 @@ class SimConfig:
     def __post_init__(self):
         check_count("num_packets", self.num_packets, 1)
         check_seed(self.seed)
+        check_count("l_max", self.l_max, 2)
+        check_count("k_trunc", self.k_trunc, 1)
         _identical_channel(self.channels)
 
 
@@ -81,9 +84,11 @@ def check_count(name: str, value, low: int) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError for a negative seed, which numpy cannot seed from."""
-    if seed < 0:
+    """Raise ValueError for a seed numpy cannot seed from: a negative number
+    or anything but an int."""
+    if isinstance(seed, numbers.Real) and seed < 0:
         raise ValueError(f"seed={seed} must be >= 0")
+    check_count("seed", seed, 0)
 
 
 def check_match_tol(tol: float) -> None:
@@ -189,6 +194,21 @@ class ChannelStreams:
         ]
 
 
+def _belief_rows(p: ChannelParams) -> tuple:
+    """The one-entry belief rows after no sensing (pi0), an idle sensing
+    (alpha) and a busy one (beta), and the unsensed update (beta, slope)
+    that _grow extends them by."""
+    return ([stationary_idle(p)], [p.alpha], [p.beta]), (p.beta, p.alpha - p.beta)
+
+
+def _grow(row: list, update: tuple, length: int) -> None:
+    """Extend a belief row to at least `length` entries, entry by entry by
+    the unsensed update beta + slope * b."""
+    beta, slope = update
+    while len(row) < length:
+        row.append(beta + slope * row[-1])
+
+
 def _compile(policy, l_max: int):
     """A threshold or memoryless policy as two lists indexed by delay
     1..l_max: wait while the target's belief is at most wait_below[delay],
@@ -271,9 +291,8 @@ class SlotEnv:
         self.rewards = rewards
         self.l_max = l_max
         self.streams = ChannelStreams(seed, n, p)
-        pi0 = stationary_idle(p)
-        self.pi0_row, self.idle_row, self.busy_row = [pi0], [p.alpha], [p.beta]
-        self.update = beta, slope = p.beta, p.alpha - p.beta
+        (self.pi0_row, self.idle_row, self.busy_row), self.update = _belief_rows(p)
+        pi0, (beta, slope) = self.pi0_row[0], self.update
         # run()'s order list needs every belief in [beta, alpha] in floats:
         # pi0 and the update of alpha must not exceed alpha (the update is
         # monotone, and beta + slope * b >= beta for b >= 0).
@@ -293,12 +312,10 @@ class SlotEnv:
 
     def _beliefs(self, slot: int) -> list:
         """Every channel's belief at the slot, growing the rows that need it."""
-        beta, slope = self.update
         out = []
         for table, last in zip(self.tables, self.last):
             age = slot - last - 1
-            while len(table) < age + _GROW:
-                table.append(beta + slope * table[-1])
+            _grow(table, self.update, age + _GROW)
             out.append(table[age])
         return out
 
@@ -558,12 +575,14 @@ def sweep_rows_to_csv(rows, path) -> None:
 
 def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
     """Solve the configured instance at a given delay penalty, policy
-    iteration starting from the action table start and, at N > 1, on the
-    descriptor states reach of an earlier solve of the same instance when
-    given.  The value function's rewards are the ones it was solved with."""
+    iteration starting from the action table start and on the states reach
+    of an earlier solve of the same instance when given.  The value
+    function's rewards are the ones it was solved with."""
     r = replace(cfg.rewards, gamma=gamma)
     if len(cfg.channels) == 1:
-        return solve_single_channel(cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start)
+        return solve_single_channel(
+            cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start, reach=reach
+        )
     return solve_multichannel(
         len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol,
         start=start, reach=reach,
@@ -575,47 +594,62 @@ def _policy_of(vf):
     return extract_thresholds(vf) if isinstance(vf, ValueFunction) else vf
 
 
-def _policy_key(policy):
-    """What an episode of a solved policy depends on besides the configuration."""
-    if isinstance(policy, ThresholdPolicy):
-        return tuple(policy.lambda_star.tolist()), policy.l_star
-    return policy.actions.tobytes()
+def _episode_key(policy, cfg: SimConfig):
+    """What an episode of a solved policy under cfg does besides the rewards
+    it is paid: two policies with one key run the same slots.
+
+    A descriptor policy's key is its action table.  A threshold policy acts
+    at N = 1 only where its belief rows reach: the beliefs from pi0, alpha
+    and beta aged 0..l_max - 1 slots, since a wait at the cap overflows and
+    so at most l_max - 1 waits come in a row.  Its key is, per delay, the
+    number of those beliefs that wait (_compile's rule), plus the sensing
+    action per delay.
+    """
+    if not isinstance(policy, ThresholdPolicy):
+        return policy.actions.tobytes()
+    wait_below, sense = _compile(policy, cfg.l_max)
+    rows, update = _belief_rows(cfg.channels[0])
+    for row in rows:
+        _grow(row, update, cfg.l_max)
+    beliefs = sorted(set().union(*rows))
+    return tuple(bisect.bisect_right(beliefs, t) for t in wait_below[1:]), tuple(sense[1:])
 
 
 class _Episodes:
     """Episodes of the policies solved for one configuration, by delay
-    penalty, with solves cached by gamma and episodes by policy.
+    penalty, with solves cached by gamma and episodes by what they do.
 
     Each new gamma's solve starts from the action table of the nearest gamma
-    (in log gamma) solved so far.  The start changes only the number of
-    policy-iteration steps: the tables, and so the policies and episodes,
-    are the ones a solve from scratch gives.  With several channels every
-    solve runs on the descriptor states, and their successor table, that the
-    first one enumerated; they live as long as this object.
+    (in log gamma) solved so far, and runs on the states, and their
+    successor structure, that the first solve built: the belief grid at
+    N = 1, the descriptor states at N > 1.  They live as long as this
+    object, and the grid keeps the reward-free evaluation rows of the table
+    the last solve ended on, often the next start.  None of this changes the
+    tables, policies or episodes, which are the ones a solve from scratch
+    gives; it changes only the work.
 
     An episode's metrics depend on gamma only through avg_reward, and nearby
-    gammas often solve to the same policy.  probe() may therefore return an
-    episode run at another gamma; metrics() returns one run at the gamma
-    asked for.
+    gammas often solve to policies that act alike on every state an episode
+    can reach (_episode_key).  probe() may therefore return an episode run
+    at another gamma; metrics() returns one run at the gamma asked for.
     """
 
     def __init__(self, cfg: SimConfig, solver_tol: float):
         self.cfg, self.solver_tol = cfg, solver_tol
         self.solves = {}
         self.tables = {}  # gamma -> solved action table
-        self.runs = {}  # policy key -> (gamma it ran at, metrics)
-        self.reach = None  # descriptor states of the first solve, at N > 1
+        self.runs = {}  # episode key -> (gamma it ran at, metrics)
+        self.reach = None  # states of the first solve
 
     def _run(self, gamma: float):
         if gamma not in self.solves:
             near = min(self.tables, key=lambda g: abs(math.log(g / gamma)), default=None)
             vf = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near), self.reach)
-            if isinstance(vf, MultichannelValueFunction):
-                self.reach = vf.reach
+            self.reach = vf.reach
             self.tables[gamma] = vf.actions
             self.solves[gamma] = _policy_of(vf), vf.rewards
         pol, r = self.solves[gamma]
-        key = _policy_key(pol)
+        key = _episode_key(pol, self.cfg)
         if key not in self.runs:
             self.runs[key] = gamma, run_episode(replace(self.cfg, policy=pol, rewards=r))[0]
         return self.runs[key]

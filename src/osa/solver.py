@@ -159,7 +159,8 @@ class ValueFunction:
 
     values[i, l-1] is the relative value at grid point i and delay l; the value
     at the reference state (grid point nearest pi0, delay 1) is zero.  actions
-    holds the optimal action index per state.
+    holds the optimal action index per state.  reach is the GridStates a
+    solve ran on, for a later solve of the same channel and l_max.
     """
 
     grid: BeliefGrid
@@ -173,6 +174,7 @@ class ValueFunction:
     residual_span: float = float("nan")
     tol: float = DEFAULT_TOL
     reference_index: int = 0
+    reach: GridStates | None = None
 
     def action(self, belief: float, delay: int) -> Action:
         """Optimal action at an arbitrary belief: the action recorded at the
@@ -344,44 +346,47 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, max_iter: in
 _CAP = np.s_[:, -1]  # the delay-cap states of a (belief, delay) table
 
 
-@dataclass
-class _Backup:
-    """Precomputed index structure for vectorized Bellman backups."""
+class GridStates:
+    """The states of one channel's belief grid up to delay l_max and their
+    successor structure: the interpolation of the unsensed belief update and
+    the grid points of alpha, beta and the reference pi0.  None of it depends
+    on the rewards, so every solve of one channel and l_max can share it
+    (solve_single_channel's reach).
 
-    rewards: tuple         # immediate reward of each action per state
-    lo: np.ndarray         # interpolation of the unsensed belief update
-    hi: np.ndarray
-    w: np.ndarray
-    i_alpha: int
-    i_beta: int
-    ref: int
-    lam: np.ndarray        # grid beliefs as a column
+    It also keeps the evaluation rows that do not depend on the rewards
+    either (_evaluate) of the table that a solve handed it evaluated last,
+    which is the table that solve ended on: the next solve, when it starts
+    from that table, sweeps only its reward row.  One table's rows take
+    360 KB at L = 15.  Keeping the last two tables raised the reward-only
+    sweeps of a 4-k compare from 54 to 97 of 185, and its peak resident
+    memory by about 1 MB more, so one is kept.
+    """
+
+    def __init__(self, p: ChannelParams, grid: BeliefGrid, l_max: int):
+        pts = grid.points
+        self.channel, self.grid, self.l_max = p, grid, l_max
+        self.lo, self.hi, self.w = grid.interp_weights(p.beta + (p.alpha - p.beta) * pts)
+        self.i_alpha = grid.index_of(p.alpha)
+        self.i_beta = grid.index_of(p.beta)
+        self.ref = grid.index_of(stationary_idle(p))
+        self.lam = pts[:, None]  # grid beliefs as a column
+        self.kept = None, None  # (actions.tobytes(), its reward-free rows)
+
+    def rewards(self, r: RewardParams) -> tuple:
+        """The immediate reward of each action in each state under r."""
+        return immediate_rewards(r, self.lam, r.penalty_table(self.l_max)[None, :])
 
 
-def _prepare(p: ChannelParams, r: RewardParams, grid: BeliefGrid, l_max: int) -> _Backup:
-    pts = grid.points
-    omega = p.beta + (p.alpha - p.beta) * pts
-    lo, hi, w = grid.interp_weights(omega)
-    return _Backup(
-        rewards=immediate_rewards(r, pts[:, None], r.penalty_table(l_max)[None, :]),
-        lo=lo,
-        hi=hi,
-        w=w,
-        i_alpha=grid.index_of(p.alpha),
-        i_beta=grid.index_of(p.beta),
-        ref=grid.index_of(stationary_idle(p)),
-        lam=pts[:, None],
-    )
-
-
-def _backup(v: np.ndarray, bk: _Backup):
+def _backup(reach: GridStates, rewards: tuple, v: np.ndarray):
     """One full Bellman backup: the backup values and the greedy action table."""
     # Continuation table for delay l+1, capped at l_max.
     v_next = np.concatenate([v[:, 1:], v[:, -1:]], axis=1)
-    q_idle = bk.lam * v[bk.i_alpha, 0]
-    q0 = bk.rewards[0] + (bk.w[:, None] * v_next[bk.lo] + (1.0 - bk.w)[:, None] * v_next[bk.hi])
-    q1 = bk.rewards[1] + (q_idle + (1.0 - bk.lam) * v_next[bk.i_beta][None, :])
-    q2 = bk.rewards[2] + (q_idle + (1.0 - bk.lam) * v[bk.i_beta, 0])
+    q_idle = reach.lam * v[reach.i_alpha, 0]
+    q0 = rewards[0] + (
+        reach.w[:, None] * v_next[reach.lo] + (1.0 - reach.w)[:, None] * v_next[reach.hi]
+    )
+    q1 = rewards[1] + (q_idle + (1.0 - reach.lam) * v_next[reach.i_beta][None, :])
+    q2 = rewards[2] + (q_idle + (1.0 - reach.lam) * v[reach.i_beta, 0])
     return greedy(q0, q1, q2, _CAP)
 
 
@@ -391,43 +396,56 @@ def bellman_backup(vf: ValueFunction):
     Returns (normalized table, gain estimate): the backup values minus the
     backup value at the reference state, and that reference value itself.
     """
-    bk = _prepare(vf.channel, vf.rewards, vf.grid, vf.l_max)
-    w, _ = _backup(vf.values, bk)
-    g = w[bk.ref, 0]
+    reach = GridStates(vf.channel, vf.grid, vf.l_max)
+    w, _ = _backup(reach, reach.rewards(vf.rewards), vf.values)
+    g = w[reach.ref, 0]
     return w - g, float(g)
 
 
-def _evaluate(actions: np.ndarray, bk: _Backup) -> np.ndarray:
+def _evaluate(reach: GridStates, rewards: tuple, actions: np.ndarray, keep: bool) -> np.ndarray:
     """Exact relative values of a fixed action table, zero at the reference.
 
     Sweeps backward from the delay cap, writing each column as coefficients
     on (1, g, V(alpha, 1), V(beta, 1)), then solves for the three unknowns
     with V(alpha, 1) and V(beta, 1) consistent and V(pi0, 1) = 0.  The cap
     column must hold the fallback action, as every table from greedy does.
+
+    Only the first row carries the rewards, and the sweep updates each row
+    on its own, so for the table whose other three rows reach keeps the
+    sweep runs on the first row alone and gives the same bits.  With keep
+    the rows are read from reach and the table's rows are kept there.
     """
     l_max = actions.shape[1]
-    lam = bk.lam[:, 0]
+    lam = reach.lam[:, 0]
     wait = (actions == Action.WAIT).T
     sense_wait = (actions == Action.SENSE_WAIT).T
+    key = actions.tobytes() if keep else None
+    kept = reach.kept[1] if key is not None and key == reach.kept[0] else None
     # Terms that do not reach delay l+1: reward, -g and the delay-1 landings.
-    coef = np.empty((l_max, 4, len(lam)))
-    coef[:, 0] = np.choose(actions, bk.rewards).T
-    coef[:, 1] = -1.0
-    coef[:, 2] = np.where(wait, 0.0, lam)
-    coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
+    coef = np.empty((l_max, 4 if kept is None else 1, len(lam)))
+    coef[:, 0] = np.where(wait, rewards[0].T, rewards[1].T)
+    np.copyto(coef[:, 0], rewards[2].T, where=~(wait | sense_wait))
+    if kept is None:
+        coef[:, 1] = -1.0
+        coef[:, 2] = np.where(wait, 0.0, lam)
+        coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
     for l in range(l_max - 2, -1, -1):
         nxt = coef[l + 1]
-        cont = np.where(wait[l], bk.w, 0.0) * np.take(nxt, bk.lo, axis=1)
-        cont += np.where(wait[l], 1.0 - bk.w, 0.0) * np.take(nxt, bk.hi, axis=1)
-        cont += np.where(sense_wait[l], 1.0 - lam, 0.0) * nxt[:, bk.i_beta, None]
+        cont = np.where(wait[l], reach.w, 0.0) * np.take(nxt, reach.lo, axis=1)
+        cont += np.where(wait[l], 1.0 - reach.w, 0.0) * np.take(nxt, reach.hi, axis=1)
+        cont += np.where(sense_wait[l], 1.0 - lam, 0.0) * nxt[:, reach.i_beta, None]
         coef[l] += cont
-    delay1 = coef[0][:, [bk.i_alpha, bk.i_beta, bk.ref]].T
+    rows = coef[:, 1:] if kept is None else kept
+    if keep and kept is None:
+        reach.kept = key, rows.copy()
+    at = [reach.i_alpha, reach.i_beta, reach.ref]
+    delay1 = np.concatenate([coef[0, :1][:, at], rows[0][:, at]]).T
     lhs = delay1[:, 1:] - np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     # Cramer's rule through cross products.  A 3x3 system needs no LAPACK,
     # whose first call in a process costs about half a megabyte resident.
     adj = np.cross(lhs[[1, 2, 0]], lhs[[2, 0, 1]])
     g, v_alpha1, v_beta1 = (-delay1[:, :1] * adj).sum(axis=0) / (lhs[0] * adj[0]).sum()
-    return (coef[:, 0] + g * coef[:, 1] + v_alpha1 * coef[:, 2] + v_beta1 * coef[:, 3]).T
+    return (coef[:, 0] + g * rows[:, 0] + v_alpha1 * rows[:, 1] + v_beta1 * rows[:, 2]).T
 
 
 def solve_single_channel(
@@ -437,6 +455,7 @@ def solve_single_channel(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
+    reach: GridStates | None = None,
 ) -> ValueFunction:
     """Howard policy iteration for the single-channel problem.
 
@@ -446,23 +465,35 @@ def solve_single_channel(
     identical inputs.  start, an action table over the same grid and l_max
     such as the one solved at a nearby gamma, is where the iteration begins;
     it changes only the step count, not the actions, values or gain
-    returned.  Raises as check_model and policy_iteration do.
+    returned.  reach, the states of an earlier solve of the same p and l_max
+    (its `reach`), spares building the grid and its successor structure
+    again, and its kept evaluation rows spare part of evaluating the table
+    the last solve on it ended on; neither changes what is returned.  Raises as
+    check_model and policy_iteration do, and ValueError when reach belongs to
+    another model.
     """
     check_model(p, tol, l_max)
-    grid = BeliefGrid.for_channel(p)
-    bk = _prepare(p, r, grid, l_max)
+    # Evaluation rows are kept only on a reach handed in, the one way a later
+    # solve can read them, so a one-off solve holds no more memory than it
+    # needs.
+    keep = reach is not None
+    if reach is None:
+        reach = GridStates(p, BeliefGrid.for_channel(p), l_max)
+    elif (reach.channel, reach.l_max) != (p, l_max):
+        raise ValueError("reach holds the states of another model")
+    rewards = reach.rewards(r)
     actions, values, gain, steps, span = policy_iteration(
-        (len(grid), l_max),
-        (bk.ref, 0),
+        (len(reach.grid), l_max),
+        (reach.ref, 0),
         _CAP,
-        lambda actions, _v: _evaluate(actions, bk),
-        lambda v: _backup(v, bk),
+        lambda actions, _v: _evaluate(reach, rewards, actions, keep),
+        lambda v: _backup(reach, rewards, v),
         tol,
         max_iter,
         start=start,
     )
     return ValueFunction(
-        grid=grid,
+        grid=reach.grid,
         values=values,
         actions=actions,
         gain=gain,
@@ -472,5 +503,6 @@ def solve_single_channel(
         iterations=steps,
         residual_span=span,
         tol=tol,
-        reference_index=bk.ref,
+        reference_index=reach.ref,
+        reach=reach,
     )

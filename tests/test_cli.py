@@ -38,6 +38,12 @@ def test_usage_error_exit_code(capsys):
     # wait below belief 0.9 at the cap.
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "lmax50-policy.csv", "--lmax", 10],
     ["simulate", "--alpha", 0.15, "--beta", 0.1, "--policy", "cap-wait-policy.csv", "--lmax", 2],
+    # Memoryless attempt limits above --lmax sense-wait at the cap.
+    ["simulate", "--scenario", 1, "--lmax", 15, "--mp", 20],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", 20, "--lmax", 15],
+    # Empty lists.
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--gammas", ""],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", ""],
 ])
 def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

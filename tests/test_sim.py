@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import osa.multichannel
@@ -298,6 +298,100 @@ def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
     assert steps[False] < steps[True]
 
 
+def _policy_key(policy, cfg):
+    """An episode key that tells apart policies that act alike: the solved
+    thresholds themselves."""
+    if isinstance(policy, ThresholdPolicy):
+        return tuple(policy.lambda_star.tolist()), policy.l_star
+    return policy.actions.tobytes()
+
+
+@pytest.mark.parametrize("call,fewer", [
+    (lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]), False),
+    (lambda cfg: gamma_for_target_delay(cfg, 2.0, tol=0.3), True),
+    (lambda cfg: compare_with_memoryless(cfg, [2, 3]), True),
+], ids=["sweep", "target", "compare"])
+def test_episodes_keyed_by_behaviour_are_shared(monkeypatch, call, fewer):
+    # Each call runs twice: as it is, and with episodes keyed by the solved
+    # thresholds.  The rows agree; probes share more episodes when policies
+    # that differ only between reachable beliefs share one.  A sweep runs one
+    # episode per gamma either way: each row is paid at its own gamma.
+    real = osa.sim.run_episode
+    episodes = {}
+
+    def counted(by_thresholds):
+        def run(cfg):
+            episodes[by_thresholds] = episodes.get(by_thresholds, 0) + 1
+            return real(cfg)
+        return run
+
+    cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
+                    num_packets=500, l_max=15)
+    out = {}
+    for by_thresholds in (False, True):
+        monkeypatch.setattr(osa.sim, "run_episode", counted(by_thresholds))
+        if by_thresholds:
+            monkeypatch.setattr(osa.sim, "_episode_key", _policy_key)
+        out[by_thresholds] = call(cfg)
+    assert out[False] == out[True]
+    if fewer:
+        assert episodes[False] < episodes[True]
+    else:
+        assert episodes[False] == episodes[True]
+
+
+def _reachable_beliefs(p, l_max) -> list:
+    """Every belief an N = 1 episode can act on: pi0, alpha and beta, each
+    aged 0..l_max - 1 slots by the unsensed update."""
+    out = set()
+    for b in (stationary_idle(p), p.alpha, p.beta):
+        for _ in range(l_max):
+            out.add(b)
+            b = p.beta + (p.alpha - p.beta) * b
+    return sorted(out)
+
+
+@st.composite
+def _threshold_policy_pairs(draw):
+    """A channel (alpha < beta among them), l_max, and two threshold policies
+    that differ at one delay, where one threshold is a reachable belief or
+    the float below one and the other is its neighbour in that list: the two
+    then make every reachable belief wait alike exactly when no reachable
+    belief separates them."""
+    p = draw(st.sampled_from([ChannelParams(0.15, 0.1), ChannelParams(0.85, 0.7),
+                              ChannelParams(0.95, 0.05), ChannelParams(0.3, 0.6),
+                              ChannelParams(0.1, 0.9)]))
+    l_max = draw(st.integers(2, 10))
+    beliefs = _reachable_beliefs(p, l_max)
+    marks = sorted({0.0, *beliefs, *np.nextafter(beliefs, 0.0).tolist()})
+    # A wait at the cap overflows, so the cap's threshold is mostly 0.
+    picks = [draw(st.integers(0, len(marks) - 1)) for _ in range(l_max - 1)]
+    picks.append(draw(st.sampled_from([0, draw(st.integers(0, len(marks) - 1))])))
+    d = draw(st.integers(0, l_max - 1))
+    twin = picks.copy()
+    twin[d] = min(max(picks[d] + draw(st.sampled_from([-1, 1])), 0), len(marks) - 1)
+    l_star = draw(st.integers(1, l_max))
+    policies = [ThresholdPolicy(np.array([marks[i] for i in idx]), l_star, l_max)
+                for idx in (picks, twin)]
+    return p, l_max, policies, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_policy_pairs())
+def test_equal_episode_keys_give_equal_episodes(case):
+    p, l_max, policies, seed = case
+    cfg = SimConfig(channels=[p], rewards=PRESET, policy=None, seed=seed, num_packets=300,
+                    l_max=l_max)
+    assume(osa.sim._episode_key(policies[0], cfg) == osa.sim._episode_key(policies[1], cfg))
+    outcomes = []
+    for pol in policies:
+        try:
+            outcomes.append(run_episode(replace(cfg, policy=pol))[0])
+        except DelayOverflow as exc:  # compared: both must overflow alike
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("call", [
     lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]),
     lambda cfg: gamma_for_target_delay(cfg, 1.5, tol=0.3),
@@ -537,8 +631,18 @@ def test_run_rejects_a_count_that_is_not_an_int_of_at_least_zero(count):
     lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=0),
     lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=-3),
     lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=2.5),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, l_max=20.0),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, l_max=1),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, k_trunc=4.0),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, k_trunc=0),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=2.5),
+    lambda: SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=True),
+    lambda: LearnerConfig(l_max=20.0),
+    lambda: LearnerConfig(l_max=1),
 ], ids=["packets-2.5", "packets-3.0", "packets-True", "nbslot-2.5", "m-2.5",
-        "iterations-0", "iterations-neg", "iterations-2.5"])
+        "iterations-0", "iterations-neg", "iterations-2.5", "l_max-20.0", "l_max-1",
+        "k_trunc-4.0", "k_trunc-0", "seed-2.5", "seed-True", "learner-l_max-20.0",
+        "learner-l_max-1"])
 def test_counts_are_checked_where_they_enter(make):
     # A count that is not an int of at least its bound fails when the config
     # is built or the call made, not inside a later run.

@@ -299,16 +299,27 @@ def cold_solves():
 )
 def test_warm_started_grid_solves_equal_cold_solves(cold_solves, p, l_max, order):
     # Each solve starts from the table of the gamma solved before it in a
-    # shuffled ladder; the start may change the steps, never the answer.
-    start = None
+    # shuffled ladder and runs on the states, and the kept evaluation rows,
+    # of the first; they may change the work, never the answer.
+    start = reach = None
     for gamma in order:
         r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
-        warm = solve_single_channel(p, r, l_max=l_max, start=start)
+        warm = solve_single_channel(p, r, l_max=l_max, start=start, reach=reach)
         cold = cold_solves(p, l_max, gamma)
         assert np.array_equal(warm.actions, cold.actions)
         assert np.array_equal(warm.values, cold.values)
         assert warm.gain == cold.gain
-        start = warm.actions
+        assert reach is None or warm.reach is reach
+        start, reach = warm.actions, warm.reach
+
+
+def test_grid_reach_of_another_model_is_rejected(preset_rewards):
+    p = ChannelParams(0.85, 0.7)
+    reach = solve_single_channel(p, preset_rewards, l_max=6).reach
+    assert solve_single_channel(p, preset_rewards, l_max=6, reach=reach).reach is reach
+    for q, l in [(ChannelParams(0.85, 0.6), 6), (p, 7)]:
+        with pytest.raises(ValueError, match="another model"):
+            solve_single_channel(q, preset_rewards, l_max=l, reach=reach)
 
 
 @pytest.mark.parametrize("p", WARM_CHANNELS)
