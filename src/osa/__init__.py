@@ -10,13 +10,8 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelParams,
-    ChannelState,
-    Observation,
     iterate_unsensed,
     stationary_idle,
-    step_true_state,
-    update_sensed,
-    update_unsensed,
 )
 from .solver import (
     Action,
@@ -24,10 +19,6 @@ from .solver import (
     RewardParams,
     ValueFunction,
     bellman_backup,
-    interpolate,
-    q_sense_fallback,
-    q_sense_wait,
-    q_wait,
     solve_single_channel,
 )
 from .policy import (
@@ -37,9 +28,6 @@ from .policy import (
     check_structure,
     dedicated_switch_delay,
     extract_thresholds,
-    never_wait_after_sensing,
-    th1,
-    th2,
 )
 from .multichannel import (
     MultichannelValueFunction,
@@ -62,6 +50,5 @@ from .learn import (
     discretize,
     estimate,
     run_learning,
-    update_counts,
 )
 from .scenarios import SCENARIOS, Scenario

@@ -5,25 +5,19 @@ State 0 is idle (free for secondary access), state 1 is busy.  The transition
 matrix is parameterized by alpha = P(idle -> idle) and beta = P(busy -> idle).
 The belief is the conditional probability that the channel is idle in the
 current slot given the observation/action history; it is the sufficient
-statistic of the partially observed problem.
+statistic of the partially observed problem.  A sense resets it to alpha
+(idle) or beta (busy); each unsensed slot maps b to beta + (alpha - beta) b,
+and iterate_unsensed applies k such slots at once.  The solvers and the slot
+kernel apply the one-slot map to whole arrays and belief rows; its scalar
+form, the sensed update and a sampler of the true state are reference code in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 from .errors import DegenerateChain
-
-
-class ChannelState(IntEnum):
-    IDLE = 0
-    BUSY = 1
-
-
-class Observation(IntEnum):
-    IDLE = 0
-    BUSY = 1
 
 
 @dataclass(frozen=True)
@@ -56,26 +50,12 @@ def stationary_idle(p: ChannelParams) -> float:
     return p.beta / denom
 
 
-def update_unsensed(p: ChannelParams, belief: float) -> float:
-    """One-slot belief propagation when the channel is not sensed.
-
-    Returns beta + (alpha - beta) * belief, the probability the channel is idle
-    next slot.  The result always lies between min(alpha, beta) and
-    max(alpha, beta); the stationary probability is the fixed point.
-    """
-    return p.beta + (p.alpha - p.beta) * belief
-
-
-def update_sensed(p: ChannelParams, obs: Observation) -> float:
-    """Next-slot belief after sensing this channel: alpha on idle, beta on busy."""
-    return p.alpha if obs == Observation.IDLE else p.beta
-
-
 def iterate_unsensed(p: ChannelParams, belief: float, k: int) -> float:
     """k-fold unsensed update in closed form: pi0 + (alpha - beta)^k (belief - pi0).
 
-    k=0 returns belief unchanged.  Matches k successive update_unsensed calls
-    to within accumulated rounding (1e-12 for k <= 100).
+    k=0 returns belief unchanged.  Matches k successive one-slot updates
+    beta + (alpha - beta) * belief to within accumulated rounding (1e-12 for
+    k <= 100).
     """
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
@@ -87,9 +67,3 @@ def iterate_unsensed(p: ChannelParams, belief: float, k: int) -> float:
         return belief
     pi0 = p.beta / denom
     return pi0 + (p.alpha - p.beta) ** k * (belief - pi0)
-
-
-def step_true_state(p: ChannelParams, state: ChannelState, rng) -> ChannelState:
-    """Sample the next true channel state from the transition matrix row."""
-    stay_idle = p.alpha if state == ChannelState.IDLE else p.beta
-    return ChannelState.IDLE if rng.random() < stay_idle else ChannelState.BUSY

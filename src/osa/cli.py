@@ -303,9 +303,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
-        gammas = [float(x) for x in args.gammas.split(",") if x]
-        if not gammas:
-            raise ValueError("--gammas lists no value")
+        gammas = [float(x) for x in args.gammas.split(",")]
         if any(g <= 0 for g in gammas):
             raise ValueError("gamma values must be positive")
         cfg = _episode_config(scenario, args)
@@ -324,9 +322,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
-        ks = [int(x) for x in args.ks.split(",") if x]
-        if not ks:
-            raise ValueError("--ks lists no value")
+        ks = [int(x) for x in args.ks.split(",")]
         if any(k < 1 for k in ks):
             raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
         if max(ks) > args.lmax:

@@ -39,10 +39,6 @@ class NotThreshold(OsaError):
         )
 
 
-class DegenerateDenominator(OsaError):
-    """Closed-form threshold denominator is numerically zero."""
-
-
 class InsufficientData(OsaError):
     """Counting statistics do not yet support an estimate."""
 

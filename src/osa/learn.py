@@ -43,21 +43,6 @@ class CountingStats:
     m: int = 0
 
 
-def update_counts(stats: CountingStats, prev_sensed_idle: bool, obs) -> CountingStats:
-    """Record one sensing outcome.
-
-    obs is truthy for busy (matches Observation/ChannelState numbering);
-    prev_sensed_idle must be True only when the same channel was sensed idle
-    in the immediately preceding slot.
-    """
-    stats.m += 1
-    if int(obs) == 0:
-        stats.i += 1
-        if prev_sensed_idle:
-            stats.k += 1
-    return stats
-
-
 @dataclass
 class Estimates:
     """Estimated transition pair and stationary idle probability.

@@ -218,14 +218,6 @@ class MultichannelValueFunction:
         """(codes tuple, delay) per state, built on first read."""
         return self.reach.states
 
-    def action_for(self, codes, delay: int) -> Action:
-        """The action at the state of these codes, in any order, and this
-        delay (capped at l_max)."""
-        # Aged codes are numpy int32 scalars; int() keeps key()'s arithmetic
-        # in Python ints, which cannot overflow.
-        key = self.space.key([int(c) for c in codes], min(delay, self.l_max))
-        return Action(self.action_by_key[key])
-
     @cached_property
     def action_by_key(self) -> dict:
         """Action index by packed state key (DescriptorSpace.key), as ints."""

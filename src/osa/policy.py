@@ -3,9 +3,10 @@ functions.
 
 The optimal policy has a two-part description: a per-delay belief threshold
 below which waiting is optimal, and a switch delay at/after which the
-dedicated channel replaces waiting when the sensed channel is busy.  The
-ground truth here is always the argmax over action values; the closed-form
-threshold expressions are used as cross-checks, never for extraction.
+dedicated channel replaces waiting when the sensed channel is busy.  Both
+are read off the solved action table and values; the paper's closed-form
+threshold expressions (Th1, Th2) and scalar action values are cross-checks of
+this reading and live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import stationary_idle, update_unsensed
-from .errors import DegenerateDenominator, NotThreshold
-from .solver import Action, RewardParams, ValueFunction, interpolate
+from .channel import stationary_idle
+from .errors import NotThreshold
+from .solver import Action, ValueFunction
 
-DENOM_TOL = 1e-12
 CSV_HEADER = "delay,lambda_star,action_above_threshold"
 
 
@@ -43,6 +43,8 @@ class ThresholdPolicy:
     cap_bound: bool = False
 
     def threshold(self, delay: int) -> float:
+        if delay < 1:
+            raise ValueError(f"delay={delay} must be >= 1")
         return float(self.lambda_star[min(delay, self.l_max) - 1])
 
     def act(self, belief: float, delay: int) -> Action:
@@ -180,57 +182,6 @@ def extract_thresholds(vf: ValueFunction) -> ThresholdPolicy:
     )
 
 
-def th1(vf: ValueFunction, belief: float, delay: int) -> float:
-    """Closed-form wait/sense-wait boundary.
-
-    [V(omega(lambda), l+1) - V(beta, l+1) + c_s] /
-    [f(l) + phi - p_p + V(alpha, 1) - V(beta, l+1)]
-    """
-    r = vf.rewards
-    p = vf.channel
-    nxt = min(delay + 1, vf.l_max)
-    v_omega = interpolate(vf, update_unsensed(p, belief), nxt)
-    v_beta_next = interpolate(vf, p.beta, nxt)
-    num = v_omega - v_beta_next + r.c_s
-    den = r.penalty(delay) + r.phi - r.p_p + interpolate(vf, p.alpha, 1) - v_beta_next
-    if abs(den) < DENOM_TOL:
-        raise DegenerateDenominator(f"th1 denominator {den!r} at delay {delay}")
-    return num / den
-
-
-def th2(vf: ValueFunction, belief: float, delay: int) -> float:
-    """Closed-form wait/sense-fallback boundary.
-
-    [V(omega(lambda), l+1) - V(beta, 1) + c_s - f(l) - phi + p_3g] /
-    [-p_p + V(alpha, 1) + p_3g - V(beta, 1)]
-    """
-    r = vf.rewards
-    p = vf.channel
-    nxt = min(delay + 1, vf.l_max)
-    v_omega = interpolate(vf, update_unsensed(p, belief), nxt)
-    v_beta1 = interpolate(vf, p.beta, 1)
-    num = v_omega - v_beta1 + r.c_s - r.penalty(delay) - r.phi + r.p_3g
-    den = -r.p_p + interpolate(vf, p.alpha, 1) + r.p_3g - v_beta1
-    if abs(den) < DENOM_TOL:
-        raise DegenerateDenominator(f"th2 denominator {den!r} at delay {delay}")
-    return num / den
-
-
-def threshold_fixed_point(vf: ValueFunction, belief: float, delay: int) -> float:
-    """max(0, min(Th1, Th2)) evaluated at a candidate threshold belief."""
-    return max(0.0, min(th1(vf, belief, delay), th2(vf, belief, delay)))
-
-
-def never_wait_after_sensing(r: RewardParams) -> bool:
-    """True when a busy sense always leads to the dedicated channel.
-
-    The wait branch is dominated for every delay exactly when -f(l) never
-    exceeds phi - p_3g; since f(1) = 0 and f is non-decreasing this reduces
-    to phi >= p_3g.
-    """
-    return r.phi >= r.p_3g
-
-
 @dataclass
 class PredicateResult:
     name: str
@@ -256,10 +207,6 @@ class StructureReport:
             if res.name == name:
                 return res
         raise KeyError(name)
-
-    @property
-    def passed(self) -> bool:
-        return all(res.status != "fail" for res in self.results)
 
     def to_text(self) -> str:
         return "\n".join(res.line() for res in self.results) + "\n"
@@ -312,8 +259,8 @@ def check_structure(vf: ValueFunction) -> StructureReport:
     rep.add("no_wait_above_stationary", "pass" if m >= -1e-12 else "fail", m)
 
     # Sensing success must be worth at least the dedicated fallback.
-    m = (-vf.rewards.p_p + interpolate(vf, p.alpha, 1)) - (
-        -vf.rewards.p_3g + interpolate(vf, p.beta, 1)
+    m = (-vf.rewards.p_p + v[vf.grid.index_of(p.alpha), 0]) - (
+        -vf.rewards.p_3g + v[vf.grid.index_of(p.beta), 0]
     )
     rep.add("idle_beats_fallback", "pass" if m >= -1e-8 else "fail", float(m))
 

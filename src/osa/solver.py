@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .channel import ChannelParams, stationary_idle, update_unsensed
+from .channel import ChannelParams, stationary_idle
 from .errors import DegenerateChain, NoConvergence
 
 DEFAULT_L_MAX = 50
@@ -132,10 +132,6 @@ class BeliefGrid:
     def __len__(self):
         return len(self.points)
 
-    @property
-    def resolution(self) -> float:
-        return float(np.max(np.diff(self.points)))
-
     def index_of(self, x: float) -> int:
         """Index of an exact grid member."""
         i = int(np.searchsorted(self.points, x))
@@ -211,17 +207,6 @@ class ValueFunction:
         }
 
 
-def interpolate(vf: ValueFunction, belief: float, delay: int) -> float:
-    """Piecewise-linear interpolation of the value table in the belief axis.
-
-    Exact at grid points.  Delays above the cap evaluate at the cap.
-    """
-    delay = min(delay, vf.l_max)
-    col = vf.values[:, delay - 1]
-    lo, hi, w = vf.grid.interp_weights(np.asarray([belief]))
-    return float(w[0] * col[lo[0]] + (1.0 - w[0]) * col[hi[0]])
-
-
 def immediate_rewards(r: RewardParams, b, f):
     """Expected immediate rewards of wait, sense-wait and sense-fallback.
 
@@ -233,40 +218,6 @@ def immediate_rewards(r: RewardParams, b, f):
         -r.c_s + b * (r.phi - r.p_p) + (1.0 - b) * (-f),
         r.phi - r.c_s - b * r.p_p - (1.0 - b) * r.p_3g,
     )
-
-
-def _action_values(vf: ValueFunction, belief: float, delay: int):
-    r, p = vf.rewards, vf.channel
-    up = min(delay + 1, vf.l_max)
-    wait, sense_wait, fallback = immediate_rewards(r, belief, r.penalty(delay))
-    idle = belief * interpolate(vf, p.alpha, 1)
-    return (
-        wait + interpolate(vf, update_unsensed(p, belief), up),
-        sense_wait + idle + (1.0 - belief) * interpolate(vf, p.beta, up),
-        fallback + idle + (1.0 - belief) * interpolate(vf, p.beta, 1),
-    )
-
-
-def q_wait(vf: ValueFunction, belief: float, delay: int) -> float:
-    """Action value of waiting: -f(l) + V(unsensed update, l+1)."""
-    return _action_values(vf, belief, delay)[0]
-
-
-def q_sense_wait(vf: ValueFunction, belief: float, delay: int) -> float:
-    """Action value of sensing with wait on busy.
-
-    -c_s + lambda (phi - p_p + V(alpha, 1)) + (1-lambda)(-f(l) + V(beta, l+1)).
-    """
-    return _action_values(vf, belief, delay)[1]
-
-
-def q_sense_fallback(vf: ValueFunction, belief: float, delay: int) -> float:
-    """Action value of sensing with dedicated fallback on busy.
-
-    phi - c_s + lambda (-p_p + V(alpha, 1)) + (1-lambda)(-p_3g + V(beta, 1)).
-    Independent of the delay.
-    """
-    return _action_values(vf, belief, delay)[2]
 
 
 def check_settings(tol: float | None, l_max: int) -> None:

@@ -1,22 +1,156 @@
-"""Independent reference computations used to validate the solver.
+"""Independent reference computations used to validate the package.
 
 Everything here is deliberately written without reusing the package's backup
-machinery: plain dict/float finite-horizon dynamic programming over exactly
-reachable beliefs, a renewal-cycle average-reward calculator for
-fixed-shape policies, a tuple-by-tuple closure and Bellman backup of the
-descriptor MDP, the wait-threshold rule state by state, and the slot kernel as
-a per-slot loop.  Slow and simple on purpose.
+machinery: the scalar belief updates, a sampler of the true channel state and
+the one-observation sensing counter; value-table interpolation, the three
+action values and the paper's closed-form thresholds Th1 and Th2; plain
+dict/float finite-horizon dynamic programming over exactly reachable beliefs,
+a renewal-cycle average-reward calculator for fixed-shape policies, a
+tuple-by-tuple closure and Bellman backup of the descriptor MDP, the
+wait-threshold rule state by state, and the slot kernel as a per-slot loop.
+Slow and simple on purpose.  The package itself runs none of this.
 """
 
 import math
+from enum import IntEnum
 
 import numpy as np
 
-from osa.channel import stationary_idle, update_unsensed
+from osa.channel import stationary_idle
 from osa.errors import DelayOverflow
 from osa.multichannel import STALE, MultichannelValueFunction
 from osa.sim import TraceRow
 from osa.solver import Action
+
+DENOM_TOL = 1e-12
+
+
+class ChannelState(IntEnum):
+    IDLE = 0
+    BUSY = 1
+
+
+class Observation(IntEnum):
+    IDLE = 0
+    BUSY = 1
+
+
+class DegenerateDenominator(ArithmeticError):
+    """Closed-form threshold denominator is numerically zero."""
+
+
+def update_unsensed(p, belief):
+    """One-slot belief propagation when the channel is not sensed:
+    beta + (alpha - beta) * belief, the probability it is idle next slot."""
+    return p.beta + (p.alpha - p.beta) * belief
+
+
+def update_sensed(p, obs):
+    """Next-slot belief after sensing the channel: alpha on idle, beta on busy."""
+    return p.alpha if obs == Observation.IDLE else p.beta
+
+
+def step_true_state(p, state, rng):
+    """Sample the next true channel state from the transition matrix row."""
+    stay_idle = p.alpha if state == ChannelState.IDLE else p.beta
+    return ChannelState.IDLE if rng.random() < stay_idle else ChannelState.BUSY
+
+
+def update_counts(stats, prev_sensed_idle, obs):
+    """Record one sensing outcome in a learn.CountingStats.
+
+    obs is truthy for busy (the Observation numbering); prev_sensed_idle must
+    be True only when the same channel was sensed idle in the immediately
+    preceding slot.
+    """
+    stats.m += 1
+    if int(obs) == 0:
+        stats.i += 1
+        if prev_sensed_idle:
+            stats.k += 1
+    return stats
+
+
+def interpolate(vf, belief, delay):
+    """Piecewise-linear value V(belief, delay) of a solved table, exact at grid
+    points; delays above the cap evaluate at the cap."""
+    return float(np.interp(belief, vf.grid.points, vf.values[:, min(delay, vf.l_max) - 1]))
+
+
+def q_wait(vf, belief, delay):
+    """Action value of waiting: -f(l) + V(unsensed update, l+1)."""
+    r, p = vf.rewards, vf.channel
+    return -r.gamma * math.log(delay) + interpolate(vf, update_unsensed(p, belief), delay + 1)
+
+
+def q_sense_wait(vf, belief, delay):
+    """Action value of sensing with wait on busy:
+    -c_s + lambda (phi - p_p + V(alpha, 1)) + (1-lambda)(-f(l) + V(beta, l+1))."""
+    r, p = vf.rewards, vf.channel
+    return (
+        -r.c_s
+        + belief * (r.phi - r.p_p + interpolate(vf, p.alpha, 1))
+        + (1.0 - belief) * (-r.gamma * math.log(delay) + interpolate(vf, p.beta, delay + 1))
+    )
+
+
+def q_sense_fallback(vf, belief, delay):
+    """Action value of sensing with dedicated fallback on busy, independent
+    of the delay:
+    phi - c_s + lambda (-p_p + V(alpha, 1)) + (1-lambda)(-p_3g + V(beta, 1))."""
+    r, p = vf.rewards, vf.channel
+    return (
+        r.phi
+        - r.c_s
+        + belief * (-r.p_p + interpolate(vf, p.alpha, 1))
+        + (1.0 - belief) * (-r.p_3g + interpolate(vf, p.beta, 1))
+    )
+
+
+def th1(vf, belief, delay):
+    """Closed-form wait/sense-wait boundary.
+
+    [V(omega(lambda), l+1) - V(beta, l+1) + c_s] /
+    [f(l) + phi - p_p + V(alpha, 1) - V(beta, l+1)]
+    """
+    r, p = vf.rewards, vf.channel
+    v_omega = interpolate(vf, update_unsensed(p, belief), delay + 1)
+    v_beta_next = interpolate(vf, p.beta, delay + 1)
+    num = v_omega - v_beta_next + r.c_s
+    den = r.gamma * math.log(delay) + r.phi - r.p_p + interpolate(vf, p.alpha, 1) - v_beta_next
+    if abs(den) < DENOM_TOL:
+        raise DegenerateDenominator(f"th1 denominator {den!r} at delay {delay}")
+    return num / den
+
+
+def th2(vf, belief, delay):
+    """Closed-form wait/sense-fallback boundary.
+
+    [V(omega(lambda), l+1) - V(beta, 1) + c_s - f(l) - phi + p_3g] /
+    [-p_p + V(alpha, 1) + p_3g - V(beta, 1)]
+    """
+    r, p = vf.rewards, vf.channel
+    v_omega = interpolate(vf, update_unsensed(p, belief), delay + 1)
+    v_beta1 = interpolate(vf, p.beta, 1)
+    num = v_omega - v_beta1 + r.c_s - r.gamma * math.log(delay) - r.phi + r.p_3g
+    den = -r.p_p + interpolate(vf, p.alpha, 1) + r.p_3g - v_beta1
+    if abs(den) < DENOM_TOL:
+        raise DegenerateDenominator(f"th2 denominator {den!r} at delay {delay}")
+    return num / den
+
+
+def threshold_fixed_point(vf, belief, delay):
+    """max(0, min(Th1, Th2)) evaluated at a candidate threshold belief."""
+    return max(0.0, min(th1(vf, belief, delay), th2(vf, belief, delay)))
+
+
+def action_for(mvf, codes, delay):
+    """The action of a descriptor solve at the state of these codes, in any
+    order, and this delay (capped at l_max), read through the packed key."""
+    # Aged codes are numpy int32 scalars; int() keeps key()'s arithmetic in
+    # Python ints, which cannot overflow.
+    key = mvf.space.key([int(c) for c in codes], min(delay, mvf.l_max))
+    return Action(mvf.action_by_key[key])
 
 
 def reachable_beliefs(p, depth):

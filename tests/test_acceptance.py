@@ -10,19 +10,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from osa.channel import ChannelParams, ChannelState, stationary_idle, step_true_state
+from osa.channel import ChannelParams, stationary_idle
 from osa.learn import (
     CountingStats,
     LearnerConfig,
     estimate,
     run_learning,
-    update_counts,
 )
 from osa.policy import (
     check_structure,
     dedicated_switch_delay,
     extract_thresholds,
-    threshold_fixed_point,
 )
 from osa.scenarios import SCENARIOS
 from osa.sim import (
@@ -33,7 +31,13 @@ from osa.sim import (
     sweep_gamma,
 )
 from osa.solver import RewardParams, solve_single_channel
-from oracles import finite_horizon_actions
+from oracles import (
+    ChannelState,
+    finite_horizon_actions,
+    step_true_state,
+    threshold_fixed_point,
+    update_counts,
+)
 
 SEED = 11
 

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osa.channel import (
-    ChannelParams,
-    ChannelState,
-    Observation,
-    iterate_unsensed,
-    stationary_idle,
-    step_true_state,
-    update_sensed,
-    update_unsensed,
-)
+from oracles import ChannelState, Observation, step_true_state, update_sensed, update_unsensed
+from osa.channel import ChannelParams, iterate_unsensed, stationary_idle
 from osa.errors import DegenerateChain
 from osa.solver import check_model
 

@@ -41,9 +41,11 @@ def test_usage_error_exit_code(capsys):
     # Memoryless attempt limits above --lmax sense-wait at the cap.
     ["simulate", "--scenario", 1, "--lmax", 15, "--mp", 20],
     ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", 20, "--lmax", 15],
-    # Empty lists.
+    # Empty lists, and lists with empty entries.
     ["sweep", "--alpha", 0.15, "--beta", 0.1, "--gammas", ""],
     ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", ""],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--gammas", ",,5,"],
+    ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", "3,,5"],
 ])
 def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -89,18 +89,19 @@ def test_no_unread_private_definitions():
 
 def public_definitions(source: str) -> list:
     """(line, name) for each public function or class a module defines at its
-    top level, and each public method of those classes."""
+    top level, and (line, "Class.method") for each public method of those
+    classes."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
         if isinstance(node, ast.ClassDef):
             found += [
-                (item.lineno, item.name)
+                (item.lineno, f"{node.name}.{item.name}")
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
-    return [(line, name) for line, name in found if name[:1] != "_"]
+    return [(line, name) for line, name in found if name.rsplit(".", 1)[-1][:1] != "_"]
 
 
 def test_public_definition_scan_sees_functions_classes_and_methods():
@@ -108,21 +109,80 @@ def test_public_definition_scan_sees_functions_classes_and_methods():
         "X = 1\ndef f(): pass\ndef _g(): pass\n"
         "class K:\n    def m(self): pass\n    def _n(self): pass\n    def __init__(self): pass\n"
     )
-    assert public_definitions(source) == [(2, "f"), (4, "K"), (5, "m")]
+    assert public_definitions(source) == [(2, "f"), (4, "K"), (5, "K.m")]
+
+
+# Public names that only the tests read, kept as library API (README.md,
+# "Library API"): the policy rule that sim compiles into its slot kernel and
+# oracles.ReferenceSlotEnv calls, and the target-delay search.
+TEST_ONLY_API = {"ThresholdPolicy.act", "MemorylessPolicy.act", "gamma_for_target_delay"}
+
+
+def unread_public_definitions(root: Path, allowed=frozenset()) -> list:
+    """path:line: name for each public function, class or method of the
+    package under root/src/osa that neither another package module nor a
+    root/osabench source reads, and that allowed does not name.  The tests
+    are not readers, and re-exporting a name from the package's __init__ is
+    not a use of it.  A method counts as read when its name is read as an
+    attribute anywhere."""
+    package = sorted((root / "src" / "osa").glob("*.py"))
+    readers = [path for path in package if path.name != "__init__.py"]
+    readers += sorted((root / "osabench").glob("*.py"))
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    return [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for path in package
+        for line, name in public_definitions(path.read_text())
+        if name.rsplit(".", 1)[-1] not in read and name not in allowed
+    ]
+
+
+def test_unread_public_definition_scan_ignores_test_reads(tmp_path):
+    files = {
+        "src/osa/__init__.py": "from .m import K, allowed, test_only, used\n",
+        "src/osa/m.py": (
+            "def used(): pass\ndef test_only(): pass\ndef allowed(): pass\n"
+            "class K:\n    def act(self): pass\n"
+        ),
+        "src/osa/n.py": "from .m import used\n",
+        "osabench/b.py": "from osa.m import K\n",
+        "tests/test_m.py": "from osa.m import K, allowed, test_only\ntest_only()\nallowed()\nK().act()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert {"test_only", "allowed", "act"} <= names_read(files["tests/test_m.py"])
+    assert unread_public_definitions(tmp_path) == [
+        "src/osa/m.py:2: test_only",
+        "src/osa/m.py:3: allowed",
+        "src/osa/m.py:5: K.act",
+    ]
+    assert unread_public_definitions(tmp_path, {"allowed", "K.act"}) == [
+        "src/osa/m.py:2: test_only"
+    ]
 
 
 def test_no_unread_public_definitions():
-    # A public function, class or method that nothing in the package, the
-    # tests or the benchmark reads is dead code.  Re-exporting a name from
-    # the package's __init__ is not a use of it.
-    package = sorted((ROOT / "src" / "osa").glob("*.py"))
-    readers = [path for path in package if path.name != "__init__.py"]
-    readers += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "osabench").glob("*.py"))
+    # A public function, class or method that nothing in the package or the
+    # benchmark reads is dead code, or a test helper that belongs in
+    # tests/oracles.py.
+    assert unread_public_definitions(ROOT, TEST_ONLY_API) == []
+
+
+def test_test_only_api_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(TEST_ONLY_API) if f"`{name}`" not in readme] == []
+
+
+def test_every_oracle_is_read():
+    # A reference helper that no test reads, directly or through another
+    # helper, has rotted.
+    oracles = ROOT / "tests" / "oracles.py"
+    readers = sorted((ROOT / "tests").glob("test_*.py")) + [oracles]
     read = set().union(*(names_read(path.read_text()) for path in readers))
     found = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in package
-        for line, name in public_definitions(path.read_text())
-        if name not in read
+        f"tests/oracles.py:{line}: {name}"
+        for line, name in public_definitions(oracles.read_text())
+        if "." not in name and name not in read
     ]
     assert found == []

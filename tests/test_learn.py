@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from osa.channel import ChannelParams, ChannelState, stationary_idle, step_true_state
+from oracles import ChannelState, step_true_state, update_counts
+from osa.channel import ChannelParams, stationary_idle
 from osa.errors import InsufficientData
 from osa.learn import (
     INITIAL_ESTIMATE,
@@ -11,7 +12,6 @@ from osa.learn import (
     discretize,
     estimate,
     run_learning,
-    update_counts,
     wait_depth_policy,
 )
 from osa.solver import Action, RewardParams

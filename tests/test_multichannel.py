@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import osa.cli
-from oracles import wait_thresholds
+from oracles import action_for, wait_thresholds
 from osa.channel import ChannelParams, iterate_unsensed, stationary_idle
 from osa.errors import NoConvergence, StateSpaceTooLarge
 from osa.multichannel import (
@@ -176,11 +176,11 @@ def test_lambda_summary_matches_per_state_loop(n):
 def test_action_lookup_by_codes():
     p = ChannelParams(0.85, 0.7)
     mvf = solve_multichannel(2, p, PRESET, k_trunc=6, l_max=6, tol=1e-8)
-    act = mvf.action_for((STALE, STALE), 1)
+    act = action_for(mvf, (STALE, STALE), 1)
     assert act in (Action.WAIT, Action.SENSE_WAIT, Action.SENSE_FALLBACK)
     # Order of codes must not matter.
-    assert mvf.action_for((space_code := mvf.space.busy_fresh, STALE), 2) == mvf.action_for(
-        (STALE, space_code), 2
+    assert action_for(mvf, (space_code := mvf.space.busy_fresh, STALE), 2) == action_for(
+        mvf, (STALE, space_code), 2
     )
 
 
@@ -222,7 +222,7 @@ def test_state_tuples_are_built_on_first_read(n, k_trunc, l_max):
     assert set(states) == oracle
     assert repr(sorted(states)) == repr(sorted(oracle))
     assert all(
-        mvf.action_for(codes[::-1], l) == Action(mvf.actions[i])
+        action_for(mvf, codes[::-1], l) == Action(mvf.actions[i])
         for i, (codes, l) in enumerate(states)
     )
     backup = np.array(descriptor_backup(mvf.space, _positions(mvf), mvf.values, PRESET, l_max))

@@ -3,20 +3,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import wait_thresholds
+from oracles import (
+    DegenerateDenominator,
+    q_sense_fallback,
+    q_sense_wait,
+    th1,
+    th2,
+    threshold_fixed_point,
+    wait_thresholds,
+)
 from osa.channel import ChannelParams, stationary_idle
-from osa.errors import DegenerateDenominator, NotThreshold
+from osa.errors import NotThreshold
 from osa.policy import (
     MemorylessPolicy,
     ThresholdPolicy,
     check_structure,
     dedicated_switch_delay,
     extract_thresholds,
-    never_wait_after_sensing,
     switch_margin,
-    th1,
-    th2,
-    threshold_fixed_point,
 )
 from osa.solver import Action, RewardParams, solve_single_channel
 from test_solver import PRESET_REWARDS, zero_value_function
@@ -154,8 +158,6 @@ def test_threshold_policy_total():
 
 
 def test_switch_margin_belief_independent(scen1_solve):
-    from osa.solver import q_sense_fallback, q_sense_wait
-
     for l in (1, 4, 9):
         margins = [
             (q_sense_fallback(scen1_solve, b, l) - q_sense_wait(scen1_solve, b, l)) / (1 - b)
@@ -166,8 +168,6 @@ def test_switch_margin_belief_independent(scen1_solve):
 
 
 def test_dedicated_switch_delay_cross_oracle(scen1_solve):
-    from osa.solver import q_sense_fallback, q_sense_wait
-
     l_star = dedicated_switch_delay(scen1_solve)
     beta = scen1_solve.channel.beta
     for l in range(1, scen1_solve.l_max):
@@ -179,11 +179,6 @@ def test_dedicated_switch_depends_on_sensing_cost_through_values():
     p = ChannelParams(0.15, 0.1)
     hi_cost = solve_single_channel(p, RewardParams(350, 200, 100, 800, 10), tol=1e-8)
     assert dedicated_switch_delay(hi_cost) < hi_cost.l_max
-
-
-def test_never_wait_after_sensing():
-    assert not never_wait_after_sensing(RewardParams(**PRESET_REWARDS))
-    assert never_wait_after_sensing(RewardParams(900, 50, 100, 800, 10))
 
 
 def test_cap_bound_warns(scen1_solve):
@@ -216,6 +211,8 @@ def test_switch_delay_robust_to_solver_tolerance():
 
 
 def test_never_wait_implies_switch_at_one():
+    # phi >= p_3g: the fallback pays at least what waiting saves at any
+    # delay, so a busy sense never waits.
     vf = solve_single_channel(ChannelParams(0.85, 0.7), RewardParams(900, 50, 100, 800, 10), tol=1e-8)
     assert dedicated_switch_delay(vf) == 1
 
@@ -237,7 +234,7 @@ def test_huge_sensing_cost_waits_almost_everywhere():
 def test_check_structure_positive_gain_all_pass():
     vf = solve_single_channel(ChannelParams(0.85, 0.7), RewardParams(**PRESET_REWARDS))
     rep = check_structure(vf)
-    assert rep.passed
+    assert all(res.status != "fail" for res in rep.results)
     assert all(res.status == "pass" for res in rep.results)
 
 
@@ -266,7 +263,7 @@ def test_structure_report_text(scen1_solve):
 
 def test_threshold_fixed_point_consistency(scen1_solve):
     tp = extract_thresholds(scen1_solve)
-    res = scen1_solve.grid.resolution
+    res = float(np.max(np.diff(scen1_solve.grid.points)))  # the widest cell
     for l in range(1, scen1_solve.l_max):
         lam = tp.lambda_star[l - 1]
         if 0.0 < lam < 1.0:
@@ -284,6 +281,18 @@ def test_memoryless_policy():
         MemorylessPolicy(0)
     with pytest.raises(ValueError):
         mp.act(0.5, 0)
+
+
+def test_threshold_policy_rejects_delay_below_one():
+    # A delay below 1 would index lambda_star from its end: the cap row's
+    # 0.9 would make act(0.5, 0) wait.
+    tp = ThresholdPolicy(lambda_star=np.array([0.0, 0.0, 0.9]), l_star=2, l_max=3)
+    for delay in (0, -2):
+        with pytest.raises(ValueError, match=f"delay={delay} must be >= 1"):
+            tp.threshold(delay)
+        with pytest.raises(ValueError, match=f"delay={delay} must be >= 1"):
+            tp.act(0.5, delay)
+    assert tp.act(0.5, 3) == Action.WAIT
 
 
 def test_policy_csv_roundtrip(tmp_path, scen1_solve):

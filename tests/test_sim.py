@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 import osa.multichannel
 import osa.sim
 import osa.solver
-from oracles import ReferenceSlotEnv
-from osa.channel import ChannelParams, stationary_idle, update_sensed, update_unsensed
+from oracles import ReferenceSlotEnv, update_counts, update_sensed, update_unsensed
+from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DelayOverflow, TargetUnreachable
 from osa.learn import (
     CountingStats,
     LearnerConfig,
     constant_threshold_policy,
     run_learning,
-    update_counts,
 )
 from osa.multichannel import STALE, solve_multichannel
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
 from osa.multichannel import solve_multichannel
@@ -14,10 +15,6 @@ from osa.solver import (
     ValueFunction,
     bellman_backup,
     check_settings,
-    interpolate,
-    q_sense_fallback,
-    q_sense_wait,
-    q_wait,
     solve_single_channel,
 )
 
