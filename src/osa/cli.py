@@ -31,29 +31,27 @@ from .errors import (
     StateSpaceTooLarge,
     TargetUnreachable,
 )
-from .learn import LearnerConfig, run_learning, write_learn_trace_csv
-from .multichannel import DEFAULT_K_TRUNC, check_k_trunc, solve_multichannel
+from .learn import LearnerConfig, LearnTraceRow, run_learning
+from .multichannel import DEFAULT_K_TRUNC, solve_multichannel
 from .policy import MemorylessPolicy, ThresholdPolicy, check_structure, extract_thresholds
 from .scenarios import SCENARIOS, Scenario
 from .sim import (
     DEFAULT_MATCH_TOL,
     DEFAULT_PACKETS,
+    CompareRow,
     SimConfig,
     SweepRow,
+    TraceRow,
     _policy_of,
     _solve,
-    check_count,
     check_match_tol,
-    check_seed,
-    compare_rows_to_csv,
     compare_with_memoryless,
     little_check,
     run_episode,
     sweep_gamma,
-    sweep_rows_to_csv,
-    write_trace_csv,
+    write_rows,
 )
-from .solver import DEFAULT_L_MAX, DEFAULT_TOL, check_settings, solve_single_channel
+from .solver import DEFAULT_L_MAX, DEFAULT_TOL, check_count, check_settings, solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -150,9 +148,9 @@ def _scenario_of(args) -> Scenario:
     with _inputs():
         check_settings(args.tol if "tol" in args else None, args.lmax)
         if "ktrunc" in args:
-            check_k_trunc(args.ktrunc)
+            check_count("k_trunc", args.ktrunc, 1)
         if "seed" in args:
-            check_seed(args.seed)
+            check_count("seed", args.seed, 0)
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
     elif args.alpha is None or args.beta is None:
@@ -168,8 +166,7 @@ def _scenario_of(args) -> Scenario:
         named = ", ".join(f"{key}={getattr(scenario, key)}" for key in changed)
         scenario = replace(scenario, name=f"{base.name} ({named})")
     with _inputs():
-        if scenario.n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
+        check_count("n_channels", scenario.n_channels, 1)
         scenario.channel, scenario.rewards  # validate the model parameters
     for key in model:
         setattr(args, key, getattr(scenario, key))
@@ -179,6 +176,23 @@ def _scenario_of(args) -> Scenario:
 def _outdir(args) -> Path:
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _list(flag: str, text: str, kind, noun: str) -> list:
+    """The comma-separated entries of a list flag, each converted by kind."""
+    entries = []
+    for entry in text.split(","):
+        try:
+            entries.append(kind(entry))
+        except ValueError:
+            raise ValueError(f"{flag}: {entry!r} is not {noun}") from None
+    return entries
 
 
 def _write_manifest(args, outputs: list) -> None:
@@ -194,9 +208,7 @@ def _write_manifest(args, outputs: list) -> None:
         "params": params,
         "outputs": [str(o.resolve()) for o in outputs],
     }
-    with open(args.out / f"manifest_{args.command}.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out / f"manifest_{args.command}.json", manifest)
 
 
 def _episode_config(scenario: Scenario, args, **kw) -> SimConfig:
@@ -234,9 +246,7 @@ def cmd_solve(args) -> int:
         value_path = outdir / "value_function.csv"
         vf.to_csv(value_path)
         sidecar = outdir / "value_function_meta.json"
-        with open(sidecar, "w") as fh:
-            json.dump(vf.metadata(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(sidecar, vf.metadata())
         report_path = outdir / "structure_report.txt"
         with open(report_path, "w") as fh:
             fh.write(report.to_text())
@@ -286,10 +296,10 @@ def cmd_simulate(args) -> int:
         cfg.policy = _policy_of(_solve(cfg, scenario.gamma, args.tol))
     metrics, trace = run_episode(cfg)
     outputs = [outdir / "metrics.csv"]
-    sweep_rows_to_csv([SweepRow.of(scenario.gamma, metrics)], outputs[0])
+    write_rows(outputs[0], SweepRow, [SweepRow.of(scenario.gamma, metrics)])
     if trace is not None:
         outputs.append(outdir / "trace.csv")
-        write_trace_csv(trace, outputs[1])
+        write_rows(outputs[1], TraceRow, trace)
     _write_manifest(args, outputs)
     print(
         f"simulated {metrics.packets} packets over {metrics.slots} slots: "
@@ -303,13 +313,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
-        gammas = [float(x) for x in args.gammas.split(",")]
+        gammas = _list("--gammas", args.gammas, float, "a number")
         if any(g <= 0 for g in gammas):
             raise ValueError("gamma values must be positive")
         cfg = _episode_config(scenario, args)
     path = _outdir(args) / "sweep.csv"
     rows = sweep_gamma(cfg, gammas, solver_tol=args.tol)
-    sweep_rows_to_csv(rows, path)
+    write_rows(path, SweepRow, rows)
     _write_manifest(args, [path])
     for row in rows:
         print(
@@ -322,7 +332,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _scenario_of(args)
     with _inputs():
-        ks = [int(x) for x in args.ks.split(",")]
+        ks = _list("--ks", args.ks, int, "an integer")
         if any(k < 1 for k in ks):
             raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
         if max(ks) > args.lmax:
@@ -331,7 +341,7 @@ def cmd_compare(args) -> int:
         cfg = _episode_config(scenario, args)
     path = _outdir(args) / "compare.csv"
     rows = compare_with_memoryless(cfg, ks, tol=args.match_tol, solver_tol=args.tol)
-    compare_rows_to_csv(rows, path)
+    write_rows(path, CompareRow, rows)
     _write_manifest(args, [path])
     for row in rows:
         print(
@@ -357,7 +367,7 @@ def cmd_learn(args) -> int:
         cfg, scenario.channels(), scenario.rewards, iterations=args.iterations, seed=args.seed
     )
     trace_path = outdir / "learn_trace.csv"
-    write_learn_trace_csv(result.trace, trace_path)
+    write_rows(trace_path, LearnTraceRow, result.trace)
     policy_path = outdir / "learned_policy.csv"
     result.learned_policy.to_csv(policy_path)
     _write_manifest(args, [trace_path, policy_path])

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InsufficientData
 from .policy import ThresholdPolicy
-from .sim import SlotEnv, check_count
-from .solver import DEFAULT_L_MAX, RewardParams
+from .sim import SlotEnv, write_rows
+from .solver import DEFAULT_L_MAX, RewardParams, check_count
 
 # Transition-rate estimate used until the counters support one.
 INITIAL_ESTIMATE = (0.5, 0.5)
@@ -158,13 +158,7 @@ class LearnTraceRow:
 
 
 def write_learn_trace_csv(trace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("iteration,alpha_hat,beta_hat,policy_id,window_reward,q_value\n")
-        for row in trace:
-            fh.write(
-                f"{row.iteration},{row.alpha_hat!r},{row.beta_hat!r},"
-                f"{row.policy_id},{row.window_reward!r},{row.q_value!r}\n"
-            )
+    write_rows(path, LearnTraceRow, trace)
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RewardParams,
+    check_count,
     check_model,
     greedy,
     immediate_rewards,
@@ -63,12 +64,6 @@ _STEP = 0.5
 STALE = 0  # age >= k_trunc or never observed: belief is the stationary pi0
 
 
-def check_k_trunc(k_trunc: int) -> None:
-    """Raise ValueError for a truncation age below 1."""
-    if k_trunc < 1:
-        raise ValueError("k_trunc must be >= 1")
-
-
 class DescriptorSpace:
     """Per-channel descriptor codes and their dynamics.
 
@@ -78,7 +73,7 @@ class DescriptorSpace:
     """
 
     def __init__(self, p: ChannelParams, k_trunc: int):
-        check_k_trunc(k_trunc)
+        check_count("k_trunc", k_trunc, 1)
         self.channel = p
         self.k_trunc = k_trunc
         k = k_trunc
@@ -257,8 +252,10 @@ def build_reachable_states(
     States are (sorted descriptor tuple, delay); the start state has every
     channel stale at delay 1.  Each frontier's successors are found at once
     and deduplicated by packed key.  Raises StateSpaceTooLarge past state_cap,
-    or when a packed key would not fit in an int64.
+    or when a packed key would not fit in an int64; ValueError as check_count
+    does for n_channels below 1.
     """
+    check_count("n_channels", n_channels, 1)
     space = DescriptorSpace(p, k_trunc)
     if l_max * len(space.belief) ** n_channels > 2**63:
         raise StateSpaceTooLarge(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import stationary_idle
 from .errors import NotThreshold
-from .solver import Action, ValueFunction
+from .solver import Action, ValueFunction, check_count
 
 CSV_HEADER = "delay,lambda_star,action_above_threshold"
 
@@ -100,8 +100,7 @@ class MemorylessPolicy:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be >= 1")
+        check_count("k", self.k, 1)
 
     def act(self, belief: float, delay: int) -> Action:
         if delay < 1:

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .solver import (
     Action,
     RewardParams,
     ValueFunction,
+    check_count,
     solve_single_channel,
 )
 
@@ -71,24 +71,10 @@ class SimConfig:
 
     def __post_init__(self):
         check_count("num_packets", self.num_packets, 1)
-        check_seed(self.seed)
+        check_count("seed", self.seed, 0)
         check_count("l_max", self.l_max, 2)
         check_count("k_trunc", self.k_trunc, 1)
         _identical_channel(self.channels)
-
-
-def check_count(name: str, value, low: int) -> None:
-    """Raise ValueError unless value is an int (not a bool) >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name}={value!r} must be an int >= {low}")
-
-
-def check_seed(seed: int) -> None:
-    """Raise ValueError for a seed numpy cannot seed from: a negative number
-    or anything but an int."""
-    if isinstance(seed, numbers.Real) and seed < 0:
-        raise ValueError(f"seed={seed} must be >= 0")
-    check_count("seed", seed, 0)
 
 
 def check_match_tol(tol: float) -> None:
@@ -286,6 +272,7 @@ class SlotEnv:
     """
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
+        check_count("seed", seed, 0)
         p = _identical_channel(channels)
         n = len(channels)
         self.rewards = rewards
@@ -556,21 +543,15 @@ class SweepRow:
                    m.avg_reward, m.senses, m.primary_tx, m.dedicated_tx)
 
 
-SWEEP_HEADER = (
-    "gamma,avg_delay,energy_per_packet,energy_per_slot,"
-    "throughput,avg_reward,senses,primary_tx,dedicated_tx"
-)
-
-
-def sweep_rows_to_csv(rows, path) -> None:
+def write_rows(path, row_type, rows) -> None:
+    """Write rows of a dataclass as CSV: its field names as the header, then
+    one line per row with each float by repr and every other value by str."""
+    names = [f.name for f in fields(row_type)]
     with open(path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
+        fh.write(",".join(names) + "\n")
         for row in rows:
-            fh.write(
-                f"{row.gamma!r},{row.avg_delay!r},{row.energy_per_packet!r},"
-                f"{row.energy_per_slot!r},{row.throughput!r},{row.avg_reward!r},"
-                f"{row.senses},{row.primary_tx},{row.dedicated_tx}\n"
-            )
+            values = (getattr(row, name) for name in names)
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
 
 
 def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
@@ -737,25 +718,6 @@ class CompareRow:
     cost_mp: float
     cost_opt: float
     reduction_pct: float
-    # Full episode metrics of both sides, for derived diagnostics; not
-    # exported to CSV.
-    metrics_mp: SimMetrics | None = None
-    metrics_opt: SimMetrics | None = None
-
-
-COMPARE_HEADER = (
-    "k,gamma,matched_delay_mp,matched_delay_opt,cost_mp,cost_opt,reduction_pct"
-)
-
-
-def compare_rows_to_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(COMPARE_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                f"{row.k},{row.gamma!r},{row.matched_delay_mp!r},{row.matched_delay_opt!r},"
-                f"{row.cost_mp!r},{row.cost_opt!r},{row.reduction_pct!r}\n"
-            )
 
 
 def compare_with_memoryless(
@@ -787,18 +749,6 @@ def compare_with_memoryless(
                 cost_opt=m_opt.energy_per_packet,
                 reduction_pct=100.0 * (m_mp.energy_per_packet - m_opt.energy_per_packet)
                 / m_mp.energy_per_packet,
-                metrics_mp=m_mp,
-                metrics_opt=m_opt,
             )
         )
     return rows
-
-
-def write_trace_csv(trace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,belief_sensed_channel,delay,action,observation,reward\n")
-        for row in trace:
-            fh.write(
-                f"{row.t},{row.belief_sensed_channel!r},{row.delay},"
-                f"{row.action},{row.observation},{row.reward!r}\n"
-            )

@@ -24,6 +24,7 @@ check_model, immediate_rewards, greedy and policy_iteration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -172,13 +173,6 @@ class ValueFunction:
     reference_index: int = 0
     reach: GridStates | None = None
 
-    def action(self, belief: float, delay: int) -> Action:
-        """Optimal action at an arbitrary belief: the action recorded at the
-        nearest grid point."""
-        delay = min(delay, self.l_max)
-        i = int(np.argmin(np.abs(self.grid.points - belief)))
-        return Action(int(self.actions[i, delay - 1]))
-
     def to_csv(self, path) -> None:
         beliefs = [repr(b) for b in self.grid.points.tolist()]
         with open(path, "w") as fh:
@@ -220,12 +214,18 @@ def immediate_rewards(r: RewardParams, b, f):
     )
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an int (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name}={value!r} must be an int >= {low}")
+
+
 def check_settings(tol: float | None, l_max: int) -> None:
-    """Raise ValueError for a tol not finite and positive (None skips it) or l_max < 2."""
+    """Raise ValueError for a tol not finite and positive (None skips it), and
+    as check_count does for l_max below 2."""
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol={tol} must be finite and positive")
-    if l_max < 2:
-        raise ValueError("l_max must be at least 2")
+    check_count("l_max", l_max, 2)
 
 
 def check_model(p: ChannelParams, tol: float, l_max: int) -> None:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written without reusing the package's backup
 machinery: the scalar belief updates, a sampler of the true channel state and
-the one-observation sensing counter; value-table interpolation, the three
-action values and the paper's closed-form thresholds Th1 and Th2; plain
-dict/float finite-horizon dynamic programming over exactly reachable beliefs,
+the one-observation sensing counter; value-table interpolation, the
+nearest-grid-point action, the three action values and the paper's
+closed-form thresholds Th1 and Th2; plain dict/float finite-horizon dynamic
+programming over exactly reachable beliefs,
 a renewal-cycle average-reward calculator for fixed-shape policies, a
 tuple-by-tuple closure and Bellman backup of the descriptor MDP, the
 wait-threshold rule state by state, and the slot kernel as a per-slot loop.
@@ -142,6 +143,14 @@ def th2(vf, belief, delay):
 def threshold_fixed_point(vf, belief, delay):
     """max(0, min(Th1, Th2)) evaluated at a candidate threshold belief."""
     return max(0.0, min(th1(vf, belief, delay), th2(vf, belief, delay)))
+
+
+def nearest_action(vf, belief, delay):
+    """The action of a grid solve at an arbitrary belief and delay (capped at
+    l_max): the action recorded at the nearest grid point."""
+    delay = min(delay, vf.l_max)
+    i = int(np.argmin(np.abs(vf.grid.points - belief)))
+    return Action(int(vf.actions[i, delay - 1]))
 
 
 def action_for(mvf, codes, delay):

@@ -123,17 +123,21 @@ def unread_public_definitions(root: Path, allowed=frozenset()) -> list:
     package under root/src/osa that neither another package module nor a
     root/osabench source reads, and that allowed does not name.  The tests
     are not readers, and re-exporting a name from the package's __init__ is
-    not a use of it.  A method counts as read when its name is read as an
-    attribute anywhere."""
+    not a use of it.  A method counts as read only when its name is read as
+    an attribute: a local variable of the same name is not a call of it."""
     package = sorted((root / "src" / "osa").glob("*.py"))
     readers = [path for path in package if path.name != "__init__.py"]
     readers += sorted((root / "osabench").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in readers]
     read = set().union(*(names_read(path.read_text()) for path in readers))
+    attributes = {node.attr for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     return [
         f"{path.relative_to(root)}:{line}: {name}"
         for path in package
         for line, name in public_definitions(path.read_text())
-        if name.rsplit(".", 1)[-1] not in read and name not in allowed
+        if name not in allowed
+        and name.rsplit(".", 1)[-1] not in (attributes if "." in name else read)
     ]
 
 
@@ -144,7 +148,8 @@ def test_unread_public_definition_scan_ignores_test_reads(tmp_path):
             "def used(): pass\ndef test_only(): pass\ndef allowed(): pass\n"
             "class K:\n    def act(self): pass\n"
         ),
-        "src/osa/n.py": "from .m import used\n",
+        # A local variable named like a method is not a read of the method.
+        "src/osa/n.py": "from .m import used\nact = used()\nprint(act)\n",
         "osabench/b.py": "from osa.m import K\n",
         "tests/test_m.py": "from osa.m import K, allowed, test_only\ntest_only()\nallowed()\nK().act()\n",
     }
@@ -152,6 +157,7 @@ def test_unread_public_definition_scan_ignores_test_reads(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert {"test_only", "allowed", "act"} <= names_read(files["tests/test_m.py"])
+    assert "act" in names_read(files["src/osa/n.py"])
     assert unread_public_definitions(tmp_path) == [
         "src/osa/m.py:2: test_only",
         "src/osa/m.py:3: allowed",

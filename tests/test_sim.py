@@ -16,16 +16,20 @@ from osa.errors import DelayOverflow, TargetUnreachable
 from osa.learn import (
     CountingStats,
     LearnerConfig,
+    LearnTraceRow,
     constant_threshold_policy,
     run_learning,
 )
-from osa.multichannel import STALE, solve_multichannel
+from osa.multichannel import STALE, build_reachable_states, solve_multichannel
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from osa.scenarios import SCENARIOS
 from osa.sim import (
     ChannelStreams,
+    CompareRow,
     SimConfig,
     SlotEnv,
+    SweepRow,
+    TraceRow,
     _Episodes,
     _policy_of,
     _solve,
@@ -35,8 +39,7 @@ from osa.sim import (
     little_check,
     run_episode,
     sweep_gamma,
-    sweep_rows_to_csv,
-    write_trace_csv,
+    write_rows,
 )
 from osa.solver import Action, RewardParams, solve_single_channel
 
@@ -219,7 +222,7 @@ def test_sweep_csv(tmp_path):
                     num_packets=500)
     rows = sweep_gamma(cfg, [10.0, 100.0], solver_tol=1e-6)
     path = tmp_path / "sweep.csv"
-    sweep_rows_to_csv(rows, path)
+    write_rows(path, SweepRow, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == (
         "gamma,avg_delay,energy_per_packet,energy_per_slot,"
@@ -445,7 +448,7 @@ def test_sweep_rejects_heterogeneous_channels():
 
 
 def test_negative_seed_and_match_tolerance_are_rejected():
-    with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+    with pytest.raises(ValueError, match="seed=-1 must be an int >= 0"):
         SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=-1)
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, num_packets=10)
     for tol in (-0.1, math.nan, math.inf):
@@ -472,7 +475,7 @@ def test_trace_csv(tmp_path):
     cfg = mp_cfg(k=2, num_packets=50, collect_trace=True)
     _, trace = run_episode(cfg)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_rows(path, TraceRow, trace)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,belief_sensed_channel,delay,action,observation,reward"
     assert len(lines) == len(trace) + 1
@@ -647,6 +650,53 @@ def test_counts_are_checked_where_they_enter(make):
     # is built or the call made, not inside a later run.
     with pytest.raises(ValueError, match="must be an int >= "):
         make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: solve_single_channel(SCEN1, PRESET, l_max=20.0), "l_max"),
+    (lambda: solve_multichannel(2, SCEN1, PRESET, l_max=5.0), "l_max"),
+    (lambda: solve_multichannel(2, SCEN1, PRESET, k_trunc=2.5, l_max=5), "k_trunc"),
+    (lambda: solve_multichannel(2.0, SCEN1, PRESET, k_trunc=3, l_max=5), "n_channels"),
+    (lambda: solve_multichannel(0, SCEN1, PRESET, k_trunc=3, l_max=5), "n_channels"),
+    (lambda: build_reachable_states(0, SCEN1, k_trunc=3, l_max=5), "n_channels"),
+    (lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=1, seed=2.5),
+     "seed"),
+    (lambda: SlotEnv([SCEN1], PRESET, seed=-1, l_max=5), "seed"),
+    (lambda: MemorylessPolicy(2.5), "k"),
+    (lambda: MemorylessPolicy(0), "k"),
+], ids=["grid-l_max-20.0", "descriptor-l_max-5.0", "k_trunc-2.5", "n_channels-2.0",
+        "n_channels-0", "reachable-n_channels-0", "learn-seed-2.5", "env-seed-neg",
+        "memoryless-k-2.5", "memoryless-k-0"])
+def test_library_settings_are_counts(make, name):
+    # Every integer setting of the solvers, the slot kernel and the policies
+    # fails as a ValueError that names it, not as a TypeError, a numpy error
+    # or a silent rounding.
+    with pytest.raises(ValueError, match=rf"^{name}=\S+ must be an int >= \d$"):
+        make()
+
+
+@pytest.mark.parametrize("row_type, row, header, line", [
+    (SweepRow, SweepRow(200, 1.5, 0.1, 2.0, 0.25, -3.0, 7, 4, 3),
+     "gamma,avg_delay,energy_per_packet,energy_per_slot,"
+     "throughput,avg_reward,senses,primary_tx,dedicated_tx",
+     "200,1.5,0.1,2.0,0.25,-3.0,7,4,3"),
+    (CompareRow, CompareRow(3, 12.5, 2.0, 1.0 / 3.0, 300.0, 250.0, 100.0 / 6.0),
+     "k,gamma,matched_delay_mp,matched_delay_opt,cost_mp,cost_opt,reduction_pct",
+     "3,12.5,2.0,0.3333333333333333,300.0,250.0,16.666666666666668"),
+    (TraceRow, TraceRow(0, 0.1 + 0.2, 2, int(Action.SENSE_WAIT), -1, -10.0),
+     "t,belief_sensed_channel,delay,action,observation,reward",
+     "0,0.30000000000000004,2,1,-1,-10.0"),
+    (LearnTraceRow, LearnTraceRow(5, 0.15, 1.0, 254, 1e-20, 200),
+     "iteration,alpha_hat,beta_hat,policy_id,window_reward,q_value",
+     "5,0.15,1.0,254,1e-20,200"),
+], ids=["SweepRow", "CompareRow", "TraceRow", "LearnTraceRow"])
+def test_row_files_keep_their_bytes(tmp_path, row_type, row, header, line):
+    # A row type's fields are its file's columns, so a field added later
+    # fails here before it changes a CSV.  Floats are written by repr, every
+    # other value by str, so an int in a float field is written as an int.
+    path = tmp_path / "rows.csv"
+    write_rows(path, row_type, [row, row])
+    assert path.read_text() == f"{header}\n{line}\n{line}\n"
 
 
 def _windows(env, windows) -> tuple:
