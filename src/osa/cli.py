@@ -8,8 +8,11 @@ the flags it reads, so any other flag is a usage error.  Every command writes
 a JSON manifest holding the resolved run (the model that ran plus the
 command's own options, output paths absolute) and the produced file list;
 `osa rerun --manifest FILE` replays the manifest through the same parser and
-reproduces the outputs byte for byte.  Exit codes: 0 success, 1 usage error,
-2 solver failure, 3 simulation failure.
+reproduces the outputs byte for byte.  A command computes everything before
+it creates `--out`, so only a run that exits 0 leaves outputs; the inputs are
+checked by the library, and `main` reports a ValueError or OSError as a usage
+error.  Exit codes: 0 success, 1 usage error, 2 solver failure, 3 simulation
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -44,14 +46,13 @@ from .sim import (
     TraceRow,
     _policy_of,
     _solve,
-    check_match_tol,
     compare_with_memoryless,
     little_check,
     run_episode,
     sweep_gamma,
     write_rows,
 )
-from .solver import DEFAULT_L_MAX, DEFAULT_TOL, check_count, check_settings, solve_single_channel
+from .solver import DEFAULT_L_MAX, DEFAULT_TOL, solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -97,16 +98,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@contextmanager
-def _inputs():
-    """Report an invalid command input (a ValueError or an unreadable file
-    while building it) as a usage error."""
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="osa", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
@@ -145,12 +136,6 @@ def _scenario_of(args) -> Scenario:
     applied over it, named after the base with the fields that changed.
     Writes the resolved model back into args, so the manifest records what
     ran."""
-    with _inputs():
-        check_settings(args.tol if "tol" in args else None, args.lmax)
-        if "ktrunc" in args:
-            check_count("k_trunc", args.ktrunc, 1)
-        if "seed" in args:
-            check_count("seed", args.seed, 0)
     if args.scenario is not None:
         base = SCENARIOS[args.scenario]
     elif args.alpha is None or args.beta is None:
@@ -165,9 +150,6 @@ def _scenario_of(args) -> Scenario:
     if changed:
         named = ", ".join(f"{key}={getattr(scenario, key)}" for key in changed)
         scenario = replace(scenario, name=f"{base.name} ({named})")
-    with _inputs():
-        check_count("n_channels", scenario.n_channels, 1)
-        scenario.channel, scenario.rewards  # validate the model parameters
     for key in model:
         setattr(args, key, getattr(scenario, key))
     return scenario
@@ -228,9 +210,6 @@ def _episode_config(scenario: Scenario, args, **kw) -> SimConfig:
 
 def cmd_solve(args) -> int:
     scenario = _scenario_of(args)
-    outdir = _outdir(args)
-    policy_path = outdir / "policy.csv"
-    outputs = [policy_path]
     if scenario.n_channels == 1:
         vf = solve_single_channel(
             scenario.channel, scenario.rewards, l_max=args.lmax, tol=args.tol
@@ -243,14 +222,11 @@ def cmd_solve(args) -> int:
             "l_star": tp.l_star,
             "cap_bound": tp.cap_bound,
         }
-        value_path = outdir / "value_function.csv"
-        vf.to_csv(value_path)
-        sidecar = outdir / "value_function_meta.json"
-        _write_json(sidecar, vf.metadata())
-        report_path = outdir / "structure_report.txt"
-        with open(report_path, "w") as fh:
-            fh.write(report.to_text())
-        outputs += [value_path, sidecar, report_path]
+        writers = {
+            "value_function.csv": vf.to_csv,
+            "value_function_meta.json": lambda path: _write_json(path, vf.metadata()),
+            "structure_report.txt": lambda path: path.write_text(report.to_text()),
+        }
     else:
         mvf = solve_multichannel(
             scenario.n_channels,
@@ -271,7 +247,12 @@ def cmd_solve(args) -> int:
             "truncation_bound": mvf.space.truncation_bound,
             "summary_violations": violations,
         }
-    tp.to_csv(policy_path)
+        writers = {}
+    outdir = _outdir(args)
+    outputs = []
+    for name, write in {"policy.csv": tp.to_csv, **writers}.items():
+        outputs.append(outdir / name)
+        write(outputs[-1])
     _write_manifest(args, outputs)
     print(f"solved {scenario.name}: gain={info['gain']:.6g} l_star={info['l_star']}")
     for key, val in info.items():
@@ -279,22 +260,26 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _check_cap(flag: str, value, policy: ThresholdPolicy, lmax: int) -> None:
+    """Raise ValueError for a policy that waits or sense-waits at --lmax: its
+    episode would hold a packet past the cap."""
+    if policy.l_star > lmax or policy.threshold(lmax) > 0:
+        raise ValueError(f"{flag} {value} waits or sense-waits at --lmax {lmax}")
+
+
 def cmd_simulate(args) -> int:
     scenario = _scenario_of(args)
-    with _inputs():
-        cfg = _episode_config(scenario, args, collect_trace=args.trace)
-        if args.mp is not None:
-            cfg.policy = MemorylessPolicy(args.mp)
-            if args.mp > args.lmax:
-                raise ValueError(f"--mp {args.mp} sense-waits at --lmax {args.lmax}")
-        elif args.policy is not None:
-            cfg.policy = ThresholdPolicy.from_csv(args.policy)
-            if cfg.policy.l_star > args.lmax or cfg.policy.threshold(args.lmax) > 0:
-                raise ValueError(f"{args.policy} waits or sense-waits at --lmax {args.lmax}")
-    outdir = _outdir(args)
-    if cfg.policy is None:
+    cfg = _episode_config(scenario, args, collect_trace=args.trace)
+    if args.mp is not None:
+        cfg.policy = MemorylessPolicy(args.mp)
+        _check_cap("--mp", args.mp, cfg.policy, args.lmax)
+    elif args.policy is not None:
+        cfg.policy = ThresholdPolicy.from_csv(args.policy)
+        _check_cap("--policy", args.policy, cfg.policy, args.lmax)
+    else:
         cfg.policy = _policy_of(_solve(cfg, scenario.gamma, args.tol))
     metrics, trace = run_episode(cfg)
+    outdir = _outdir(args)
     outputs = [outdir / "metrics.csv"]
     write_rows(outputs[0], SweepRow, [SweepRow.of(scenario.gamma, metrics)])
     if trace is not None:
@@ -312,13 +297,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _scenario_of(args)
-    with _inputs():
-        gammas = _list("--gammas", args.gammas, float, "a number")
-        if any(g <= 0 for g in gammas):
-            raise ValueError("gamma values must be positive")
-        cfg = _episode_config(scenario, args)
+    gammas = _list("--gammas", args.gammas, float, "a number")
+    rows = sweep_gamma(_episode_config(scenario, args), gammas, solver_tol=args.tol)
     path = _outdir(args) / "sweep.csv"
-    rows = sweep_gamma(cfg, gammas, solver_tol=args.tol)
     write_rows(path, SweepRow, rows)
     _write_manifest(args, [path])
     for row in rows:
@@ -331,16 +312,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _scenario_of(args)
-    with _inputs():
-        ks = _list("--ks", args.ks, int, "an integer")
-        if any(k < 1 for k in ks):
-            raise ValueError(f"memoryless attempt limits must be >= 1, got {args.ks}")
-        if max(ks) > args.lmax:
-            raise ValueError(f"--ks {args.ks} sense-waits at --lmax {args.lmax}")
-        check_match_tol(args.match_tol)
-        cfg = _episode_config(scenario, args)
-    path = _outdir(args) / "compare.csv"
+    cfg = _episode_config(scenario, args)
+    ks = _list("--ks", args.ks, int, "an integer")
+    for k in ks:
+        _check_cap("--ks", k, MemorylessPolicy(k), args.lmax)
     rows = compare_with_memoryless(cfg, ks, tol=args.match_tol, solver_tol=args.tol)
+    path = _outdir(args) / "compare.csv"
     write_rows(path, CompareRow, rows)
     _write_manifest(args, [path])
     for row in rows:
@@ -353,19 +330,17 @@ def cmd_compare(args) -> int:
 
 def cmd_learn(args) -> int:
     scenario = _scenario_of(args)
-    with _inputs():
-        check_count("iterations", args.iterations, 1)
-        cfg = LearnerConfig(
-            m=args.bins,
-            nbslot=args.nbslot,
-            epsilon=args.epsilon,
-            eta=args.eta,
-            l_max=args.lmax,
-        )
-    outdir = _outdir(args)
+    cfg = LearnerConfig(
+        m=args.bins,
+        nbslot=args.nbslot,
+        epsilon=args.epsilon,
+        eta=args.eta,
+        l_max=args.lmax,
+    )
     result = run_learning(
         cfg, scenario.channels(), scenario.rewards, iterations=args.iterations, seed=args.seed
     )
+    outdir = _outdir(args)
     trace_path = outdir / "learn_trace.csv"
     write_rows(trace_path, LearnTraceRow, result.trace)
     policy_path = outdir / "learned_policy.csv"
@@ -383,8 +358,7 @@ def cmd_learn(args) -> int:
 def cmd_rerun(args) -> int:
     """Rebuild the argv of a manifest from its command's parser, so each
     recorded value passes the same types and checks as a typed flag."""
-    with _inputs():
-        manifest = json.loads(args.manifest.read_text())
+    manifest = json.loads(args.manifest.read_text())
     if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), dict):
         raise UsageError(f"{args.manifest}: no params to rerun")
     command, params = manifest.get("command"), manifest["params"]
@@ -418,15 +392,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SOLVER_FAILURES as exc:

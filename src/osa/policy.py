@@ -92,20 +92,18 @@ class ThresholdPolicy:
         return cls(lambda_star=np.asarray(thresholds), l_star=l_star, l_max=len(names))
 
 
-@dataclass(frozen=True)
-class MemorylessPolicy:
+class MemorylessPolicy(ThresholdPolicy):
     """Baseline that always senses and uses the dedicated channel once the
-    packet delay reaches the attempt limit k."""
+    packet delay reaches the attempt limit k: the threshold policy with an
+    empty wait region and switch delay k."""
 
-    k: int
+    def __init__(self, k: int):
+        check_count("k", k, 1)
+        super().__init__(lambda_star=np.zeros(k), l_star=k, l_max=k)
 
-    def __post_init__(self):
-        check_count("k", self.k, 1)
-
-    def act(self, belief: float, delay: int) -> Action:
-        if delay < 1:
-            raise ValueError(f"delay={delay} must be >= 1")
-        return Action.SENSE_WAIT if delay < self.k else Action.SENSE_FALLBACK
+    @property
+    def k(self) -> int:
+        return self.l_star
 
 
 def switch_margin(vf: ValueFunction, delay: int) -> float:

@@ -196,22 +196,17 @@ def _grow(row: list, update: tuple, length: int) -> None:
 
 
 def _compile(policy, l_max: int):
-    """A threshold or memoryless policy as two lists indexed by delay
-    1..l_max: wait while the target's belief is at most wait_below[delay],
-    else take the sensing action sense[delay] (ThresholdPolicy.act and
-    MemorylessPolicy.act)."""
-    delays = range(1, l_max + 1)
-    if isinstance(policy, ThresholdPolicy):
-        lam = policy.lambda_star.tolist()
-        th = [lam[min(d, policy.l_max) - 1] for d in delays]
-        wait_below = [t if t > 0.0 else -math.inf for t in th]
-        switch = policy.l_star
-    elif isinstance(policy, MemorylessPolicy):
-        wait_below = [-math.inf] * l_max
-        switch = policy.k
-    else:
+    """A threshold policy (the memoryless baseline among them) as two lists
+    indexed by delay 1..l_max: wait while the target's belief is at most
+    wait_below[delay], else take the sensing action sense[delay]
+    (ThresholdPolicy.act)."""
+    if not isinstance(policy, ThresholdPolicy):
         raise TypeError(f"no slot rule for policy type {type(policy).__name__}")
-    sense = [_SENSE_WAIT if d < switch else _FALLBACK for d in delays]
+    delays = range(1, l_max + 1)
+    lam = policy.lambda_star.tolist()
+    th = [lam[min(d, policy.l_max) - 1] for d in delays]
+    wait_below = [t if t > 0.0 else -math.inf for t in th]
+    sense = [_SENSE_WAIT if d < policy.l_star else _FALLBACK for d in delays]
     return [None] + wait_below, [None] + sense
 
 
@@ -266,9 +261,10 @@ class SlotEnv:
     of the code multiset at delay 1, plus a per-call memo from (key, the
     sensed channel's code, observation) to the next key.  The sensed code
     comes from the channel's row and last sensing (DescriptorSpace.codes_for),
-    so it is the code of the channel the float beliefs chose.  Threshold and
-    memoryless policies are compiled on their first run() on an env; a policy
-    changed in place after that runs as it was compiled.
+    so it is the code of the channel the float beliefs chose.  Threshold
+    policies, the memoryless baseline among them, are compiled on their first
+    run() on an env; a policy changed in place after that runs as it was
+    compiled.
     """
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
@@ -329,8 +325,8 @@ class SlotEnv:
         appends a TraceRow per slot to a `trace` list.  Raises DelayOverflow
         if the policy keeps a packet past l_max, and on every later run() or
         metrics() call, since the tallies then stop part way through a slot;
-        TypeError for a policy that is not a ThresholdPolicy,
-        MemorylessPolicy or MultichannelValueFunction; ValueError unless
+        TypeError for a policy that is not a ThresholdPolicy (the memoryless
+        baseline is one) or MultichannelValueFunction; ValueError unless
         exactly one count is given and it is an int >= 0, and for a
         MultichannelValueFunction solved for another number of channels.
         """
@@ -650,8 +646,9 @@ def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = DEFAULT_TOL):
     """One solve plus one episode per delay-penalty value, with the same seed
     across points for variance reduction.  Returns SweepRow per gamma."""
     gammas = sorted(float(g) for g in gammas)
-    if any(g <= 0 for g in gammas):
-        raise ValueError("gamma values must be positive")
+    for g in gammas:
+        if not 0 < g < math.inf:
+            raise ValueError(f"gamma={g} must be finite and positive")
     runs = _Episodes(cfg, solver_tol)
     return [SweepRow.of(g, runs.metrics(g)) for g in gammas]
 

@@ -220,21 +220,16 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name}={value!r} must be an int >= {low}")
 
 
-def check_settings(tol: float | None, l_max: int) -> None:
-    """Raise ValueError for a tol not finite and positive (None skips it), and
-    as check_count does for l_max below 2."""
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
+def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
+    """Raise ValueError for a tol not finite and positive, as check_count does
+    for l_max below 2, and DegenerateChain when pi0 is 0 or 1 (thresholds are
+    meaningless when the channel is never or always idle)."""
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol={tol} must be finite and positive")
     check_count("l_max", l_max, 2)
-
-
-def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
-    """Raise DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless
-    when the channel is never or always idle), and as check_settings does."""
     pi0 = stationary_idle(p)
     if pi0 == 0.0 or pi0 == 1.0:
         raise DegenerateChain(f"pi0={pi0}: solver requires 0 < pi0 < 1")
-    check_settings(tol, l_max)
 
 
 def greedy(q0, q1, q2, cap):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osa.cli import main
+from osa.cli import build_parser, main
 from osa.learn import LearnerConfig, LearnTraceRow, run_learning
 from osa.policy import MemorylessPolicy
 from osa.scenarios import SCENARIOS
@@ -87,6 +88,8 @@ def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     ["learn", "--alpha", 0.15, "--beta", 0.1, "--seed", -1],
     ["compare", "--alpha", 0.15, "--beta", 0.1, "--match-tol", "nan"],
     ["compare", "--alpha", 0.15, "--beta", 0.1, "--match-tol", -1],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--lmax", 6, "--gammas", "nan"],
+    ["sweep", "--alpha", 0.15, "--beta", 0.1, "--lmax", 6, "--gammas", "3,inf"],
 ])
 def test_library_input_checks_are_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -136,9 +139,64 @@ def test_solve_writes_outputs(tmp_path, capsys):
 
 
 def test_solve_degenerate_exit_code(tmp_path, capsys):
-    code = run(["solve", "--alpha", 1.0, "--beta", 0.0, "--out", tmp_path])
+    out = tmp_path / "out"
+    code = run(["solve", "--alpha", 1.0, "--beta", 0.0, "--out", out])
     assert code == 2
     assert "solver failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulation_failure_exit_code(tmp_path, capsys):
+    # No gamma matches the baselines' delays exactly.
+    out = tmp_path / "out"
+    code = run(["compare", "--alpha", 0.15, "--beta", 0.1, "--lmax", 6, "--packets", 50,
+                "--ks", "2,3", "--match-tol", 0, "--out", out])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("simulation failure: ")
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    code = run(["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 2, "--packets", 50,
+                "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert out.read_text() == "not a directory\n"
+
+
+# A small valid run of each command; learn needs room for its candidates'
+# switch delays.
+BOUNDARY_BASE = {"--alpha": "0.15", "--beta": "0.1", "--lmax": "6", "--packets": "50",
+                 "--gammas": "3,30", "--ks": "2,3", "--iterations": "5"}
+BOUNDARY_VALUES = ["0", "-1", "nan", "inf", "2.5", ""]
+
+
+def test_every_flag_at_its_boundaries_exits_with_a_code(tmp_path):
+    # Every int, float and str option of every command at each boundary value
+    # over a small valid run: main returns an exit code, never raises, and
+    # creates --out exactly when it returns 0.
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    failures, cases = [], 0
+    for command, sub in subs.choices.items():
+        flags = [a.option_strings[0] for a in sub._actions
+                 if a.type in (int, float, str) and a.option_strings]
+        base = {flag: BOUNDARY_BASE[flag] for flag in flags if flag in BOUNDARY_BASE}
+        if command == "learn":
+            base["--lmax"] = "20"
+        for flag in flags:
+            if flag == "--scenario":
+                continue
+            for value in BOUNDARY_VALUES:
+                cases += 1
+                out = tmp_path / str(cases)
+                argv = [command, *(x for kv in {**base, flag: value}.items() for x in kv)]
+                code = main(argv + ["--out", str(out)])
+                if code not in (0, 1, 2, 3) or out.exists() != (code == 0):
+                    failures.append((argv, code, out.exists()))
+    assert cases == 402
+    assert failures == []
 
 
 def test_simulate_mp1_defaults(tmp_path, capsys):

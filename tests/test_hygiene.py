@@ -115,7 +115,7 @@ def test_public_definition_scan_sees_functions_classes_and_methods():
 # Public names that only the tests read, kept as library API (README.md,
 # "Library API"): the policy rule that sim compiles into its slot kernel and
 # oracles.ReferenceSlotEnv calls, and the target-delay search.
-TEST_ONLY_API = {"ThresholdPolicy.act", "MemorylessPolicy.act", "gamma_for_target_delay"}
+TEST_ONLY_API = {"ThresholdPolicy.act", "gamma_for_target_delay"}
 
 
 def unread_public_definitions(root: Path, allowed=frozenset()) -> list:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +24,7 @@ from osa.policy import (
     extract_thresholds,
     switch_margin,
 )
+from osa.sim import _compile
 from osa.solver import Action, RewardParams, solve_single_channel
 from test_solver import PRESET_REWARDS, zero_value_function
 
@@ -281,6 +284,18 @@ def test_memoryless_policy():
         MemorylessPolicy(0)
     with pytest.raises(ValueError):
         mp.act(0.5, 0)
+    # The memoryless baseline is the threshold policy with an empty wait
+    # region and switch delay k, and compiles to the slot kernel's lists that
+    # its own rule gave: never wait, sense-wait below k, fall back from k on.
+    assert isinstance(mp, ThresholdPolicy)
+    assert mp.k == mp.l_star == 3
+    l_max = 6
+    for k in (1, 3, l_max - 1, l_max, l_max + 1, 2 * l_max):
+        sense = [int(Action.SENSE_WAIT if d < k else Action.SENSE_FALLBACK)
+                 for d in range(1, l_max + 1)]
+        assert _compile(MemorylessPolicy(k), l_max) == (
+            [None] + [-math.inf] * l_max, [None] + sense
+        )
 
 
 def test_threshold_policy_rejects_delay_below_one():

@@ -215,6 +215,10 @@ def test_sweep_trends_scenario1():
     assert all(energies[i + 1] >= energies[i] - 1e-12 for i in range(len(rows) - 1))
     with pytest.raises(ValueError):
         sweep_gamma(cfg, [0.0, 1.0])
+    # Checked before any solve: RewardParams's own message lacks "and positive".
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"gamma={bad} must be finite and positive"):
+            sweep_gamma(cfg, [1.0, bad])
 
 
 def test_sweep_csv(tmp_path):

@@ -14,7 +14,7 @@ from osa.solver import (
     RewardParams,
     ValueFunction,
     bellman_backup,
-    check_settings,
+    check_model,
     solve_single_channel,
 )
 
@@ -61,7 +61,7 @@ def test_reward_params_invariants():
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
 def test_check_settings_rejects_tol(tol):
     with pytest.raises(ValueError, match="tol"):
-        check_settings(tol, 10)
+        check_model(ChannelParams(0.15, 0.1), tol, 10)
 
 
 def test_delay_penalty():
