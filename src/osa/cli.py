@@ -52,7 +52,7 @@ from .sim import (
     sweep_gamma,
     write_rows,
 )
-from .solver import DEFAULT_L_MAX, DEFAULT_TOL, solve_single_channel
+from .solver import DEFAULT_L_MAX, DEFAULT_TOL, check_count, check_tol, solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -210,6 +210,7 @@ def _episode_config(scenario: Scenario, args, **kw) -> SimConfig:
 
 def cmd_solve(args) -> int:
     scenario = _scenario_of(args)
+    check_count("k_trunc", args.ktrunc, 1)  # read only when N > 1
     if scenario.n_channels == 1:
         vf = solve_single_channel(
             scenario.channel, scenario.rewards, l_max=args.lmax, tol=args.tol
@@ -269,6 +270,7 @@ def _check_cap(flag: str, value, policy: ThresholdPolicy, lmax: int) -> None:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario_of(args)
+    check_tol(args.tol)  # read only when neither --mp nor --policy is given
     cfg = _episode_config(scenario, args, collect_trace=args.trace)
     if args.mp is not None:
         cfg.policy = MemorylessPolicy(args.mp)

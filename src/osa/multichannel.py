@@ -11,7 +11,10 @@ rule used throughout; within a merged state equal-belief channels are
 interchangeable, so any deterministic pick is equivalent to the lowest-index
 rule on the unmerged system.
 
-States are enumerated breadth-first, one frontier at a time, over arrays: each
+States are enumerated per code multiset, over arrays.  A state's successors
+depend on its code multiset alone, not on its delay, so DescriptorSpace.moves
+runs once per reachable multiset, and the delay layers and the successor
+table follow from the multisets' successor ids by index arithmetic.  Each
 (sorted code multiset, delay) packs into one int64 key, delay first, so the
 sorted states run layer by layer in delay and the delay-1 states come first.
 The solver works on these arrays alone, and the packed key is the only state
@@ -125,9 +128,9 @@ class DescriptorSpace:
     def moves(self, codes: np.ndarray):
         """Descriptors after one slot, per row of sorted codes.
 
-        Returns the rows after a wait, after the max-belief channel (lowest
-        index among ties) is sensed idle and sensed busy, and that channel's
-        belief; every returned row is sorted.
+        Returns the rows after a wait and after the max-belief channel (lowest
+        index among ties) is sensed idle and sensed busy; every returned row is
+        sorted.
         """
         rows = np.arange(len(codes))
         target = np.argmax(self.belief[codes], axis=1)
@@ -140,7 +143,7 @@ class DescriptorSpace:
         fresh[:] = self.busy_fresh
         after_busy = np.sort(np.hstack([rest, fresh]), axis=1)
         waited = np.sort(self.aged[codes], axis=1)
-        return waited, after_idle, after_busy, self.belief[codes[rows, target]]
+        return waited, after_idle, after_busy
 
 
 @dataclass
@@ -148,8 +151,10 @@ class ReachableStates:
     """Reachable descriptor states up to delay l_max, sorted by (delay, codes).
 
     codes holds one sorted code row per state and delays its delay; keys are
-    their packed int64 keys, ascending.  states lists the (codes tuple, delay)
-    pairs; it and the successor table are built the first time they are read.
+    their packed int64 keys, ascending.  table holds the successors of every
+    state: the part of the MDP that does not depend on the rewards.  states
+    lists the (codes tuple, delay) pairs; it is built the first time it is
+    read.
     """
 
     space: DescriptorSpace
@@ -157,6 +162,7 @@ class ReachableStates:
     codes: np.ndarray
     delays: np.ndarray
     keys: np.ndarray
+    table: _Table
 
     @cached_property
     def states(self) -> list:
@@ -173,15 +179,6 @@ class ReachableStates:
         fresh[0] = True  # the start state, key 0
         elements = kinds[fresh.astype(np.intp), self.codes]
         return list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
-
-    @cached_property
-    def table(self) -> _Table:
-        """Successors of every state: the part of the MDP that does not
-        depend on the rewards."""
-        return _table(self)
-
-    def lookup(self, codes: np.ndarray, delays) -> np.ndarray:
-        return np.searchsorted(self.keys, self.space.pack(codes, delays))
 
 
 @dataclass
@@ -228,7 +225,7 @@ class MultichannelValueFunction:
         """
         belief = self.space.belief[self.reach.codes].max(axis=1)
         wait = self.actions == int(Action.WAIT)
-        layers = np.searchsorted(self.delays, np.arange(1, self.l_max + 2))
+        layers = self.reach.table.layers
         read = [wait_threshold(belief[a:b], wait[a:b]) for a, b in zip(layers[:-1], layers[1:])]
         return np.array([th for th, _ in read]), [l for l, (_, bad) in enumerate(read, 1) if bad]
 
@@ -247,45 +244,127 @@ def build_reachable_states(
     l_max: int = DEFAULT_L_MAX,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ReachableStates:
-    """Breadth-first closure of the descriptor-state space under all actions.
+    """Closure of the descriptor-state space under all actions, with the
+    successor table of its states.
 
     States are (sorted descriptor tuple, delay); the start state has every
-    channel stale at delay 1.  Each frontier's successors are found at once
-    and deduplicated by packed key.  Raises StateSpaceTooLarge past state_cap,
-    or when a packed key would not fit in an int64; ValueError as check_count
-    does for n_channels below 1.
+    channel stale at delay 1.  A state's successors depend on its code
+    multiset alone, so the closure runs over multisets (_multisets) and the
+    delay layers follow by index arithmetic: layer 1 holds the multisets
+    reached at delay 1, and layer l + 1 the wait and busy successors of
+    layer l.  Each layer is sorted by codes, and the table is read off the
+    multiset ranks in the same pass.  Raises StateSpaceTooLarge past
+    state_cap multisets or states, counted before each batch of moves and
+    after each layer, or when a packed key would not fit in an int64;
+    ValueError as check_count does for n_channels below 1 or l_max below 2.
     """
     check_count("n_channels", n_channels, 1)
+    check_count("l_max", l_max, 2)
     space = DescriptorSpace(p, k_trunc)
-    if l_max * len(space.belief) ** n_channels > 2**63:
+    n_codes = len(space.belief)
+    if l_max * n_codes**n_channels > 2**63:
         raise StateSpaceTooLarge(
             f"state keys overflow int64 (n={n_channels}, k_trunc={k_trunc}, l_max={l_max})"
         )
-    codes = np.zeros((1, n_channels), dtype=space.aged.dtype)
-    delays = np.ones(1, dtype=np.int64)
-    seen = space.pack(codes, delays)
-    found = [(codes, delays, seen)]
-    while len(codes):
-        waited, after_idle, after_busy, _ = space.moves(codes)
-        up = delays < l_max
-        ones = np.ones(len(delays), np.int64)
-        codes = np.concatenate([waited[up], after_idle, after_busy[up], after_busy])
-        delays = np.concatenate([delays[up] + 1, ones, delays[up] + 1, ones])
-        keys, first = np.unique(space.pack(codes, delays), return_index=True)
-        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        new = seen[pos] != keys
-        if len(seen) + np.count_nonzero(new) > state_cap:
+
+    def check_cap(count: int) -> None:
+        if count > state_cap:
             raise StateSpaceTooLarge(
                 f"more than {state_cap} reachable states (n={n_channels}, "
                 f"k_trunc={k_trunc}, l_max={l_max})"
             )
-        codes, delays, keys = codes[first[new]], delays[first[new]], keys[new]
-        # Both parts are sorted, so the stable sort is a merge.
-        seen = np.sort(np.concatenate([seen, keys]), kind="stable")
-        found.append((codes, delays, keys))
-    codes, delays, keys = (np.concatenate(part) for part in zip(*found))
-    order = np.argsort(keys)
-    return ReachableStates(space, l_max, codes[order], delays[order], keys[order])
+
+    rows, row_keys, (wait, idle, busy), first = _multisets(space, n_channels, l_max, check_cap)
+    layers = [np.flatnonzero(first)]
+    count = len(layers[0])
+    for _ in range(l_max - 1):
+        up = np.zeros(len(rows), dtype=bool)
+        up[wait[layers[-1]]] = True
+        up[busy[layers[-1]]] = True
+        layers.append(np.flatnonzero(up))
+        count += len(layers[-1])
+        check_cap(count)
+    sizes = [len(layer) for layer in layers]
+    starts = np.zeros(l_max + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    multiset = np.concatenate(layers)
+    delays = np.repeat(np.arange(1, l_max + 1, dtype=np.int64), sizes)
+    # pos maps a multiset rank to its state's index in one layer at a time.
+    pos = np.empty(len(rows), dtype=np.int64)
+    pos[layers[0]] = np.arange(sizes[0])
+    idle1, busy1 = pos[idle[multiset]], pos[busy[multiset]]
+    up_wait = np.arange(count)  # the state itself at the cap
+    up_busy = up_wait.copy()
+    for l in range(l_max - 1):
+        pos[layers[l + 1]] = np.arange(starts[l + 1], starts[l + 2])
+        up_wait[starts[l]:starts[l + 1]] = pos[wait[layers[l]]]
+        up_busy[starts[l]:starts[l + 1]] = pos[busy[layers[l]]]
+    b = space.belief[rows].max(axis=1)  # the belief of the channel sensing targets
+    table = _Table(starts, b[multiset], up_wait, up_busy, idle1, busy1)
+    keys = row_keys[multiset] + (delays - 1) * n_codes**n_channels
+    return ReachableStates(space, l_max, rows[multiset], delays, keys, table)
+
+
+def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
+    """Closure over the code multisets of the states reachable up to delay
+    l_max, running space.moves once per multiset.
+
+    Multisets are numbered as they are found and keyed by their codes-only
+    packed key, space.pack(codes, 1).  The least delay each one is reached at
+    is relaxed until no value falls: idle and busy successors land at delay
+    1, and wait successors one delay up, below the cap.  (A busy sensing
+    that waits also lands one delay up, but on a multiset that a busy
+    sensing that falls back lands at delay 1.)  check_cap sees the count of
+    multisets expanded, each the multiset of at least one reachable state.
+
+    Returns, for the reached multisets in codes-key order: their code rows
+    and codes-only keys; the ranks of their wait, idle and busy successors,
+    -1 for a wait successor that no state reaches; and whether each is
+    reached at delay 1.
+    """
+    rows = np.zeros((1, n_channels), dtype=space.aged.dtype)  # by id
+    keys, order = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)  # in key order
+    succ = np.full((3, 1), -1, dtype=np.intp)  # wait, idle, busy ids, once expanded
+    least = np.ones(1, dtype=np.int64)  # l_max + 1 until reached
+    expanded = 0
+    frontier = np.zeros(1, dtype=np.intp)  # the multisets whose least delay fell
+    while len(frontier):
+        new = frontier[succ[0, frontier] < 0]
+        if len(new):
+            expanded += len(new)
+            check_cap(expanded)
+            moved = np.concatenate(space.moves(rows[new]))
+            found, first, inverse = np.unique(
+                space.pack(moved, 1), return_index=True, return_inverse=True
+            )
+            at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+            ids = order[at]
+            fresh = np.flatnonzero(keys[at] != found)
+            ids[fresh] = np.arange(len(keys), len(keys) + len(fresh))
+            rows = np.concatenate([rows, moved[first[fresh]]])
+            # Both parts are sorted, so the stable sort is a merge.
+            keys = np.concatenate([keys, found[fresh]])
+            merge = np.argsort(keys, kind="stable")
+            keys, order = keys[merge], np.concatenate([order, ids[fresh]])[merge]
+            succ = np.hstack([succ, np.full((3, len(fresh)), -1, dtype=np.intp)])
+            succ[:, new] = ids[inverse].reshape(3, -1)
+            least = np.concatenate([least, np.full(len(fresh), l_max + 1)])
+        delay = least[frontier]
+        wait, idle, busy = succ[:, frontier]
+        up = delay < l_max
+        to = np.concatenate([idle, busy, wait[up]])
+        via = np.concatenate([np.ones(2 * len(frontier), dtype=np.int64), delay[up] + 1])
+        lower = via < least[to]
+        to, via = to[lower], via[lower]
+        np.minimum.at(least, to, via)
+        fell = np.zeros(len(least), dtype=bool)
+        fell[to] = True
+        frontier = np.flatnonzero(fell)
+    in_reach = least[order] <= l_max
+    reached = order[in_reach]
+    rank = np.full(len(keys), -1, dtype=np.intp)
+    rank[reached] = np.arange(len(reached))
+    return rows[reached], keys[in_reach], rank[succ[:, reached]], least[reached] == 1
 
 
 @dataclass
@@ -310,22 +389,6 @@ class _Table:
     def cap(self):
         """The delay-cap states, the last layer."""
         return np.s_[self.layers[-2]:]
-
-
-def _table(reach: ReachableStates) -> _Table:
-    delays, l_max = reach.delays, reach.l_max
-    waited, after_idle, after_busy, b = reach.space.moves(reach.codes)
-    cap = delays == l_max
-    up = np.minimum(delays + 1, l_max)
-    own = np.arange(len(delays))
-    return _Table(
-        layers=np.searchsorted(delays, np.arange(1, l_max + 2)),
-        b=b,
-        up_wait=np.where(cap, own, reach.lookup(waited, up)),
-        up_busy=np.where(cap, own, reach.lookup(after_busy, up)),
-        idle1=reach.lookup(after_idle, 1),
-        busy1=reach.lookup(after_busy, 1),
-    )
 
 
 def _backup(t: _Table, rewards: tuple, v: np.ndarray):

@@ -220,12 +220,17 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name}={value!r} must be an int >= {low}")
 
 
-def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
-    """Raise ValueError for a tol not finite and positive, as check_count does
-    for l_max below 2, and DegenerateChain when pi0 is 0 or 1 (thresholds are
-    meaningless when the channel is never or always idle)."""
+def check_tol(tol: float) -> None:
+    """Raise ValueError for a solver tolerance not finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol={tol} must be finite and positive")
+
+
+def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
+    """Raise as check_tol does for tol, as check_count does for l_max below
+    2, and DegenerateChain when pi0 is 0 or 1 (thresholds are meaningless
+    when the channel is never or always idle)."""
+    check_tol(tol)
     check_count("l_max", l_max, 2)
     pi0 = stationary_idle(p)
     if pi0 == 0.0 or pi0 == 1.0:

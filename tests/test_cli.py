@@ -75,6 +75,8 @@ def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     ["compare", "--alpha", 0.15, "--beta", 0.1, "--ks", 0],
     ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 1],
     ["solve", "--scenario", 1, "--ktrunc", 0],
+    ["solve", "--alpha", 0.15, "--beta", 0.1, "--ktrunc", 0],  # N=1 reads no --ktrunc
+    ["simulate", "--alpha", 0.15, "--beta", 0.1, "--mp", 2, "--tol", "nan"],  # nor --tol
     ["solve", "--alpha", 0.15, "--beta", 0.1, "--tol", 0],
     ["solve", "--alpha", 0.5, "--beta", 0.5, "--n", 0],
     ["solve", "--alpha", 0.15, "--beta", 0.1, "--lmax", 5, "--gamma", "nan"],

@@ -3,9 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import osa.cli
-from oracles import action_for, nearest_action, wait_thresholds
+from oracles import (
+    action_for,
+    descriptor_successors,
+    nearest_action,
+    reachable_descriptor_states,
+    wait_thresholds,
+)
 from osa.channel import ChannelParams, iterate_unsensed, stationary_idle
 from osa.errors import NoConvergence, StateSpaceTooLarge
 from osa.multichannel import (
@@ -70,6 +78,16 @@ def test_state_cap_enforced():
     p = ChannelParams(0.15, 0.1)
     with pytest.raises(StateSpaceTooLarge):
         build_reachable_states(4, p, k_trunc=20, l_max=15, state_cap=100)
+
+
+@pytest.mark.parametrize("state_cap", [20_000, 64_299])
+def test_state_cap_counts_states_not_multisets(state_cap):
+    # Preset 1 at N=4 has 10,241 code multisets and 64,300 states: a cap
+    # between the two still raises, and the state count itself does not.
+    p = ChannelParams(0.15, 0.1)
+    with pytest.raises(StateSpaceTooLarge):
+        build_reachable_states(4, p, k_trunc=20, l_max=15, state_cap=state_cap)
+    assert len(build_reachable_states(4, p, k_trunc=20, l_max=15, state_cap=64_300).keys) == 64_300
 
 
 def test_single_channel_equivalence():
@@ -185,21 +203,7 @@ def test_action_lookup_by_codes():
     )
 
 
-@pytest.mark.parametrize(
-    "n,k_trunc,l_max,alpha,beta",
-    [
-        (1, 2, 4, 0.15, 0.1),
-        (3, 3, 3, 0.15, 0.1),
-        (2, 8, 8, 0.15, 0.1),
-        (4, 5, 6, 0.15, 0.1),
-        (3, 4, 4, 0.4, 0.4),  # every code has the same belief: ties everywhere
-    ],
-)
-def test_reachable_states_match_tuple_closure(n, k_trunc, l_max, alpha, beta):
-    from oracles import reachable_descriptor_states
-
-    p = ChannelParams(alpha, beta)
-    reach = build_reachable_states(n, p, k_trunc=k_trunc, l_max=l_max)
+def _assert_matches_tuple_closure(reach, n, l_max):
     states = reach.states
     assert len(states) == len(set(states))
     oracle = reachable_descriptor_states(reach.space, n, l_max)
@@ -210,9 +214,61 @@ def test_reachable_states_match_tuple_closure(n, k_trunc, l_max, alpha, beta):
     assert repr(sorted(states)) == repr(sorted(oracle))
 
 
+def _assert_table_matches_successors(reach):
+    """Every successor table entry against the state-by-state oracle."""
+    t, space, l_max = reach.table, reach.space, reach.l_max
+    index = {state: i for i, state in enumerate(reach.states)}
+    assert t.layers.tolist() == [
+        next((i for i, (_, d) in enumerate(reach.states) if d >= l), len(index))
+        for l in range(1, l_max + 2)
+    ]
+    for i, (codes, l) in enumerate(reach.states):
+        succ = [index[state] for state in descriptor_successors(space, codes, l, l_max)]
+        assert t.b[i] == max(space.belief[c] for c in codes)
+        assert (t.up_wait[i], t.up_busy[i]) == ((succ[0], succ[2]) if l < l_max else (i, i))
+        assert (t.idle1[i], t.busy1[i]) == (succ[-2], succ[-1])
+
+
+CLOSURE_MODELS = [
+    (1, 2, 4, 0.15, 0.1),
+    (3, 3, 3, 0.15, 0.1),
+    (2, 8, 8, 0.15, 0.1),
+    (4, 5, 6, 0.15, 0.1),
+    (3, 4, 4, 0.4, 0.4),  # every code has the same belief: ties everywhere
+    (3, 5, 5, 0.1, 0.9),  # alpha < beta: aging reverses the belief order
+]
+
+
+@pytest.mark.parametrize("n,k_trunc,l_max,alpha,beta", CLOSURE_MODELS)
+def test_reachable_states_match_tuple_closure(n, k_trunc, l_max, alpha, beta):
+    reach = build_reachable_states(n, ChannelParams(alpha, beta), k_trunc=k_trunc, l_max=l_max)
+    _assert_matches_tuple_closure(reach, n, l_max)
+
+
+@pytest.mark.parametrize("n,k_trunc,l_max,alpha,beta", CLOSURE_MODELS)
+def test_successor_table_matches_oracle(n, k_trunc, l_max, alpha, beta):
+    reach = build_reachable_states(n, ChannelParams(alpha, beta), k_trunc=k_trunc, l_max=l_max)
+    _assert_table_matches_successors(reach)
+
+
+@st.composite
+def _channels(draw):
+    """alpha above, below or equal to beta."""
+    alpha = draw(st.floats(0.05, 0.95))
+    return ChannelParams(alpha, draw(st.one_of(st.just(alpha), st.floats(0.05, 0.95))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), k_trunc=st.integers(1, 6), l_max=st.integers(2, 6), p=_channels())
+def test_reachable_states_and_table_match_oracles(n, k_trunc, l_max, p):
+    reach = build_reachable_states(n, p, k_trunc=k_trunc, l_max=l_max)
+    _assert_matches_tuple_closure(reach, n, l_max)
+    _assert_table_matches_successors(reach)
+
+
 @pytest.mark.parametrize("n,k_trunc,l_max", [(2, 8, 8), (3, 4, 5)])
 def test_state_tuples_are_built_on_first_read(n, k_trunc, l_max):
-    from oracles import descriptor_backup, reachable_descriptor_states
+    from oracles import descriptor_backup
 
     p = ChannelParams(0.15, 0.1)
     mvf = solve_multichannel(n, p, PRESET, k_trunc=k_trunc, l_max=l_max)

@@ -663,13 +663,16 @@ def test_counts_are_checked_where_they_enter(make):
     (lambda: solve_multichannel(2.0, SCEN1, PRESET, k_trunc=3, l_max=5), "n_channels"),
     (lambda: solve_multichannel(0, SCEN1, PRESET, k_trunc=3, l_max=5), "n_channels"),
     (lambda: build_reachable_states(0, SCEN1, k_trunc=3, l_max=5), "n_channels"),
+    (lambda: build_reachable_states(2, SCEN1, k_trunc=3, l_max=5.0), "l_max"),
+    (lambda: build_reachable_states(2, SCEN1, k_trunc=3, l_max=1), "l_max"),
     (lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=1, seed=2.5),
      "seed"),
     (lambda: SlotEnv([SCEN1], PRESET, seed=-1, l_max=5), "seed"),
     (lambda: MemorylessPolicy(2.5), "k"),
     (lambda: MemorylessPolicy(0), "k"),
 ], ids=["grid-l_max-20.0", "descriptor-l_max-5.0", "k_trunc-2.5", "n_channels-2.0",
-        "n_channels-0", "reachable-n_channels-0", "learn-seed-2.5", "env-seed-neg",
+        "n_channels-0", "reachable-n_channels-0", "reachable-l_max-5.0", "reachable-l_max-1",
+        "learn-seed-2.5", "env-seed-neg",
         "memoryless-k-2.5", "memoryless-k-0"])
 def test_library_settings_are_counts(make, name):
     # Every integer setting of the solvers, the slot kernel and the policies
