@@ -41,13 +41,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import solver
 from .channel import ChannelParams, iterate_unsensed, stationary_idle
 from .errors import NoConvergence, StateSpaceTooLarge
 from .policy import wait_threshold
 from .solver import (
     Action,
     DEFAULT_L_MAX,
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RewardParams,
     check_count,
@@ -58,7 +58,9 @@ from .solver import (
 )
 
 DEFAULT_K_TRUNC = 20
-DEFAULT_STATE_CAP = 5_000_000
+# Read at call time, so a test can patch it: the most reachable states (or
+# code multisets) an enumeration may hold.
+STATE_CAP = 5_000_000
 # Time step of the data-transformed embedded chain, as a fraction of the
 # shortest expected sojourn: every transformed state keeps a self-loop of at
 # least 1 - _STEP, so the iteration cannot cycle.
@@ -242,7 +244,6 @@ def build_reachable_states(
     p: ChannelParams,
     k_trunc: int = DEFAULT_K_TRUNC,
     l_max: int = DEFAULT_L_MAX,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> ReachableStates:
     """Closure of the descriptor-state space under all actions, with the
     successor table of its states.
@@ -254,7 +255,7 @@ def build_reachable_states(
     reached at delay 1, and layer l + 1 the wait and busy successors of
     layer l.  Each layer is sorted by codes, and the table is read off the
     multiset ranks in the same pass.  Raises StateSpaceTooLarge past
-    state_cap multisets or states, counted before each batch of moves and
+    STATE_CAP multisets or states, counted before each batch of moves and
     after each layer, or when a packed key would not fit in an int64;
     ValueError as check_count does for n_channels below 1 or l_max below 2.
     """
@@ -268,9 +269,9 @@ def build_reachable_states(
         )
 
     def check_cap(count: int) -> None:
-        if count > state_cap:
+        if count > STATE_CAP:
             raise StateSpaceTooLarge(
-                f"more than {state_cap} reachable states (n={n_channels}, "
+                f"more than {STATE_CAP} reachable states (n={n_channels}, "
                 f"k_trunc={k_trunc}, l_max={l_max})"
             )
 
@@ -400,14 +401,13 @@ def _backup(t: _Table, rewards: tuple, v: np.ndarray):
     return greedy(q0, q1, q2, t.cap)
 
 
-def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, tol: float,
-              max_iter: int):
+def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, tol: float):
     """Relative values of a fixed action table, zero at the reference state 0.
 
     The delay-1 values v1 warm-start damped relative value iteration on the
     embedded chain, which stops at a residual span of tol / 100 or where
     rounding stops it shrinking; the other layers then follow backward in
-    delay.
+    delay.  Raises NoConvergence after solver.MAX_ITER sweeps.
     """
     wait = actions == Action.WAIT
     sense_wait = actions == Action.SENSE_WAIT
@@ -438,7 +438,7 @@ def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, to
 
     tau = _STEP * sojourn.min()
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(solver.MAX_ITER):
         # Reward per slot of one more visit on the current values.
         d = (total + (probs * v1[lands]).sum(axis=1) - v1) / sojourn
         span = float(np.ptp(d))
@@ -447,7 +447,7 @@ def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, to
         prev = span
         v1 = v1 + tau * (d - d[0])
     else:
-        raise NoConvergence(max_iter, span, tol)
+        raise NoConvergence(solver.MAX_ITER, span, tol)
     gain = float(d[0])
 
     v = np.zeros(len(actions))
@@ -468,7 +468,6 @@ def solve_multichannel(
     k_trunc: int = DEFAULT_K_TRUNC,
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
     reach: ReachableStates | None = None,
 ) -> MultichannelValueFunction:
@@ -486,9 +485,9 @@ def solve_multichannel(
     and l_max (its `reach`), spares enumerating them and building their
     successor table again: only the rewards depend on r.
 
-    max_iter caps both the policy-iteration steps and the evaluation sweeps
-    of each step.  Raises as check_model and policy_iteration do,
-    NoConvergence when an evaluation hits max_iter, and ValueError when reach
+    solver.MAX_ITER caps both the policy-iteration steps and the evaluation
+    sweeps of each step.  Raises as check_model and policy_iteration do,
+    NoConvergence when an evaluation hits that cap, and ValueError when reach
     belongs to another model.
     """
     check_model(p, tol, l_max)
@@ -504,10 +503,9 @@ def solve_multichannel(
         len(reach.delays),
         0,
         t.cap,
-        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]], tol, max_iter),
+        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]], tol),
         lambda v: _backup(t, rewards, v),
         tol,
-        max_iter,
         start=start,
     )
     return MultichannelValueFunction(

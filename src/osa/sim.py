@@ -600,10 +600,8 @@ class _Episodes:
     (in log gamma) solved so far, and runs on the states, and their
     successor structure, that the first solve built: the belief grid at
     N = 1, the descriptor states at N > 1.  They live as long as this
-    object, and the grid keeps the reward-free evaluation rows of the table
-    the last solve ended on, often the next start.  None of this changes the
-    tables, policies or episodes, which are the ones a solve from scratch
-    gives; it changes only the work.
+    object.  None of this changes the tables, policies or episodes, which
+    are the ones a solve from scratch gives; it changes only the work.
 
     An episode's metrics depend on gamma only through avg_reward, and nearby
     gammas often solve to policies that act alike on every state an episode

@@ -34,10 +34,13 @@ from .channel import ChannelParams, stationary_idle
 from .errors import DegenerateChain, NoConvergence
 
 DEFAULT_L_MAX = 50
-DEFAULT_GRID_POINTS = 1001
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 100_000
 TIE_TOL = 1e-12
+# Read at call time, so a test can patch them: the uniform points of every
+# belief grid, and the cap on policy-iteration steps (and on the descriptor
+# solver's evaluation sweeps of each step).
+GRID_POINTS = 1001
+MAX_ITER = 100_000
 
 
 class Action(IntEnum):
@@ -109,10 +112,10 @@ class BeliefGrid:
         self.points = points
 
     @classmethod
-    def for_channel(cls, p: ChannelParams, n_points: int = DEFAULT_GRID_POINTS) -> "BeliefGrid":
-        base = np.linspace(0.0, 1.0, n_points)
+    def for_channel(cls, p: ChannelParams) -> "BeliefGrid":
+        n_points = GRID_POINTS
         spacing = 1.0 / (n_points - 1)
-        pts = list(base)
+        pts = np.linspace(0.0, 1.0, n_points).tolist()
         moved = set()
         for x in (p.alpha, p.beta, stationary_idle(p)):
             j = int(round(x / spacing))
@@ -127,8 +130,9 @@ class BeliefGrid:
                 moved.add(j)
             else:
                 pts.append(x)
-        out = np.unique(np.asarray(sorted(pts), dtype=float))
-        return cls(out)
+        # A set drops the repeats without np.unique, whose first call in a
+        # process imports numpy.ma.
+        return cls(np.asarray(sorted(set(pts)), dtype=float))
 
     def __len__(self):
         return len(self.points)
@@ -250,7 +254,7 @@ def greedy(q0, q1, q2, cap):
     return w, actions
 
 
-def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, max_iter: int, start=None):
+def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, start=None):
     """Howard policy iteration from the start table (fallback everywhere when
     None) until the action table repeats.  evaluate(actions, v) gives a
     table's relative values, warm-started from the previous ones (zeros at
@@ -264,13 +268,10 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, max_iter: in
     exact evaluation then returns the same values and gain bit for bit; an
     iterative one (the descriptor solver's) agrees to its rounding.
 
-    Raises NoConvergence when the table still changes after max_iter steps or
-    the residual span of the stable table exceeds tol, ValueError when
-    max_iter < 1 or when start has another shape or another action than
-    fallback at cap.
+    Raises NoConvergence when the table still changes after MAX_ITER steps or
+    the residual span of the stable table exceeds tol, ValueError when start
+    has another shape or another action than fallback at cap.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     actions = np.full(shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
     if start is not None:
         if np.shape(start) != actions.shape:
@@ -279,7 +280,7 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, max_iter: in
         if np.any(actions[cap] != Action.SENSE_FALLBACK):
             raise ValueError("start table must hold the fallback action at the delay cap")
     v = np.zeros(shape)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         v = evaluate(actions, v)
         w, improved = backup(v)
         span = float(np.ptp(w - v))
@@ -287,7 +288,7 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, max_iter: in
             break
         actions = improved
     else:
-        raise NoConvergence(max_iter, span, tol)
+        raise NoConvergence(MAX_ITER, span, tol)
     if span > tol:
         raise NoConvergence(it, span, tol)
     gain = float(w[ref])
@@ -303,14 +304,6 @@ class GridStates:
     the grid points of alpha, beta and the reference pi0.  None of it depends
     on the rewards, so every solve of one channel and l_max can share it
     (solve_single_channel's reach).
-
-    It also keeps the evaluation rows that do not depend on the rewards
-    either (_evaluate) of the table that a solve handed it evaluated last,
-    which is the table that solve ended on: the next solve, when it starts
-    from that table, sweeps only its reward row.  One table's rows take
-    360 KB at L = 15.  Keeping the last two tables raised the reward-only
-    sweeps of a 4-k compare from 54 to 97 of 185, and its peak resident
-    memory by about 1 MB more, so one is kept.
     """
 
     def __init__(self, p: ChannelParams, grid: BeliefGrid, l_max: int):
@@ -321,7 +314,6 @@ class GridStates:
         self.i_beta = grid.index_of(p.beta)
         self.ref = grid.index_of(stationary_idle(p))
         self.lam = pts[:, None]  # grid beliefs as a column
-        self.kept = None, None  # (actions.tobytes(), its reward-free rows)
 
     def rewards(self, r: RewardParams) -> tuple:
         """The immediate reward of each action in each state under r."""
@@ -353,50 +345,39 @@ def bellman_backup(vf: ValueFunction):
     return w - g, float(g)
 
 
-def _evaluate(reach: GridStates, rewards: tuple, actions: np.ndarray, keep: bool) -> np.ndarray:
+def _evaluate(reach: GridStates, rewards: tuple, actions: np.ndarray) -> np.ndarray:
     """Exact relative values of a fixed action table, zero at the reference.
 
     Sweeps backward from the delay cap, writing each column as coefficients
     on (1, g, V(alpha, 1), V(beta, 1)), then solves for the three unknowns
     with V(alpha, 1) and V(beta, 1) consistent and V(pi0, 1) = 0.  The cap
     column must hold the fallback action, as every table from greedy does.
-
-    Only the first row carries the rewards, and the sweep updates each row
-    on its own, so for the table whose other three rows reach keeps the
-    sweep runs on the first row alone and gives the same bits.  With keep
-    the rows are read from reach and the table's rows are kept there.
     """
     l_max = actions.shape[1]
     lam = reach.lam[:, 0]
     wait = (actions == Action.WAIT).T
     sense_wait = (actions == Action.SENSE_WAIT).T
-    key = actions.tobytes() if keep else None
-    kept = reach.kept[1] if key is not None and key == reach.kept[0] else None
     # Terms that do not reach delay l+1: reward, -g and the delay-1 landings.
-    coef = np.empty((l_max, 4 if kept is None else 1, len(lam)))
+    coef = np.empty((l_max, 4, len(lam)))
     coef[:, 0] = np.where(wait, rewards[0].T, rewards[1].T)
     np.copyto(coef[:, 0], rewards[2].T, where=~(wait | sense_wait))
-    if kept is None:
-        coef[:, 1] = -1.0
-        coef[:, 2] = np.where(wait, 0.0, lam)
-        coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
+    coef[:, 1] = -1.0
+    coef[:, 2] = np.where(wait, 0.0, lam)
+    coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
     for l in range(l_max - 2, -1, -1):
         nxt = coef[l + 1]
         cont = np.where(wait[l], reach.w, 0.0) * np.take(nxt, reach.lo, axis=1)
         cont += np.where(wait[l], 1.0 - reach.w, 0.0) * np.take(nxt, reach.hi, axis=1)
         cont += np.where(sense_wait[l], 1.0 - lam, 0.0) * nxt[:, reach.i_beta, None]
         coef[l] += cont
-    rows = coef[:, 1:] if kept is None else kept
-    if keep and kept is None:
-        reach.kept = key, rows.copy()
     at = [reach.i_alpha, reach.i_beta, reach.ref]
-    delay1 = np.concatenate([coef[0, :1][:, at], rows[0][:, at]]).T
+    delay1 = coef[0][:, at].T
     lhs = delay1[:, 1:] - np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     # Cramer's rule through cross products.  A 3x3 system needs no LAPACK,
     # whose first call in a process costs about half a megabyte resident.
     adj = np.cross(lhs[[1, 2, 0]], lhs[[2, 0, 1]])
     g, v_alpha1, v_beta1 = (-delay1[:, :1] * adj).sum(axis=0) / (lhs[0] * adj[0]).sum()
-    return (coef[:, 0] + g * rows[:, 0] + v_alpha1 * rows[:, 1] + v_beta1 * rows[:, 2]).T
+    return (coef[:, 0] + g * coef[:, 1] + v_alpha1 * coef[:, 2] + v_beta1 * coef[:, 3]).T
 
 
 def solve_single_channel(
@@ -404,7 +385,6 @@ def solve_single_channel(
     r: RewardParams,
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
     reach: GridStates | None = None,
 ) -> ValueFunction:
@@ -418,16 +398,11 @@ def solve_single_channel(
     it changes only the step count, not the actions, values or gain
     returned.  reach, the states of an earlier solve of the same p and l_max
     (its `reach`), spares building the grid and its successor structure
-    again, and its kept evaluation rows spare part of evaluating the table
-    the last solve on it ended on; neither changes what is returned.  Raises as
-    check_model and policy_iteration do, and ValueError when reach belongs to
-    another model.
+    again; it does not change what is returned either.  Raises as
+    check_model and policy_iteration do, and ValueError when reach belongs
+    to another model.
     """
     check_model(p, tol, l_max)
-    # Evaluation rows are kept only on a reach handed in, the one way a later
-    # solve can read them, so a one-off solve holds no more memory than it
-    # needs.
-    keep = reach is not None
     if reach is None:
         reach = GridStates(p, BeliefGrid.for_channel(p), l_max)
     elif (reach.channel, reach.l_max) != (p, l_max):
@@ -437,10 +412,9 @@ def solve_single_channel(
         (len(reach.grid), l_max),
         (reach.ref, 0),
         _CAP,
-        lambda actions, _v: _evaluate(reach, rewards, actions, keep),
+        lambda actions, _v: _evaluate(reach, rewards, actions),
         lambda v: _backup(reach, rewards, v),
         tol,
-        max_iter,
         start=start,
     )
     return ValueFunction(

@@ -175,6 +175,113 @@ def test_no_unread_public_definitions():
     assert unread_public_definitions(ROOT, TEST_ONLY_API) == []
 
 
+def defaulted_parameters(source: str) -> list:
+    """(line, name, parameter, position) for each parameter with a default of
+    a public function or method that a module defines at its top level.
+    position is the index of the call argument that fills it, not counting
+    the self or cls that a method call binds, and None for keyword-only
+    parameters."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node, node.name, 0))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    found.append((item, f"{node.name}.{item.name}", 0 if static else 1))
+    params = []
+    for fn, name, bound in found:
+        if name.rsplit(".", 1)[-1][:1] == "_":
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        params += [(fn.lineno, name, arg.arg, i - bound)
+                   for i, arg in enumerate(positional[first:], first)]
+        params += [(fn.lineno, name, arg.arg, None)
+                   for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if default is not None]
+    return params
+
+
+def arguments_passed(source: str) -> dict:
+    """For each name a module calls (a plain name or an attribute), the
+    keywords and argument positions its calls fill; "*" and "**" stand for
+    an unpacked sequence or mapping, which may fill any of them."""
+    passed = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        filled = passed.setdefault(name, set())
+        for i, arg in enumerate(node.args):
+            filled.add("*" if isinstance(arg, ast.Starred) else i)
+        filled.update("**" if kw.arg is None else kw.arg for kw in node.keywords)
+    return passed
+
+
+def unpassed_parameters(root: Path, allowed=frozenset()) -> list:
+    """path:line: name(parameter) for each parameter with a default of a
+    public function or method of the package under root/src/osa that no call
+    in the package or a root/osabench source passes, by keyword or by
+    position, and whose function allowed does not name.  Calls match by the
+    called name alone.  The tests are not callers: a setting that only they
+    change is a module constant."""
+    package = sorted((root / "src" / "osa").glob("*.py"))
+    readers = package + sorted((root / "osabench").glob("*.py"))
+    passed = {}
+    for path in readers:
+        for name, filled in arguments_passed(path.read_text()).items():
+            passed.setdefault(name, set()).update(filled)
+    found = []
+    for path in package:
+        for line, name, param, position in defaulted_parameters(path.read_text()):
+            filled = passed.get(name.rsplit(".", 1)[-1], set())
+            if name in allowed or "**" in filled or param in filled:
+                continue
+            if position is not None and (position in filled or "*" in filled):
+                continue
+            found.append(f"{path.relative_to(root)}:{line}: {name}({param})")
+    return found
+
+
+def test_unpassed_parameter_scan_ignores_test_calls(tmp_path):
+    files = {
+        "src/osa/m.py": (
+            "def f(a, b=1, c=2, *, d=3): pass\n"
+            "def allowed(x=0): pass\n"
+            "class K:\n"
+            "    def m(self, y=0, z=1): pass\n"
+            "    @classmethod\n"
+            "    def make(cls, n=1): pass\n"
+            "    @staticmethod\n"
+            "    def s(u=0): pass\n"
+        ),
+        # b by position, d by keyword, y by position after the bound self,
+        # and u and n by unpacking.
+        "src/osa/n.py": "from .m import K, f\nf(0, 5, d=4)\nK().m(2)\nK.s(*[1])\n",
+        "osabench/b.py": "from osa.m import K\nK.make(**{'n': 2})\n",
+        "tests/test_m.py": "from osa.m import K, allowed, f\nf(0, c=1)\nallowed(x=1)\nK().m(z=2)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unpassed_parameters(tmp_path) == [
+        "src/osa/m.py:1: f(c)",
+        "src/osa/m.py:2: allowed(x)",
+        "src/osa/m.py:4: K.m(z)",
+    ]
+    assert unpassed_parameters(tmp_path, {"allowed", "K.m"}) == ["src/osa/m.py:1: f(c)"]
+
+
+def test_every_optional_parameter_is_passed():
+    # A default that no package module or benchmark source overrides is a
+    # setting with one value in use: a constant, which a test may patch.
+    assert unpassed_parameters(ROOT, TEST_ONLY_API) == []
+
+
 def test_test_only_api_is_documented():
     readme = (ROOT / "README.md").read_text()
     assert [name for name in sorted(TEST_ONLY_API) if f"`{name}`" not in readme] == []

@@ -14,6 +14,7 @@ from oracles import (
     reachable_descriptor_states,
     wait_thresholds,
 )
+from osa import multichannel, solver
 from osa.channel import ChannelParams, iterate_unsensed, stationary_idle
 from osa.errors import NoConvergence, StateSpaceTooLarge
 from osa.multichannel import (
@@ -74,20 +75,23 @@ def test_reachable_states_merged_symmetric():
         assert tuple(sorted(codes)) == codes
 
 
-def test_state_cap_enforced():
+def test_state_cap_enforced(monkeypatch):
+    monkeypatch.setattr(multichannel, "STATE_CAP", 100)
     p = ChannelParams(0.15, 0.1)
     with pytest.raises(StateSpaceTooLarge):
-        build_reachable_states(4, p, k_trunc=20, l_max=15, state_cap=100)
+        build_reachable_states(4, p, k_trunc=20, l_max=15)
 
 
 @pytest.mark.parametrize("state_cap", [20_000, 64_299])
-def test_state_cap_counts_states_not_multisets(state_cap):
+def test_state_cap_counts_states_not_multisets(state_cap, monkeypatch):
     # Preset 1 at N=4 has 10,241 code multisets and 64,300 states: a cap
     # between the two still raises, and the state count itself does not.
     p = ChannelParams(0.15, 0.1)
+    monkeypatch.setattr(multichannel, "STATE_CAP", state_cap)
     with pytest.raises(StateSpaceTooLarge):
-        build_reachable_states(4, p, k_trunc=20, l_max=15, state_cap=state_cap)
-    assert len(build_reachable_states(4, p, k_trunc=20, l_max=15, state_cap=64_300).keys) == 64_300
+        build_reachable_states(4, p, k_trunc=20, l_max=15)
+    monkeypatch.setattr(multichannel, "STATE_CAP", 64_300)
+    assert len(build_reachable_states(4, p, k_trunc=20, l_max=15).keys) == 64_300
 
 
 def test_single_channel_equivalence():
@@ -348,9 +352,12 @@ def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, 
     assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
 
 
-def test_descriptor_solver_step_cap():
+def test_descriptor_solver_step_cap(monkeypatch):
+    # solver.MAX_ITER also caps the sweeps of each evaluation, so at 1 the
+    # first evaluation raises, before the first policy step ends.
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     with pytest.raises(NoConvergence) as err:
-        solve_multichannel(2, ChannelParams(0.85, 0.7), PRESET, k_trunc=8, l_max=8, max_iter=1)
+        solve_multichannel(2, ChannelParams(0.85, 0.7), PRESET, k_trunc=8, l_max=8)
     assert err.value.iterations == 1
     assert err.value.span > err.value.tol
 

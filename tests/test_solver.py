@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait
+from osa import solver
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
 from osa.multichannel import solve_multichannel
@@ -31,8 +32,8 @@ def preset_rewards():
     return RewardParams(**PRESET_REWARDS)
 
 
-def zero_value_function(p, r, l_max=50, n_points=101):
-    grid = BeliefGrid.for_channel(p, n_points)
+def zero_value_function(p, r, l_max=50):
+    grid = BeliefGrid.for_channel(p)
     n = len(grid)
     return ValueFunction(
         grid=grid,
@@ -78,18 +79,30 @@ def test_delay_penalty():
     np.testing.assert_allclose(table, [r.penalty(l) for l in range(1, 21)], rtol=1e-15)
 
 
-def test_grid_contains_specials(scen1_channel):
-    grid = BeliefGrid.for_channel(scen1_channel)
-    for x in (0.0, 1.0, 0.15, 0.1, stationary_idle(scen1_channel)):
+@pytest.mark.parametrize(
+    "alpha,beta,n_points",
+    [
+        (0.15, 0.1, 1001),  # pi0 replaces a uniform point
+        (0.0004, 0.0004, 1002),  # one special, three times, inserted next to 0
+        (0.9996, 0.9996, 1002),  # the same next to 1
+        (0.5, 0.5, 1001),  # every special on a uniform point
+        (0.95, 0.05, 1001),  # beta on a uniform point, alpha and pi0 replace two
+    ],
+)
+def test_grid_contains_specials(alpha, beta, n_points):
+    p = ChannelParams(alpha, beta)
+    grid = BeliefGrid.for_channel(p)
+    for x in (0.0, 1.0, alpha, beta, stationary_idle(p)):
         assert grid.index_of(x) >= 0
     assert np.all(np.diff(grid.points) > 0)
+    assert len(grid) == n_points
 
 
 def test_grid_snapping_keeps_spacing_bounded():
     # A special value close to a uniform point replaces it instead of creating
     # a near-duplicate cell.
     p = ChannelParams(0.1500000001, 0.1)
-    grid = BeliefGrid.for_channel(p, 1001)
+    grid = BeliefGrid.for_channel(p)
     assert grid.index_of(0.1500000001) >= 0
     assert np.min(np.diff(grid.points)) > 5e-4
 
@@ -184,13 +197,12 @@ def test_solver_rejects_degenerate_and_bad_args(solve, preset_rewards):
         solve(ChannelParams(0.15, 0.1), preset_rewards, tol=0.0)
     with pytest.raises(ValueError):
         solve(ChannelParams(0.15, 0.1), preset_rewards, l_max=1)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        solve(ChannelParams(0.15, 0.1), preset_rewards, max_iter=0)
 
 
-def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards):
+def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
     with pytest.raises(NoConvergence) as err:
-        solve_single_channel(scen1_channel, preset_rewards, max_iter=3)
+        solve_single_channel(scen1_channel, preset_rewards)
     assert err.value.iterations == 3
     assert err.value.span > err.value.tol
 
@@ -209,7 +221,7 @@ def test_solver_returns_bellman_fixed_point(alpha, beta, c_s):
 
 def test_solver_tolerance_below_final_residual_stops(scen1_channel, preset_rewards):
     # The policy settles in a few steps; a tolerance tighter than the final
-    # residual is reported then, not after max_iter steps.
+    # residual is reported then, not after MAX_ITER steps.
     with pytest.raises(NoConvergence) as err:
         solve_single_channel(scen1_channel, preset_rewards, tol=1e-15)
     assert err.value.iterations < 50
@@ -296,8 +308,8 @@ def cold_solves():
 )
 def test_warm_started_grid_solves_equal_cold_solves(cold_solves, p, l_max, order):
     # Each solve starts from the table of the gamma solved before it in a
-    # shuffled ladder and runs on the states, and the kept evaluation rows,
-    # of the first; they may change the work, never the answer.
+    # shuffled ladder and runs on the states of the first; they may change
+    # the work, never the answer.
     start = reach = None
     for gamma in order:
         r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
