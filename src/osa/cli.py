@@ -44,7 +44,6 @@ from .sim import (
     SimConfig,
     SweepRow,
     TraceRow,
-    _policy_of,
     _solve,
     compare_with_memoryless,
     little_check,
@@ -238,11 +237,13 @@ def cmd_solve(args) -> int:
             tol=args.tol,
         )
         lam, violations = mvf.lambda_summary()
-        tp = ThresholdPolicy(lambda_star=lam, l_star=mvf.dedicated_switch_delay(), l_max=mvf.l_max)
+        l_star = mvf.dedicated_switch_delay()
+        tp = ThresholdPolicy(lam, l_star, mvf.l_max, cap_bound=l_star == mvf.l_max)
         info = {
             "gain": mvf.gain,
             "iterations": mvf.iterations,
             "l_star": tp.l_star,
+            "cap_bound": tp.cap_bound,
             "states": len(mvf.delays),
             "k_trunc": mvf.space.k_trunc,
             "truncation_bound": mvf.space.truncation_bound,
@@ -279,7 +280,7 @@ def cmd_simulate(args) -> int:
         cfg.policy = ThresholdPolicy.from_csv(args.policy)
         _check_cap("--policy", args.policy, cfg.policy, args.lmax)
     else:
-        cfg.policy = _policy_of(_solve(cfg, scenario.gamma, args.tol))
+        cfg.policy = _solve(cfg, scenario.gamma, args.tol)
     metrics, trace = run_episode(cfg)
     outdir = _outdir(args)
     outputs = [outdir / "metrics.csv"]

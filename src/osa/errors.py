@@ -11,8 +11,8 @@ class DegenerateChain(OsaError):
 
 class NoConvergence(OsaError):
     """A solver did not reach the target residual span: policy iteration hit
-    its step cap, a descriptor policy evaluation hit its sweep cap, or the
-    settled policy's residual span is above tol."""
+    its step cap, a descriptor evaluation hit its product cap or stalled, or
+    the settled policy's residual span is above tol."""
 
     def __init__(self, iterations, span, tol):
         self.iterations = iterations

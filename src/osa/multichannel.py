@@ -28,8 +28,8 @@ fixed action table every state has at most one successor at delay l+1 and all
 its other exits land at delay 1, so the path from each delay-1 state unrolls
 in l_max steps into an expected reward, an expected sojourn and at most
 2 l_max delay-1 landings.  A policy is evaluated on that embedded semi-Markov
-chain over the delay-1 states by damped relative value iteration, and the
-other layers are then filled backward in delay (Puterman 1994, Markov
+chain over the delay-1 states by restarted GMRES on its evaluation equations,
+and the other layers are then filled backward in delay (Puterman 1994, Markov
 Decision Processes, sections 8.6, 9.2 and 11.4).  A solved table's wait
 thresholds are read with policy.wait_threshold, as the belief grid's are.
 """
@@ -61,10 +61,12 @@ DEFAULT_K_TRUNC = 20
 # Read at call time, so a test can patch it: the most reachable states (or
 # code multisets) an enumeration may hold.
 STATE_CAP = 5_000_000
-# Time step of the data-transformed embedded chain, as a fraction of the
-# shortest expected sojourn: every transformed state keeps a self-loop of at
-# least 1 - _STEP, so the iteration cannot cycle.
-_STEP = 0.5
+# The restart length of the evaluation's GMRES, the residual, relative to the
+# rewards per delay-1 visit, at which it stops, and how far above that a
+# residual that stops falling is still accepted.
+_RESTART = 40
+_RTOL = 1e-13
+_FLOOR = 100
 
 STALE = 0  # age >= k_trunc or never observed: belief is the stationary pi0
 
@@ -401,13 +403,14 @@ def _backup(t: _Table, rewards: tuple, v: np.ndarray):
     return greedy(q0, q1, q2, t.cap)
 
 
-def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, tol: float):
+def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray):
     """Relative values of a fixed action table, zero at the reference state 0.
 
-    The delay-1 values v1 warm-start damped relative value iteration on the
-    embedded chain, which stops at a residual span of tol / 100 or where
-    rounding stops it shrinking; the other layers then follow backward in
-    delay.  Raises NoConvergence after solver.MAX_ITER sweeps.
+    The delay-1 values h and the gain g solve (I - P) h + g tau = r, h[0] =
+    0, on the embedded chain (landings P, sojourns tau, rewards per visit r).
+    _gmres finds (g, h[1:]) from the previous table's delay-1 values v1 and
+    the g that fits them best; the other layers then follow backward in
+    delay.  Raises NoConvergence as _gmres does.
     """
     wait = actions == Action.WAIT
     sense_wait = actions == Action.SENSE_WAIT
@@ -436,19 +439,18 @@ def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, to
             break
     lands, probs = np.stack(lands, axis=1), np.stack(probs, axis=1)
 
-    tau = _STEP * sojourn.min()
-    prev = np.inf
-    for _ in range(solver.MAX_ITER):
-        # Reward per slot of one more visit on the current values.
-        d = (total + (probs * v1[lands]).sum(axis=1) - v1) / sojourn
-        span = float(np.ptp(d))
-        if span <= tol / 100 or span >= prev:
-            break
-        prev = span
-        v1 = v1 + tau * (d - d[0])
-    else:
-        raise NoConvergence(solver.MAX_ITER, span, tol)
-    gain = float(d[0])
+    def apply(x):
+        # x holds g in place of h[0], which is zero.
+        h = x.copy()
+        h[0] = 0.0
+        return h - (probs * h[lands]).sum(axis=1) + x[0] * sojourn
+
+    x = v1.copy()  # x[0] = v1[0] = 0: the reference state's value, not g
+    r = total - apply(x)
+    x[0] = (r @ sojourn) / (sojourn @ sojourn)
+    v1 = _gmres(apply, total, x, r - x[0] * sojourn)
+    gain = float(v1[0])
+    v1[0] = 0.0
 
     v = np.zeros(len(actions))
     v[:n1] = v1
@@ -459,6 +461,56 @@ def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray, to
             + p_idle1[s] * v1[t.idle1[s]] + p_busy1[s] * v1[t.busy1[s]]
         )
     return v
+
+
+def _gmres(apply, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve apply(y) = b by GMRES restarted every _RESTART products (Saad &
+    Schultz 1986, SIAM J. Sci. Stat. Comput. 7), from x with residual r, to
+    a residual of _RTOL |b|: classical Gram-Schmidt done twice, Givens
+    rotations, the residual recomputed after each cycle.  A cycle that does
+    not lower it ends the solve, at up to _FLOOR times the target (rounding
+    in the products of a y large against b can leave that much); above that
+    it raises NoConvergence, as a product past solver.MAX_ITER would."""
+    target = _RTOL * np.sqrt(b @ b)
+    norm, products = np.sqrt(r @ r), 0
+    while norm > target:
+        basis = np.empty((_RESTART + 1, len(x)))
+        basis[0] = r / norm
+        hess = np.zeros((_RESTART + 1, _RESTART))
+        rot = np.zeros((_RESTART, 2))  # cosine and sine of each rotation
+        e = np.zeros(_RESTART + 1)
+        e[0] = norm
+        for j in range(_RESTART):
+            if products == solver.MAX_ITER:
+                raise NoConvergence(products, norm, target)
+            products += 1
+            w = apply(basis[j])
+            for _ in range(2):
+                c = basis[: j + 1] @ w
+                w -= c @ basis[: j + 1]
+                hess[: j + 1, j] += c
+            col = hess[:, j]
+            col[j + 1] = w_norm = np.sqrt(w @ w)
+            for i, (cs, sn) in enumerate(rot[:j]):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            rot[j] = col[j : j + 2] / np.hypot(col[j], col[j + 1])
+            col[j], col[j + 1] = rot[j] @ col[j : j + 2], 0.0
+            e[j], e[j + 1] = rot[j] * e[j] * (1.0, -1.0)
+            if abs(e[j + 1]) <= target or w_norm == 0.0:
+                break
+            basis[j + 1] = w / w_norm
+        y = np.zeros(j + 1)
+        for i in range(j, -1, -1):
+            y[i] = (e[i] - hess[i, i + 1 : j + 1] @ y[i + 1 :]) / hess[i, i]
+        x = x + y @ basis[: j + 1]
+        products += 1
+        r = b - apply(x)
+        last, norm = norm, np.sqrt(r @ r)
+        if not norm < last:
+            if norm > _FLOOR * target:
+                raise NoConvergence(products, norm, target)
+            break
+    return x
 
 
 def solve_multichannel(
@@ -485,10 +537,10 @@ def solve_multichannel(
     and l_max (its `reach`), spares enumerating them and building their
     successor table again: only the rewards depend on r.
 
-    solver.MAX_ITER caps both the policy-iteration steps and the evaluation
-    sweeps of each step.  Raises as check_model and policy_iteration do,
-    NoConvergence when an evaluation hits that cap, and ValueError when reach
-    belongs to another model.
+    solver.MAX_ITER caps both the policy-iteration steps and the
+    matrix-vector products of each evaluation.  Raises as check_model and
+    policy_iteration do, NoConvergence when an evaluation hits that cap or
+    stalls, and ValueError when reach belongs to another model.
     """
     check_model(p, tol, l_max)
     if reach is None:
@@ -503,7 +555,7 @@ def solve_multichannel(
         len(reach.delays),
         0,
         t.cap,
-        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]], tol),
+        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]]),
         lambda v: _backup(t, rewards, v),
         tol,
         start=start,

@@ -25,7 +25,6 @@ agree by accounting.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -39,15 +38,13 @@ from .multichannel import (
     MultichannelValueFunction,
     solve_multichannel,
 )
-from .policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
+from .policy import MemorylessPolicy, ThresholdPolicy
 from .solver import (
     DEFAULT_L_MAX,
     DEFAULT_TOL,
     Action,
     RewardParams,
-    ValueFunction,
     check_count,
-    solve_single_channel,
 )
 
 DEFAULT_PACKETS = 3000
@@ -551,82 +548,52 @@ def write_rows(path, row_type, rows) -> None:
 
 
 def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
-    """Solve the configured instance at a given delay penalty, policy
-    iteration starting from the action table start and on the states reach
-    of an earlier solve of the same instance when given.  The value
-    function's rewards are the ones it was solved with."""
-    r = replace(cfg.rewards, gamma=gamma)
-    if len(cfg.channels) == 1:
-        return solve_single_channel(
-            cfg.channels[0], r, l_max=cfg.l_max, tol=tol, start=start, reach=reach
-        )
+    """Solve the configured instance at a given delay penalty on the
+    descriptor states, policy iteration starting from the action table start
+    and on the states reach of an earlier solve when given.  One channel is
+    solved exactly, with k_trunc = l_max + 1: its age never exceeds the
+    packet's delay, so no descriptor goes stale.  The value function's
+    rewards are the ones it was solved with."""
     return solve_multichannel(
-        len(cfg.channels), cfg.channels[0], r, k_trunc=cfg.k_trunc, l_max=cfg.l_max, tol=tol,
-        start=start, reach=reach,
+        len(cfg.channels), cfg.channels[0], replace(cfg.rewards, gamma=gamma),
+        k_trunc=cfg.l_max + 1 if len(cfg.channels) == 1 else cfg.k_trunc,
+        l_max=cfg.l_max, tol=tol, start=start, reach=reach,
     )
-
-
-def _policy_of(vf):
-    """The policy object the simulator runs for a solved value function."""
-    return extract_thresholds(vf) if isinstance(vf, ValueFunction) else vf
-
-
-def _episode_key(policy, cfg: SimConfig):
-    """What an episode of a solved policy under cfg does besides the rewards
-    it is paid: two policies with one key run the same slots.
-
-    A descriptor policy's key is its action table.  A threshold policy acts
-    at N = 1 only where its belief rows reach: the beliefs from pi0, alpha
-    and beta aged 0..l_max - 1 slots, since a wait at the cap overflows and
-    so at most l_max - 1 waits come in a row.  Its key is, per delay, the
-    number of those beliefs that wait (_compile's rule), plus the sensing
-    action per delay.
-    """
-    if not isinstance(policy, ThresholdPolicy):
-        return policy.actions.tobytes()
-    wait_below, sense = _compile(policy, cfg.l_max)
-    rows, update = _belief_rows(cfg.channels[0])
-    for row in rows:
-        _grow(row, update, cfg.l_max)
-    beliefs = sorted(set().union(*rows))
-    return tuple(bisect.bisect_right(beliefs, t) for t in wait_below[1:]), tuple(sense[1:])
 
 
 class _Episodes:
     """Episodes of the policies solved for one configuration, by delay
-    penalty, with solves cached by gamma and episodes by what they do.
+    penalty, with solves cached by gamma and episodes by action table.
 
     Each new gamma's solve starts from the action table of the nearest gamma
-    (in log gamma) solved so far, and runs on the states, and their
-    successor structure, that the first solve built: the belief grid at
-    N = 1, the descriptor states at N > 1.  They live as long as this
-    object.  None of this changes the tables, policies or episodes, which
-    are the ones a solve from scratch gives; it changes only the work.
+    (in log gamma) solved so far, and runs on the descriptor states, and
+    their successor table, that the first solve built; they live as long as
+    this object.  None of this changes the tables or episodes, which are the
+    ones a solve from scratch gives; it changes only the work.
 
     An episode's metrics depend on gamma only through avg_reward, and nearby
-    gammas often solve to policies that act alike on every state an episode
-    can reach (_episode_key).  probe() may therefore return an episode run
-    at another gamma; metrics() returns one run at the gamma asked for.
+    gammas often solve to the same action table.  probe() may therefore
+    return an episode run at another gamma; metrics() returns one run at the
+    gamma asked for.
     """
 
     def __init__(self, cfg: SimConfig, solver_tol: float):
         self.cfg, self.solver_tol = cfg, solver_tol
-        self.solves = {}
-        self.tables = {}  # gamma -> solved action table
-        self.runs = {}  # episode key -> (gamma it ran at, metrics)
-        self.reach = None  # states of the first solve
+        self.solves = {}  # gamma -> solved value function
+        self.runs = {}  # action table bytes -> (gamma it ran at, metrics)
+
+    def _episode(self, gamma: float) -> SimMetrics:
+        mvf = self.solves[gamma]
+        return run_episode(replace(self.cfg, policy=mvf, rewards=mvf.rewards))[0]
 
     def _run(self, gamma: float):
         if gamma not in self.solves:
-            near = min(self.tables, key=lambda g: abs(math.log(g / gamma)), default=None)
-            vf = _solve(self.cfg, gamma, self.solver_tol, self.tables.get(near), self.reach)
-            self.reach = vf.reach
-            self.tables[gamma] = vf.actions
-            self.solves[gamma] = _policy_of(vf), vf.rewards
-        pol, r = self.solves[gamma]
-        key = _episode_key(pol, self.cfg)
+            near = min(self.solves, key=lambda g: abs(math.log(g / gamma)), default=None)
+            start = () if near is None else (self.solves[near].actions, self.solves[near].reach)
+            self.solves[gamma] = _solve(self.cfg, gamma, self.solver_tol, *start)
+        key = self.solves[gamma].actions.tobytes()
         if key not in self.runs:
-            self.runs[key] = gamma, run_episode(replace(self.cfg, policy=pol, rewards=r))[0]
+            self.runs[key] = gamma, self._episode(gamma)
         return self.runs[key]
 
     def probe(self, gamma: float) -> SimMetrics:
@@ -634,10 +601,7 @@ class _Episodes:
 
     def metrics(self, gamma: float) -> SimMetrics:
         ran_at, m = self._run(gamma)
-        if ran_at != gamma:
-            pol, r = self.solves[gamma]
-            m, _ = run_episode(replace(self.cfg, policy=pol, rewards=r))
-        return m
+        return m if ran_at == gamma else self._episode(gamma)
 
 
 def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = DEFAULT_TOL):

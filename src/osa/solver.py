@@ -38,7 +38,7 @@ DEFAULT_TOL = 1e-9
 TIE_TOL = 1e-12
 # Read at call time, so a test can patch them: the uniform points of every
 # belief grid, and the cap on policy-iteration steps (and on the descriptor
-# solver's evaluation sweeps of each step).
+# solver's matrix-vector products in each evaluation).
 GRID_POINTS = 1001
 MAX_ITER = 100_000
 
@@ -160,8 +160,7 @@ class ValueFunction:
 
     values[i, l-1] is the relative value at grid point i and delay l; the value
     at the reference state (grid point nearest pi0, delay 1) is zero.  actions
-    holds the optimal action index per state.  reach is the GridStates a
-    solve ran on, for a later solve of the same channel and l_max.
+    holds the optimal action index per state.
     """
 
     grid: BeliefGrid
@@ -175,7 +174,6 @@ class ValueFunction:
     residual_span: float = float("nan")
     tol: float = DEFAULT_TOL
     reference_index: int = 0
-    reach: GridStates | None = None
 
     def to_csv(self, path) -> None:
         beliefs = [repr(b) for b in self.grid.points.tolist()]
@@ -264,9 +262,8 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, start=None):
     Bellman residual).
 
     The start table changes only the step count: the loop stops at the
-    table that is greedy on its own values whatever it starts from.  An
-    exact evaluation then returns the same values and gain bit for bit; an
-    iterative one (the descriptor solver's) agrees to its rounding.
+    table that is greedy on its own values whatever it starts from, and the
+    values and gain change only in their last digits.
 
     Raises NoConvergence when the table still changes after MAX_ITER steps or
     the residual span of the stable table exceeds tol, ValueError when start
@@ -302,13 +299,12 @@ class GridStates:
     """The states of one channel's belief grid up to delay l_max and their
     successor structure: the interpolation of the unsensed belief update and
     the grid points of alpha, beta and the reference pi0.  None of it depends
-    on the rewards, so every solve of one channel and l_max can share it
-    (solve_single_channel's reach).
+    on the rewards.
     """
 
     def __init__(self, p: ChannelParams, grid: BeliefGrid, l_max: int):
         pts = grid.points
-        self.channel, self.grid, self.l_max = p, grid, l_max
+        self.grid, self.l_max = grid, l_max
         self.lo, self.hi, self.w = grid.interp_weights(p.beta + (p.alpha - p.beta) * pts)
         self.i_alpha = grid.index_of(p.alpha)
         self.i_beta = grid.index_of(p.beta)
@@ -385,28 +381,16 @@ def solve_single_channel(
     r: RewardParams,
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
-    start: np.ndarray | None = None,
-    reach: GridStates | None = None,
 ) -> ValueFunction:
     """Howard policy iteration for the single-channel problem.
 
     Each action table over BeliefGrid.for_channel(p) is evaluated exactly;
     the returned values are the final backup renormalized at the reference
     state (the grid point holding pi0, delay 1).  Deterministic given
-    identical inputs.  start, an action table over the same grid and l_max
-    such as the one solved at a nearby gamma, is where the iteration begins;
-    it changes only the step count, not the actions, values or gain
-    returned.  reach, the states of an earlier solve of the same p and l_max
-    (its `reach`), spares building the grid and its successor structure
-    again; it does not change what is returned either.  Raises as
-    check_model and policy_iteration do, and ValueError when reach belongs
-    to another model.
+    identical inputs.  Raises as check_model and policy_iteration do.
     """
     check_model(p, tol, l_max)
-    if reach is None:
-        reach = GridStates(p, BeliefGrid.for_channel(p), l_max)
-    elif (reach.channel, reach.l_max) != (p, l_max):
-        raise ValueError("reach holds the states of another model")
+    reach = GridStates(p, BeliefGrid.for_channel(p), l_max)
     rewards = reach.rewards(r)
     actions, values, gain, steps, span = policy_iteration(
         (len(reach.grid), l_max),
@@ -415,7 +399,6 @@ def solve_single_channel(
         lambda actions, _v: _evaluate(reach, rewards, actions),
         lambda v: _backup(reach, rewards, v),
         tol,
-        start=start,
     )
     return ValueFunction(
         grid=reach.grid,
@@ -429,5 +412,4 @@ def solve_single_channel(
         residual_span=span,
         tol=tol,
         reference_index=reach.ref,
-        reach=reach,
     )

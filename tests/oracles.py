@@ -7,7 +7,8 @@ nearest-grid-point action, the three action values and the paper's
 closed-form thresholds Th1 and Th2; plain dict/float finite-horizon dynamic
 programming over exactly reachable beliefs,
 a renewal-cycle average-reward calculator for fixed-shape policies, a
-tuple-by-tuple closure and Bellman backup of the descriptor MDP, the
+tuple-by-tuple closure and Bellman backup of the descriptor MDP, policy
+evaluation on the descriptor table by damped relative value iteration, the
 wait-threshold rule state by state, and the slot kernel as a per-slot loop.
 Slow and simple on purpose.  The package itself runs none of this.
 """
@@ -18,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from osa.channel import stationary_idle
-from osa.errors import DelayOverflow
+from osa.errors import DelayOverflow, NoConvergence
 from osa.multichannel import STALE, MultichannelValueFunction
 from osa.sim import TraceRow
 from osa.solver import Action
@@ -326,6 +327,70 @@ def descriptor_backup(space, index, values, r, l_max):
             q.append(-r.c_s + b * (r.phi - r.p_p + v[1]) + (1.0 - b) * (-f + v[2]))
         out[sid] = max(q)
     return out
+
+
+def damped_evaluation(t, rewards, actions, v1, span_tol=1e-11, max_sweeps=10**6):
+    """Relative values of a fixed action table on a descriptor successor
+    table t (multichannel._Table), zero at the reference state 0: the
+    evaluation multichannel._evaluate makes by GMRES, made instead by damped
+    relative value iteration.
+
+    The path from each delay-1 state unrolls into an expected reward r, an
+    expected sojourn tau and its delay-1 landings P.  The delay-1 values v1
+    warm-start the iteration h <- h + step (d - d[0]) on the reward per slot
+    of one more visit, d = (r + P h - h) / tau, with step half the shortest
+    sojourn, so that every state of the data-transformed chain keeps a
+    self-loop and the iteration cannot cycle.  It stops at a span of d of
+    span_tol or where rounding stops the span shrinking, and the other
+    layers follow backward in delay.  Raises NoConvergence after max_sweeps.
+    """
+    wait = actions == Action.WAIT
+    sense_wait = actions == Action.SENSE_WAIT
+    reward = np.choose(actions, rewards)
+    up = np.where(sense_wait, t.up_busy, t.up_wait)
+    p_up = np.where(wait, 1.0, np.where(sense_wait, 1.0 - t.b, 0.0))
+    p_idle1 = np.where(wait, 0.0, t.b)
+    p_busy1 = np.where(wait | sense_wait, 0.0, 1.0 - t.b)
+
+    n1 = t.layers[1]
+    cur = np.arange(n1)
+    mass = np.ones(n1)
+    total = np.zeros(n1)
+    sojourn = np.zeros(n1)
+    lands, probs = [], []
+    for _ in range(len(t.layers) - 1):
+        total += mass * reward[cur]
+        sojourn += mass
+        lands += [t.idle1[cur], t.busy1[cur]]
+        probs += [mass * p_idle1[cur], mass * p_busy1[cur]]
+        mass = mass * p_up[cur]
+        cur = up[cur]
+        if not mass.any():
+            break
+    lands, probs = np.stack(lands, axis=1), np.stack(probs, axis=1)
+
+    step = 0.5 * sojourn.min()
+    prev = np.inf
+    for _ in range(max_sweeps):
+        d = (total + (probs * v1[lands]).sum(axis=1) - v1) / sojourn
+        span = float(np.ptp(d))
+        if span <= span_tol or span >= prev:
+            break
+        prev = span
+        v1 = v1 + step * (d - d[0])
+    else:
+        raise NoConvergence(max_sweeps, span, span_tol)
+    gain = float(d[0])
+
+    v = np.zeros(len(actions))
+    v[:n1] = v1
+    for l in range(len(t.layers) - 1, 1, -1):
+        s = slice(t.layers[l - 1], t.layers[l])
+        v[s] = (
+            reward[s] - gain + p_up[s] * v[up[s]]
+            + p_idle1[s] * v1[t.idle1[s]] + p_busy1[s] * v1[t.busy1[s]]
+        )
+    return v
 
 
 def wait_thresholds(states, l_max):

@@ -12,7 +12,7 @@ from osa.cli import build_parser, main
 from osa.learn import LearnerConfig, LearnTraceRow, run_learning
 from osa.policy import MemorylessPolicy
 from osa.scenarios import SCENARIOS
-from osa.sim import SimConfig, SweepRow, _policy_of, _solve, run_episode, write_rows
+from osa.sim import SimConfig, SweepRow, _solve, run_episode, write_rows
 from osa.solver import DEFAULT_TOL
 
 FAST_SOLVE = ["--tol", "1e-6", "--lmax", "20"]
@@ -138,6 +138,18 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert manifest["params"]["alpha"] == 0.85
     meta = json.loads((out / "value_function_meta.json").read_text())
     assert "gain" in meta and meta["l_max"] == 20
+
+
+@pytest.mark.parametrize("argv,l_max,cap_bound", [
+    (["--scenario", 1, "--lmax", 15], 15, True),
+    (["--scenario", 1, "--lmax", 8, "--gamma", 300], 8, False),
+])
+def test_descriptor_solve_reports_cap_bound(argv, l_max, cap_bound, tmp_path, capsys):
+    # As at N = 1: cap_bound says the dedicated switch is forced by --lmax.
+    assert run(["solve", *argv, "--out", tmp_path]) == 0
+    out = capsys.readouterr().out
+    assert f"  cap_bound: {cap_bound}\n" in out
+    assert (f"  l_star: {l_max}\n" in out) == cap_bound
 
 
 def test_solve_degenerate_exit_code(tmp_path, capsys):
@@ -407,7 +419,7 @@ def test_simulate_and_learn_write_what_the_library_gives(scenario, n, seed, mp, 
     model = ["--scenario", scenario, "--n", n, "--lmax", 15, "--seed", seed]
     cfg = SimConfig(channels=sc.channels(), rewards=sc.rewards, policy=None,
                     num_packets=packets, seed=seed, l_max=15)
-    cfg.policy = MemorylessPolicy(mp) if mp else _policy_of(_solve(cfg, sc.gamma, DEFAULT_TOL))
+    cfg.policy = MemorylessPolicy(mp) if mp else _solve(cfg, sc.gamma, DEFAULT_TOL)
     learned = run_learning(LearnerConfig(l_max=15), sc.channels(), sc.rewards, iterations, seed)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import osa.cli
 from oracles import (
     action_for,
+    damped_evaluation,
     descriptor_successors,
     nearest_action,
     reachable_descriptor_states,
@@ -23,6 +24,7 @@ from osa.multichannel import (
     build_reachable_states,
     solve_multichannel,
 )
+from osa.scenarios import SCENARIOS
 from osa.sim import SlotEnv
 from osa.solver import Action, RewardParams, solve_single_channel
 
@@ -353,8 +355,9 @@ def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, 
 
 
 def test_descriptor_solver_step_cap(monkeypatch):
-    # solver.MAX_ITER also caps the sweeps of each evaluation, so at 1 the
-    # first evaluation raises, before the first policy step ends.
+    # solver.MAX_ITER also caps the matrix-vector products of each
+    # evaluation, so at 1 the first evaluation raises, before the first
+    # policy step ends.
     monkeypatch.setattr(solver, "MAX_ITER", 1)
     with pytest.raises(NoConvergence) as err:
         solve_multichannel(2, ChannelParams(0.85, 0.7), PRESET, k_trunc=8, l_max=8)
@@ -363,7 +366,7 @@ def test_descriptor_solver_step_cap(monkeypatch):
 
 
 def test_descriptor_solver_tolerance_below_final_residual_stops():
-    # The evaluation stops at the rounding floor and the table settles in a
+    # The evaluation stops at a residual of 1e-13 and the table settles in a
     # few steps, so a tolerance below the final residual is reported then.
     start = time.perf_counter()
     with pytest.raises(NoConvergence) as err:
@@ -371,3 +374,101 @@ def test_descriptor_solver_tolerance_below_final_residual_stops():
     assert err.value.iterations < 50
     assert err.value.span > err.value.tol
     assert time.perf_counter() - start < 10.0
+
+
+def _fixed_backup(t, rewards, actions, v):
+    """One backup of the values v under a fixed action table."""
+    q_idle = t.b * v[t.idle1]
+    return np.choose(actions, (
+        rewards[0] + v[t.up_wait],
+        rewards[1] + q_idle + (1.0 - t.b) * v[t.up_busy],
+        rewards[2] + q_idle + (1.0 - t.b) * v[t.busy1],
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    k_trunc=st.integers(1, 6),
+    l_max=st.integers(2, 6),
+    beta=st.floats(0.02, 0.98),
+    alpha=st.one_of(st.none(), st.floats(0.02, 0.98)),  # None: alpha = beta
+    seed=st.integers(0, 2**16),
+)
+def test_gmres_evaluation_matches_damped_iteration(n, k_trunc, l_max, beta, alpha, seed):
+    # Random action tables, fallback at the delay cap, evaluated from random
+    # delay-1 values.  GMRES returns values that satisfy the evaluation
+    # equations up to rounding, or raises where the damped iteration cannot
+    # settle either (a table whose chain has two recurrent classes has no
+    # single gain); where the damped iteration settles within its sweep
+    # budget both give one gain and one set of values.  A few slow chains
+    # stop it where rounding stalls its span, above 1e-11, and decide nothing.
+    reach = build_reachable_states(n, ChannelParams(beta if alpha is None else alpha, beta),
+                                   k_trunc=k_trunc, l_max=l_max)
+    t = reach.table
+    rewards = solver.immediate_rewards(PRESET, t.b, PRESET.penalty_table(l_max)[reach.delays - 1])
+    rng = np.random.default_rng(seed)
+    actions = rng.integers(0, 3, len(reach.delays)).astype(np.int8)
+    actions[t.cap] = Action.SENSE_FALLBACK
+    v1 = rng.normal(0.0, 100.0, t.layers[1])
+    v1[0] = 0.0  # as every table's values are, at the reference state
+    try:
+        damped = damped_evaluation(t, rewards, actions, v1.copy(), max_sweeps=20_000)
+        settled = np.ptp(_fixed_backup(t, rewards, actions, damped) - damped) <= 1e-11
+    except NoConvergence:
+        settled = False
+    try:
+        gmres = multichannel._evaluate(t, rewards, actions, v1.copy())
+    except NoConvergence:
+        assert not settled
+        reject()
+    step = _fixed_backup(t, rewards, actions, gmres) - gmres
+    assert gmres[0] == 0.0
+    assert np.ptp(step) <= 1e-12 * (1.0 + np.abs(gmres).max())
+    assume(settled)
+    assert abs(step[0] - (_fixed_backup(t, rewards, actions, damped) - damped)[0]) <= 1e-9
+    assert np.abs(gmres - damped)[: t.layers[1]].max() <= 1e-9
+
+
+def test_table_with_two_recurrent_classes_raises():
+    # Under this table the delay-1 states {1, 2} and {3, 7, 14} are closed
+    # classes of the embedded chain, so its evaluation equations have no
+    # solution with one gain: GMRES stalls and raises rather than return one.
+    reach = build_reachable_states(2, ChannelParams(0.0566896118459993, 0.5767224441192895),
+                                   k_trunc=6, l_max=3)
+    t = reach.table
+    actions = np.array([int(a) for a in
+                        "102122010012020011201001012021212122022222222222222222222"], dtype=np.int8)
+    rewards = solver.immediate_rewards(PRESET, t.b, PRESET.penalty_table(3)[reach.delays - 1])
+    with pytest.raises(NoConvergence) as err:
+        multichannel._evaluate(t, rewards, actions, np.zeros(t.layers[1]))
+    assert err.value.span > err.value.tol
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_gmres_and_damped_evaluations_solve_to_one_table(scenario, monkeypatch):
+    sc = SCENARIOS[scenario]
+    solved = []
+    for evaluate in (multichannel._evaluate, damped_evaluation):
+        monkeypatch.setattr(multichannel, "_evaluate", evaluate)
+        solved.append(solve_multichannel(sc.n_channels, sc.channel, sc.rewards, k_trunc=20, l_max=15))
+    assert np.array_equal(solved[0].actions, solved[1].actions)
+    assert abs(solved[0].gain - solved[1].gain) <= 1e-9
+
+
+def test_stalled_evaluation_raises_within_one_restart_cycle():
+    # GMRES makes no progress on a cyclic shift longer than its Krylov basis
+    # from the residual e_1: the first cycle leaves the residual where it
+    # was, and the solve stops there rather than restarting up to the cap.
+    products = []
+
+    def shift(y):
+        products.append(1)
+        return np.roll(y, 1)
+
+    b = np.zeros(2 * multichannel._RESTART)
+    b[0] = 1.0
+    with pytest.raises(NoConvergence) as err:
+        multichannel._gmres(shift, b, np.zeros(len(b)), b.copy())
+    assert len(products) == err.value.iterations == multichannel._RESTART + 1
+    assert err.value.span == 1.0

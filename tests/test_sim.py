@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osa.multichannel
@@ -20,7 +20,12 @@ from osa.learn import (
     constant_threshold_policy,
     run_learning,
 )
-from osa.multichannel import STALE, build_reachable_states, solve_multichannel
+from osa.multichannel import (
+    STALE,
+    MultichannelValueFunction,
+    build_reachable_states,
+    solve_multichannel,
+)
 from osa.policy import MemorylessPolicy, ThresholdPolicy, extract_thresholds
 from osa.scenarios import SCENARIOS
 from osa.sim import (
@@ -31,7 +36,6 @@ from osa.sim import (
     SweepRow,
     TraceRow,
     _Episodes,
-    _policy_of,
     _solve,
     compare_with_memoryless,
     gamma_for_target_delay,
@@ -264,6 +268,26 @@ def test_gamma_bisection_between_delay_steps_reports_real_range():
     assert err.value.low < target < err.value.high
 
 
+@pytest.mark.filterwarnings("ignore::osa.policy.DelayCapBound")
+@pytest.mark.parametrize("l_max", [5, 15, 50])
+@pytest.mark.parametrize("alpha,beta", [(0.15, 0.1), (0.85, 0.7), (0.95, 0.05), (0.3, 0.7)])
+def test_one_channel_descriptor_table_runs_the_grid_thresholds_episode(alpha, beta, l_max):
+    # Simulated N = 1 runs act on the exact descriptor table (k_trunc =
+    # l_max + 1); the thresholds read off the interpolated belief grid, which
+    # they acted on before, run the same slots.  At k_trunc = l_max a packet
+    # that waits l_max - 1 slots would see a stale belief at the cap: at
+    # (0.95, 0.05) and l_max 5 that model's gain is 97.9 against the grid's
+    # 41.5, and its table runs other episodes.
+    p = ChannelParams(alpha, beta)
+    for gamma in (1.0, 10.0, 100.0):
+        r = replace(PRESET, gamma=gamma)
+        cfg = SimConfig(channels=[p], rewards=r, policy=None, seed=3, num_packets=1000,
+                        l_max=l_max, collect_trace=True)
+        grid = extract_thresholds(solve_single_channel(p, r, l_max=l_max))
+        table = solve_multichannel(1, p, r, k_trunc=l_max + 1, l_max=l_max)
+        assert run_episode(replace(cfg, policy=grid)) == run_episode(replace(cfg, policy=table))
+
+
 def test_episode_memo_reruns_at_the_gamma_asked_for():
     # Nearby gammas solve to the same policy, whose episode is shared; only
     # avg_reward depends on gamma, so metrics() reruns it at its own gamma.
@@ -273,7 +297,7 @@ def test_episode_memo_reruns_at_the_gamma_asked_for():
     shared = runs.probe(10.0)
     assert runs.probe(10.001) is shared
     vf = _solve(cfg, 10.001, 1e-7)
-    fresh, _ = run_episode(replace(cfg, policy=_policy_of(vf), rewards=vf.rewards))
+    fresh, _ = run_episode(replace(cfg, policy=vf, rewards=vf.rewards))
     assert runs.metrics(10.001) == fresh
     assert fresh.avg_reward != shared.avg_reward
     assert replace(fresh, avg_reward=shared.avg_reward) == shared
@@ -282,7 +306,7 @@ def test_episode_memo_reruns_at_the_gamma_asked_for():
 def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
     # The same compare runs twice through a wrapped Howard loop: once as it
     # is, once with every start table dropped.  Steps are counted, not timed.
-    real = osa.solver.policy_iteration
+    real = osa.multichannel.policy_iteration
     calls, steps = {}, {}
 
     def counted(cold):
@@ -297,113 +321,67 @@ def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
                     num_packets=500, l_max=15)
     rows = {}
     for cold in (False, True):
-        monkeypatch.setattr(osa.solver, "policy_iteration", counted(cold))
+        monkeypatch.setattr(osa.multichannel, "policy_iteration", counted(cold))
         rows[cold] = compare_with_memoryless(cfg, [2, 3], solver_tol=1e-7)
     assert rows[False] == rows[True]
     assert calls[False] == calls[True]
     assert steps[False] < steps[True]
 
 
-def _policy_key(policy, cfg):
-    """An episode key that tells apart policies that act alike: the solved
-    thresholds themselves."""
-    if isinstance(policy, ThresholdPolicy):
-        return tuple(policy.lambda_star.tolist()), policy.l_star
-    return policy.actions.tobytes()
-
-
-@pytest.mark.parametrize("call,fewer", [
-    (lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]), False),
-    (lambda cfg: gamma_for_target_delay(cfg, 2.0, tol=0.3), True),
-    (lambda cfg: compare_with_memoryless(cfg, [2, 3]), True),
+@pytest.mark.parametrize("call,reruns", [
+    (lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]), 5),
+    (lambda cfg: gamma_for_target_delay(cfg, 2.0, tol=0.3), 1),
+    (lambda cfg: compare_with_memoryless(cfg, [2, 3]), 2),
 ], ids=["sweep", "target", "compare"])
-def test_episodes_keyed_by_behaviour_are_shared(monkeypatch, call, fewer):
-    # Each call runs twice: as it is, and with episodes keyed by the solved
-    # thresholds.  The rows agree; probes share more episodes when policies
-    # that differ only between reachable beliefs share one.  A sweep runs one
-    # episode per gamma either way: each row is paid at its own gamma.
-    real = osa.sim.run_episode
-    episodes = {}
+def test_episodes_keyed_by_behaviour_are_shared(monkeypatch, call, reruns):
+    # Each call runs twice: as it is, and with every probe run at its own
+    # gamma.  The rows agree.  As it is, probes run one episode per distinct
+    # action table, and each of the call's `reruns` rows may run its table
+    # once more at its own gamma; so the searches run fewer episodes than
+    # they solve, and a sweep runs one per gamma.
+    real_run, real_solve = osa.sim.run_episode, osa.sim.solve_multichannel
+    tables, episodes, out = {}, {}, {}
 
-    def counted(by_thresholds):
-        def run(cfg):
-            episodes[by_thresholds] = episodes.get(by_thresholds, 0) + 1
-            return real(cfg)
-        return run
+    def solve(*args, **kwargs):
+        mvf = real_solve(*args, **kwargs)
+        tables.setdefault(own, []).append(mvf.actions.tobytes())
+        return mvf
 
+    def run(cfg):
+        if isinstance(cfg.policy, MultichannelValueFunction):
+            episodes.setdefault(own, []).append(cfg.policy.actions.tobytes())
+        return real_run(cfg)
+
+    monkeypatch.setattr(osa.sim, "solve_multichannel", solve)
+    monkeypatch.setattr(osa.sim, "run_episode", run)
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
                     num_packets=500, l_max=15)
-    out = {}
-    for by_thresholds in (False, True):
-        monkeypatch.setattr(osa.sim, "run_episode", counted(by_thresholds))
-        if by_thresholds:
-            monkeypatch.setattr(osa.sim, "_episode_key", _policy_key)
-        out[by_thresholds] = call(cfg)
+    for own in (False, True):
+        if own:
+            monkeypatch.setattr(_Episodes, "probe", _Episodes.metrics)
+        out[own] = call(cfg)
     assert out[False] == out[True]
-    if fewer:
-        assert episodes[False] < episodes[True]
+    shared, solved = episodes[False], tables[False]
+    assert set(shared) == set(solved)
+    assert len(set(solved)) <= len(shared) <= len(set(solved)) + reruns
+    if reruns == 5:
+        assert len(shared) == len(solved) == len(episodes[True]) == 5
     else:
-        assert episodes[False] == episodes[True]
+        assert len(shared) < len(solved) <= len(episodes[True])
 
 
-def _reachable_beliefs(p, l_max) -> list:
-    """Every belief an N = 1 episode can act on: pi0, alpha and beta, each
-    aged 0..l_max - 1 slots by the unsensed update."""
-    out = set()
-    for b in (stationary_idle(p), p.alpha, p.beta):
-        for _ in range(l_max):
-            out.add(b)
-            b = p.beta + (p.alpha - p.beta) * b
-    return sorted(out)
+_DESCRIPTOR_CALLS = {
+    "sweep": lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]),
+    "target": lambda cfg: gamma_for_target_delay(cfg, 1.5, tol=0.3),
+    "compare": lambda cfg: compare_with_memoryless(cfg, [2, 3]),
+}
 
 
-@st.composite
-def _threshold_policy_pairs(draw):
-    """A channel (alpha < beta among them), l_max, and two threshold policies
-    that differ at one delay, where one threshold is a reachable belief or
-    the float below one and the other is its neighbour in that list: the two
-    then make every reachable belief wait alike exactly when no reachable
-    belief separates them."""
-    p = draw(st.sampled_from([ChannelParams(0.15, 0.1), ChannelParams(0.85, 0.7),
-                              ChannelParams(0.95, 0.05), ChannelParams(0.3, 0.6),
-                              ChannelParams(0.1, 0.9)]))
-    l_max = draw(st.integers(2, 10))
-    beliefs = _reachable_beliefs(p, l_max)
-    marks = sorted({0.0, *beliefs, *np.nextafter(beliefs, 0.0).tolist()})
-    # A wait at the cap overflows, so the cap's threshold is mostly 0.
-    picks = [draw(st.integers(0, len(marks) - 1)) for _ in range(l_max - 1)]
-    picks.append(draw(st.sampled_from([0, draw(st.integers(0, len(marks) - 1))])))
-    d = draw(st.integers(0, l_max - 1))
-    twin = picks.copy()
-    twin[d] = min(max(picks[d] + draw(st.sampled_from([-1, 1])), 0), len(marks) - 1)
-    l_star = draw(st.integers(1, l_max))
-    policies = [ThresholdPolicy(np.array([marks[i] for i in idx]), l_star, l_max)
-                for idx in (picks, twin)]
-    return p, l_max, policies, draw(st.integers(0, 2**16))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_threshold_policy_pairs())
-def test_equal_episode_keys_give_equal_episodes(case):
-    p, l_max, policies, seed = case
-    cfg = SimConfig(channels=[p], rewards=PRESET, policy=None, seed=seed, num_packets=300,
-                    l_max=l_max)
-    assume(osa.sim._episode_key(policies[0], cfg) == osa.sim._episode_key(policies[1], cfg))
-    outcomes = []
-    for pol in policies:
-        try:
-            outcomes.append(run_episode(replace(cfg, policy=pol))[0])
-        except DelayOverflow as exc:  # compared: both must overflow alike
-            outcomes.append(repr(exc))
-    assert outcomes[0] == outcomes[1]
-
-
-@pytest.mark.parametrize("call", [
-    lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]),
-    lambda cfg: gamma_for_target_delay(cfg, 1.5, tol=0.3),
-    lambda cfg: compare_with_memoryless(cfg, [2, 3]),
-], ids=["sweep", "target", "compare"])
-def test_descriptor_calls_enumerate_once(monkeypatch, call):
+@pytest.mark.parametrize("call,n", [
+    *[(call, 2) for call in _DESCRIPTOR_CALLS.values()],
+    *[(call, 1) for call in _DESCRIPTOR_CALLS.values()],
+], ids=[*_DESCRIPTOR_CALLS, *[f"{name}-n1" for name in _DESCRIPTOR_CALLS]])
+def test_descriptor_calls_enumerate_once(monkeypatch, call, n):
     # Each call runs twice: as it is, and with every solve made from scratch
     # (no start table, no shared states).  The first enumerates the
     # descriptor states once, the second once per gamma; rows, action tables
@@ -423,7 +401,7 @@ def test_descriptor_calls_enumerate_once(monkeypatch, call):
             return mvf
         return enumerate_states, solve
 
-    cfg = SimConfig(channels=[ChannelParams(0.85, 0.7)] * 2, rewards=PRESET, policy=None,
+    cfg = SimConfig(channels=[ChannelParams(0.85, 0.7)] * n, rewards=PRESET, policy=None,
                     seed=2, num_packets=200, l_max=6, k_trunc=4)
     out = {}
     for cold in (False, True):

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait
 from osa import solver
@@ -286,51 +284,6 @@ WARM_CHANNELS = [ChannelParams(0.15, 0.1), ChannelParams(0.85, 0.7), ChannelPara
 GAMMA_LADDER = [float(g) for g in np.geomspace(0.5, 2000.0, 8)]
 
 
-@pytest.fixture(scope="module")
-def cold_solves():
-    """Grid solves from the all-fallback table, by (channel, l_max, gamma)."""
-    cache = {}
-
-    def get(p, l_max, gamma):
-        if (p, l_max, gamma) not in cache:
-            r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
-            cache[p, l_max, gamma] = solve_single_channel(p, r, l_max=l_max)
-        return cache[p, l_max, gamma]
-
-    return get
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    p=st.sampled_from(WARM_CHANNELS),
-    l_max=st.sampled_from([15, 50]),
-    order=st.permutations(GAMMA_LADDER),
-)
-def test_warm_started_grid_solves_equal_cold_solves(cold_solves, p, l_max, order):
-    # Each solve starts from the table of the gamma solved before it in a
-    # shuffled ladder and runs on the states of the first; they may change
-    # the work, never the answer.
-    start = reach = None
-    for gamma in order:
-        r = RewardParams(**{**PRESET_REWARDS, "gamma": gamma})
-        warm = solve_single_channel(p, r, l_max=l_max, start=start, reach=reach)
-        cold = cold_solves(p, l_max, gamma)
-        assert np.array_equal(warm.actions, cold.actions)
-        assert np.array_equal(warm.values, cold.values)
-        assert warm.gain == cold.gain
-        assert reach is None or warm.reach is reach
-        start, reach = warm.actions, warm.reach
-
-
-def test_grid_reach_of_another_model_is_rejected(preset_rewards):
-    p = ChannelParams(0.85, 0.7)
-    reach = solve_single_channel(p, preset_rewards, l_max=6).reach
-    assert solve_single_channel(p, preset_rewards, l_max=6, reach=reach).reach is reach
-    for q, l in [(ChannelParams(0.85, 0.6), 6), (p, 7)]:
-        with pytest.raises(ValueError, match="another model"):
-            solve_single_channel(q, preset_rewards, l_max=l, reach=reach)
-
-
 @pytest.mark.parametrize("p", WARM_CHANNELS)
 def test_warm_started_descriptor_solves_match_cold_solves(p):
     start = None
@@ -345,8 +298,9 @@ def test_warm_started_descriptor_solves_match_cold_solves(p):
 
 @pytest.mark.parametrize(
     "solve",
-    [solve_single_channel, lambda p, r, **kw: solve_multichannel(2, p, r, k_trunc=4, **kw)],
-    ids=["grid", "descriptor"],
+    [lambda p, r, l_max, **kw: solve_multichannel(1, p, r, k_trunc=l_max + 1, l_max=l_max, **kw),
+     lambda p, r, **kw: solve_multichannel(2, p, r, k_trunc=4, **kw)],
+    ids=["one-channel", "descriptor"],
 )
 def test_start_table_must_fit_the_model(solve, scen1_channel, preset_rewards):
     table = solve(scen1_channel, preset_rewards, l_max=6).actions
