@@ -38,7 +38,6 @@ from .sim import (
     SimConfig,
     SimMetrics,
     compare_with_memoryless,
-    gamma_for_target_delay,
     little_check,
     run_episode,
     sweep_gamma,

@@ -49,7 +49,7 @@ class DelayOverflow(OsaError):
 
 class TargetUnreachable(OsaError):
     """Requested average delay is not attained within tolerance: it lies
-    outside the achievable range [low, high], or between two delay steps."""
+    outside the achievable range [low, high]."""
 
     def __init__(self, target, low, high):
         self.target = target

@@ -191,8 +191,6 @@ class MultichannelValueFunction:
     in the order of reach."""
 
     reach: ReachableStates
-    n_channels: int
-    l_max: int
     values: np.ndarray
     actions: np.ndarray
     gain: float
@@ -204,6 +202,14 @@ class MultichannelValueFunction:
     @property
     def space(self) -> DescriptorSpace:
         return self.reach.space
+
+    @property
+    def n_channels(self) -> int:
+        return self.reach.codes.shape[1]
+
+    @property
+    def l_max(self) -> int:
+        return self.reach.l_max
 
     @property
     def delays(self) -> np.ndarray:
@@ -562,8 +568,6 @@ def solve_multichannel(
     )
     return MultichannelValueFunction(
         reach=reach,
-        n_channels=n_channels,
-        l_max=l_max,
         values=values,
         actions=actions,
         gain=gain,

@@ -562,110 +562,89 @@ def _solve(cfg: SimConfig, gamma: float, tol: float, start=None, reach=None):
 
 
 class _Episodes:
-    """Episodes of the policies solved for one configuration, by delay
-    penalty, with solves cached by gamma and episodes by action table.
+    """Solves and episodes of one configuration's policies, by delay penalty.
 
-    Each new gamma's solve starts from the action table of the nearest gamma
-    (in log gamma) solved so far, and runs on the descriptor states, and
-    their successor table, that the first solve built; they live as long as
-    this object.  None of this changes the tables or episodes, which are the
-    ones a solve from scratch gives; it changes only the work.
+    solve() caches solves by gamma.  Each new gamma's solve starts from the
+    action table of the nearest gamma (in log gamma) solved so far, and runs
+    on the descriptor states, and their successor table, that the first solve
+    built; they live as long as this object.  None of this changes the
+    tables, which are the ones a solve from scratch gives; it changes only
+    the work.
 
-    An episode's metrics depend on gamma only through avg_reward, and nearby
-    gammas often solve to the same action table.  probe() may therefore
-    return an episode run at another gamma; metrics() returns one run at the
-    gamma asked for.
+    episode() runs one episode per distinct action table, at the first gamma
+    that solved to it.  Nearby gammas often solve to the same table, and an
+    episode's metrics depend on gamma only through avg_reward, so every
+    other metric is the one an episode at the gamma asked for gives.
     """
 
     def __init__(self, cfg: SimConfig, solver_tol: float):
         self.cfg, self.solver_tol = cfg, solver_tol
         self.solves = {}  # gamma -> solved value function
-        self.runs = {}  # action table bytes -> (gamma it ran at, metrics)
+        self.runs = {}  # action table bytes -> metrics of its episode
 
-    def _episode(self, gamma: float) -> SimMetrics:
-        mvf = self.solves[gamma]
-        return run_episode(replace(self.cfg, policy=mvf, rewards=mvf.rewards))[0]
-
-    def _run(self, gamma: float):
+    def solve(self, gamma: float) -> MultichannelValueFunction:
         if gamma not in self.solves:
             near = min(self.solves, key=lambda g: abs(math.log(g / gamma)), default=None)
             start = () if near is None else (self.solves[near].actions, self.solves[near].reach)
             self.solves[gamma] = _solve(self.cfg, gamma, self.solver_tol, *start)
-        key = self.solves[gamma].actions.tobytes()
+        return self.solves[gamma]
+
+    def episode(self, gamma: float) -> SimMetrics:
+        mvf = self.solve(gamma)
+        key = mvf.actions.tobytes()
         if key not in self.runs:
-            self.runs[key] = gamma, self._episode(gamma)
+            self.runs[key] = run_episode(replace(self.cfg, policy=mvf, rewards=mvf.rewards))[0]
         return self.runs[key]
-
-    def probe(self, gamma: float) -> SimMetrics:
-        return self._run(gamma)[1]
-
-    def metrics(self, gamma: float) -> SimMetrics:
-        ran_at, m = self._run(gamma)
-        return m if ran_at == gamma else self._episode(gamma)
 
 
 def sweep_gamma(cfg: SimConfig, gammas, solver_tol: float = DEFAULT_TOL):
-    """One solve plus one episode per delay-penalty value, with the same seed
-    across points for variance reduction.  Returns SweepRow per gamma."""
+    """One solve plus one episode per delay-penalty value, run at that value
+    with the same seed across points for variance reduction.  Returns
+    SweepRow per gamma, in ascending gamma; a repeated gamma repeats its
+    row."""
     gammas = sorted(float(g) for g in gammas)
     for g in gammas:
         if not 0 < g < math.inf:
             raise ValueError(f"gamma={g} must be finite and positive")
     runs = _Episodes(cfg, solver_tol)
-    return [SweepRow.of(g, runs.metrics(g)) for g in gammas]
+    rows = {}
+    for g in gammas:
+        if g not in rows:
+            mvf = runs.solve(g)
+            rows[g] = SweepRow.of(g, run_episode(replace(cfg, policy=mvf, rewards=mvf.rewards))[0])
+    return [rows[g] for g in gammas]
 
 
-def _match_gamma(runs: _Episodes, target_delay, tol):
-    """Log-space bisection on gamma over GAMMA_BRACKET for a target average
-    delay.  Returns (gamma, within_tol, achieved) where achieved is the (low,
-    high) average delay at the bracket's ends."""
+def _match_gamma(runs: _Episodes, target_delay, tol) -> float:
+    """The delay penalty whose episode comes closest to a target average
+    delay, found by log-space bisection on gamma over GAMMA_BRACKET.
+
+    Average delay is non-increasing in gamma, which the episodes at the
+    bracket's ends check: TargetUnreachable, carrying the delays there, when
+    the target lies more than tol outside them.  Inside, the policy family
+    changes discretely, so delay is a step function and the closest gamma
+    may still miss the target by more than tol.  Raises ValueError as
+    check_match_tol does.
+    """
     check_match_tol(tol)
     g_lo, g_hi = GAMMA_BRACKET
-    m_lo = runs.probe(g_lo)
-    m_hi = runs.probe(g_hi)
-    achieved = (m_hi.avg_delay, m_lo.avg_delay)
-    if not (m_lo.avg_delay + tol >= target_delay >= m_hi.avg_delay - tol):
-        raise TargetUnreachable(target_delay, *achieved)
-    best = min(
-        [(abs(m_lo.avg_delay - target_delay), g_lo),
-         (abs(m_hi.avg_delay - target_delay), g_hi)],
-        key=lambda t: t[0],
-    )
+    d_lo, d_hi = runs.episode(g_lo).avg_delay, runs.episode(g_hi).avg_delay
+    if not (d_lo + tol >= target_delay >= d_hi - tol):
+        raise TargetUnreachable(target_delay, d_hi, d_lo)
+    best = min((abs(d_lo - target_delay), g_lo), (abs(d_hi - target_delay), g_hi))
     lo, hi = np.log(g_lo), np.log(g_hi)
     for _ in range(GAMMA_STEPS):
         mid = 0.5 * (lo + hi)
         g = float(np.exp(mid))
-        m = runs.probe(g)
-        err = abs(m.avg_delay - target_delay)
+        delay = runs.episode(g).avg_delay
+        err = abs(delay - target_delay)
         if err < best[0]:
             best = (err, g)
-        if m.avg_delay > target_delay:
+        if delay > target_delay:
             lo = mid
         else:
             hi = mid
-    return best[1], best[0] <= tol, achieved
-
-
-def gamma_for_target_delay(
-    cfg: SimConfig,
-    target_delay: float,
-    tol: float = DEFAULT_MATCH_TOL,
-    solver_tol: float = DEFAULT_TOL,
-):
-    """Find the delay-penalty coefficient whose optimal policy attains the
-    target average delay.
-
-    Average delay is non-increasing in gamma, which probing GAMMA_BRACKET's
-    ends validates before bisecting.  Raises TargetUnreachable, carrying the
-    delays achieved there, when the target lies outside that range or no
-    gamma lands within tol (the policy family changes discretely, so delay is
-    a step function), and ValueError as check_match_tol does.
-    """
-    runs = _Episodes(cfg, solver_tol)
-    g, ok, achieved = _match_gamma(runs, target_delay, tol)
-    if not ok:
-        raise TargetUnreachable(target_delay, *achieved)
-    return g, runs.metrics(g)
+    return best[1]
 
 
 @dataclass
@@ -690,14 +669,21 @@ def compare_with_memoryless(
     For each attempt limit k: simulate the baseline, tune gamma until the
     optimal policy reaches the same average delay (best effort within the
     step structure), and report the per-packet energy reduction, sharing
-    solves and episodes across k.  Raises ValueError as check_match_tol does.
+    solves and episodes across k.  Raises ValueError as check_match_tol does,
+    and naming k for a baseline that spends no energy, against which no
+    reduction is defined.
     """
     runs = _Episodes(cfg, solver_tol)
     rows = []
     for k in sorted(int(k) for k in k_values):
         m_mp, _ = run_episode(replace(cfg, policy=MemorylessPolicy(k)))
-        g = _match_gamma(runs, m_mp.avg_delay, tol)[0]
-        m_opt = runs.metrics(g)
+        if m_mp.energy_per_packet == 0:
+            raise ValueError(
+                f"memoryless k={k} spends no energy per packet, so the energy "
+                "reduction against it is undefined"
+            )
+        g = _match_gamma(runs, m_mp.avg_delay, tol)
+        m_opt = runs.episode(g)
         rows.append(
             CompareRow(
                 k=k,

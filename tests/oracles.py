@@ -8,7 +8,8 @@ closed-form thresholds Th1 and Th2; plain dict/float finite-horizon dynamic
 programming over exactly reachable beliefs,
 a renewal-cycle average-reward calculator for fixed-shape policies, a
 tuple-by-tuple closure and Bellman backup of the descriptor MDP, policy
-evaluation on the descriptor table by damped relative value iteration, the
+evaluation on the descriptor table by damped relative value iteration and
+by one dense solve over every state, the
 wait-threshold rule state by state, and the slot kernel as a per-slot loop.
 Slow and simple on purpose.  The package itself runs none of this.
 """
@@ -391,6 +392,34 @@ def damped_evaluation(t, rewards, actions, v1, span_tol=1e-11, max_sweeps=10**6)
             + p_idle1[s] * v1[t.idle1[s]] + p_busy1[s] * v1[t.busy1[s]]
         )
     return v
+
+
+def exact_evaluation(t, rewards, actions):
+    """Gain and relative values of a fixed action table on a descriptor
+    successor table t (multichannel._Table), zero at the reference state 0,
+    by one dense solve over every state.
+
+    The table's one-slot chain P, built state by state from the successor
+    table, and its rewards per slot r give (I - P) h + g 1 = r with h[0] =
+    0: a square system in g (in h[0]'s column) and h[1:].  It is singular,
+    and the result None, when the chain has more than one recurrent class.
+    """
+    n = len(actions)
+    system = np.eye(n)
+    reward = np.empty(n)
+    for s, a in enumerate(actions):
+        b = float(t.b[s])
+        reward[s] = rewards[a][s]
+        if a == Action.WAIT:
+            system[s, t.up_wait[s]] -= 1.0
+        else:
+            system[s, t.idle1[s]] -= b
+            system[s, t.up_busy[s] if a == Action.SENSE_WAIT else t.busy1[s]] -= 1.0 - b
+    system[:, 0] = 1.0
+    if np.linalg.matrix_rank(system) < n:
+        return None
+    x = np.linalg.solve(system, reward)
+    return float(x[0]), np.concatenate([[0.0], x[1:]])
 
 
 def wait_thresholds(states, l_max):

@@ -316,6 +316,18 @@ def test_compare_exit_and_csv(tmp_path):
     assert len(lines) == 2
 
 
+def test_compare_against_a_baseline_without_energy_is_usage_error(tmp_path, capsys):
+    # With no sensing or primary-channel cost, memoryless k=8 at (0.85, 0.7)
+    # delivers every packet free, so no energy reduction is defined against it.
+    out = tmp_path / "cmp"
+    code = run(["compare", "--alpha", 0.85, "--beta", 0.7, "--cs", 0, "--pp", 0, "--ks", 8,
+                "--lmax", 15, "--packets", 300, "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: memoryless k=8 ")
+    assert not out.exists()
+
+
 def _files(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 

@@ -114,8 +114,32 @@ def test_public_definition_scan_sees_functions_classes_and_methods():
 
 # Public names that only the tests read, kept as library API (README.md,
 # "Library API"): the policy rule that sim compiles into its slot kernel and
-# oracles.ReferenceSlotEnv calls, and the target-delay search.
-TEST_ONLY_API = {"ThresholdPolicy.act", "gamma_for_target_delay"}
+# oracles.ReferenceSlotEnv calls.
+TEST_ONLY_API = {"ThresholdPolicy.act"}
+
+
+def undefined_names(root: Path, names) -> list:
+    """The names, sorted, that no public function, class or method
+    (public_definitions) of the package under root/src/osa defines."""
+    defined = {name for path in (root / "src" / "osa").glob("*.py")
+               for _, name in public_definitions(path.read_text())}
+    return sorted(set(names) - defined)
+
+
+def test_undefined_name_scan_sees_functions_and_methods(tmp_path):
+    (tmp_path / "src" / "osa").mkdir(parents=True)
+    (tmp_path / "src" / "osa" / "m.py").write_text(
+        "def kept(): pass\nclass K:\n    def act(self): pass\n"
+    )
+    assert undefined_names(tmp_path, {"kept", "K", "K.act", "gone", "K.gone", "act"}) == [
+        "K.gone", "act", "gone"
+    ]
+
+
+def test_test_only_api_names_definitions():
+    # An entry whose definition is gone would keep its name's exemption
+    # from the scans below for whatever next takes that name.
+    assert undefined_names(ROOT, TEST_ONLY_API) == []
 
 
 def unread_public_definitions(root: Path, allowed=frozenset()) -> list:

@@ -36,9 +36,9 @@ from osa.sim import (
     SweepRow,
     TraceRow,
     _Episodes,
+    _match_gamma,
     _solve,
     compare_with_memoryless,
-    gamma_for_target_delay,
     idle_flags,
     little_check,
     run_episode,
@@ -243,29 +243,22 @@ def test_gamma_bisection_hits_probe_targets():
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
                     num_packets=1000)
     probe = sweep_gamma(cfg, [30.0], solver_tol=1e-7)[0]
-    gamma, metrics = gamma_for_target_delay(
-        cfg, probe.avg_delay, tol=0.25, solver_tol=1e-7
-    )
-    assert abs(metrics.avg_delay - probe.avg_delay) <= 0.25
+    runs = _Episodes(cfg, 1e-7)
+    gamma = _match_gamma(runs, probe.avg_delay, 0.25)
+    assert abs(runs.episode(gamma).avg_delay - probe.avg_delay) <= 0.25
 
 
 def test_gamma_bisection_unreachable():
+    # A target below the delay at the bracket's top end, by more than tol:
+    # the error carries the delays at both ends.
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
                     num_packets=500)
-    with pytest.raises(TargetUnreachable):
-        gamma_for_target_delay(cfg, 0.5, tol=0.05, solver_tol=1e-6)
-
-
-def test_gamma_bisection_between_delay_steps_reports_real_range():
-    # 500 packets make every average delay a multiple of 1/500, so a target
-    # 1/1000 past an achieved delay is never met within a tiny tol even
-    # though it lies inside the bracket's range.
-    cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
-                    num_packets=500)
-    target = sweep_gamma(cfg, [30.0], solver_tol=1e-7)[0].avg_delay + 1e-3
+    runs = _Episodes(cfg, 1e-6)
     with pytest.raises(TargetUnreachable) as err:
-        gamma_for_target_delay(cfg, target, tol=1e-4, solver_tol=1e-7)
-    assert err.value.low < target < err.value.high
+        _match_gamma(runs, 0.5, 0.05)
+    low, high = (runs.episode(g).avg_delay for g in reversed(osa.sim.GAMMA_BRACKET))
+    assert (err.value.low, err.value.high) == (low, high)
+    assert 0.5 + 0.05 < low < high
 
 
 @pytest.mark.filterwarnings("ignore::osa.policy.DelayCapBound")
@@ -288,19 +281,22 @@ def test_one_channel_descriptor_table_runs_the_grid_thresholds_episode(alpha, be
         assert run_episode(replace(cfg, policy=grid)) == run_episode(replace(cfg, policy=table))
 
 
-def test_episode_memo_reruns_at_the_gamma_asked_for():
-    # Nearby gammas solve to the same policy, whose episode is shared; only
-    # avg_reward depends on gamma, so metrics() reruns it at its own gamma.
+def test_episodes_are_shared_and_sweep_rows_run_at_their_own_gamma():
+    # Nearby gammas solve to the same policy, whose episode is shared: it
+    # ran at the first gamma, and only its avg_reward depends on gamma.  A
+    # sweep row runs its table at its own gamma.
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=None, seed=11,
                     num_packets=500, l_max=15)
     runs = _Episodes(cfg, 1e-7)
-    shared = runs.probe(10.0)
-    assert runs.probe(10.001) is shared
+    shared = runs.episode(10.0)
+    assert runs.episode(10.001) is shared
     vf = _solve(cfg, 10.001, 1e-7)
     fresh, _ = run_episode(replace(cfg, policy=vf, rewards=vf.rewards))
-    assert runs.metrics(10.001) == fresh
     assert fresh.avg_reward != shared.avg_reward
     assert replace(fresh, avg_reward=shared.avg_reward) == shared
+    assert sweep_gamma(cfg, [10.0, 10.001], solver_tol=1e-7) == [
+        SweepRow.of(10.0, shared), SweepRow.of(10.001, fresh)
+    ]
 
 
 def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
@@ -328,19 +324,22 @@ def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
     assert steps[False] < steps[True]
 
 
-@pytest.mark.parametrize("call,reruns", [
-    (lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]), 5),
-    (lambda cfg: gamma_for_target_delay(cfg, 2.0, tol=0.3), 1),
-    (lambda cfg: compare_with_memoryless(cfg, [2, 3]), 2),
+@pytest.mark.parametrize("call,per_gamma", [
+    (lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]), True),
+    (lambda cfg: _match_gamma(_Episodes(cfg, osa.solver.DEFAULT_TOL), 2.0, 0.3), False),
+    (lambda cfg: compare_with_memoryless(cfg, [2, 3]), False),
 ], ids=["sweep", "target", "compare"])
-def test_episodes_keyed_by_behaviour_are_shared(monkeypatch, call, reruns):
-    # Each call runs twice: as it is, and with every probe run at its own
-    # gamma.  The rows agree.  As it is, probes run one episode per distinct
-    # action table, and each of the call's `reruns` rows may run its table
-    # once more at its own gamma; so the searches run fewer episodes than
-    # they solve, and a sweep runs one per gamma.
+def test_episodes_keyed_by_behaviour_are_shared(monkeypatch, call, per_gamma):
+    # Each call runs twice: as it is, and with every episode run fresh at its
+    # own gamma.  The results agree.  As it is, the searches run one episode
+    # per distinct action table, fewer than they solve; a sweep runs one per
+    # gamma, at that gamma.
     real_run, real_solve = osa.sim.run_episode, osa.sim.solve_multichannel
     tables, episodes, out = {}, {}, {}
+
+    def fresh(runs, gamma):
+        mvf = runs.solve(gamma)
+        return osa.sim.run_episode(replace(runs.cfg, policy=mvf, rewards=mvf.rewards))[0]
 
     def solve(*args, **kwargs):
         mvf = real_solve(*args, **kwargs)
@@ -358,21 +357,20 @@ def test_episodes_keyed_by_behaviour_are_shared(monkeypatch, call, reruns):
                     num_packets=500, l_max=15)
     for own in (False, True):
         if own:
-            monkeypatch.setattr(_Episodes, "probe", _Episodes.metrics)
+            monkeypatch.setattr(_Episodes, "episode", fresh)
         out[own] = call(cfg)
     assert out[False] == out[True]
     shared, solved = episodes[False], tables[False]
-    assert set(shared) == set(solved)
-    assert len(set(solved)) <= len(shared) <= len(set(solved)) + reruns
-    if reruns == 5:
-        assert len(shared) == len(solved) == len(episodes[True]) == 5
+    if per_gamma:
+        assert shared == solved == episodes[True] and len(shared) == 5
     else:
+        assert sorted(shared) == sorted(set(solved))
         assert len(shared) < len(solved) <= len(episodes[True])
 
 
 _DESCRIPTOR_CALLS = {
     "sweep": lambda cfg: sweep_gamma(cfg, [1.0, 3.0, 10.0, 30.0, 100.0]),
-    "target": lambda cfg: gamma_for_target_delay(cfg, 1.5, tol=0.3),
+    "target": lambda cfg: _match_gamma(_Episodes(cfg, osa.solver.DEFAULT_TOL), 1.5, 0.3),
     "compare": lambda cfg: compare_with_memoryless(cfg, [2, 3]),
 }
 
@@ -436,8 +434,6 @@ def test_negative_seed_and_match_tolerance_are_rejected():
     for tol in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             compare_with_memoryless(cfg, [2], tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            gamma_for_target_delay(cfg, 2.0, tol=tol)
 
 
 @pytest.mark.parametrize("make", [
