@@ -5,6 +5,10 @@ channel's last observation and its age, so the reachable belief set is finite
 once ages are truncated: after k_trunc unsensed slots a channel's belief is
 within |alpha-beta|^k_trunc of the stationary probability and is collapsed to
 it.  Channel identity is irrelevant, so descriptor multisets are merged.
+With one channel and k_trunc = l_max + 1 nothing is collapsed, since a
+channel's age never exceeds the packet's delay, and the solve is exact: N=1
+simulate, sweep and compare run on it, and solver.solve_single_channel reads
+its belief grid off it.
 
 Sensing always targets the channel with the highest belief, the channel-choice
 rule used throughout; within a merged state equal-belief channels are
@@ -559,7 +563,6 @@ def solve_multichannel(
     rewards = immediate_rewards(r, t.b, r.penalty_table(l_max)[reach.delays - 1])
     actions, values, gain, steps, span = policy_iteration(
         len(reach.delays),
-        0,
         t.cap,
         lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]]),
         lambda v: _backup(t, rewards, v),

@@ -7,18 +7,23 @@ delay of the packet in hand.  Three actions are available each slot:
     1  sense, wait     sense; transmit on idle, otherwise wait
     2  sense, fallback  sense; transmit on idle, otherwise use the dedicated channel
 
-Howard policy iteration over a belief grid produces the relative value table
-V and the average gain per slot.  States at the delay cap are restricted to
-the fallback action so every packet leaves the system in bounded time.
+The single-channel problem is solved exactly on descriptor states, by
+multichannel.solve_multichannel with one channel and k_trunc = l_max + 1, so
+no belief goes stale; that solve gives the average gain per slot and the
+relative values.  States at the delay cap are restricted to the fallback
+action so every packet leaves the system in bounded time.
 
-Every transition out of delay l lands at delay l+1 or at one of the two
-delay-1 states (alpha, 1) and (beta, 1).  Under a fixed action table one
-backward sweep in delay therefore writes every value as an affine function of
-the gain and those two values, and evaluating the policy is a 3x3 linear
-solve (Puterman 1994, Markov Decision Processes, sections 8.6 and 9.2).
+solve_single_channel reads the value table over a belief grid off that
+solve.  A sensing lands at (alpha, 1), (beta, 1) or (beta, l+1), whose exact
+values the solve gives, and a wait moves the belief by the affine one-slot
+update.  So each V(., l) is convex and piecewise linear in the belief
+(Smallwood & Sondik 1973, Oper. Res. 21): the upper envelope of the two
+sense actions' lines and of V(., l+1) seen through the update.  One backward
+sweep in delay fills the grid without interpolating.
 
-The descriptor solver in multichannel.py shares the Howard core defined here:
-check_model, immediate_rewards, greedy and policy_iteration.
+This module also holds the Howard policy-iteration core that the descriptor
+solver runs: check_model, immediate_rewards, greedy and policy_iteration
+(Puterman 1994, Markov Decision Processes, sections 8.6 and 9.2).
 """
 
 from __future__ import annotations
@@ -121,6 +126,7 @@ class BeliefGrid:
             j = int(round(x / spacing))
             j = min(max(j, 0), n_points - 1)
             if pts[j] == x:
+                moved.add(j)  # a later special value must not replace x
                 continue
             # Replace the nearest interior uniform point so cells stay near
             # uniform width; fall back to insertion when that point already
@@ -144,23 +150,14 @@ class BeliefGrid:
             raise ValueError(f"{x} is not a grid point")
         return i
 
-    def interp_weights(self, x: np.ndarray):
-        """Bracketing indices and left-point weights for linear interpolation."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        hi = np.clip(np.searchsorted(self.points, x, side="left"), 1, len(self.points) - 1)
-        lo = hi - 1
-        width = self.points[hi] - self.points[lo]
-        w_lo = (self.points[hi] - x) / width
-        return lo, hi, w_lo
-
 
 @dataclass
 class ValueFunction:
-    """Converged relative value table over (belief grid x delay) plus the gain.
+    """Relative value table over (belief grid x delay) plus the gain.
 
     values[i, l-1] is the relative value at grid point i and delay l; the value
-    at the reference state (grid point nearest pi0, delay 1) is zero.  actions
-    holds the optimal action index per state.
+    at the reference state (the grid point holding pi0, delay 1) is zero.
+    actions holds the optimal action index per state.
     """
 
     grid: BeliefGrid
@@ -252,14 +249,14 @@ def greedy(q0, q1, q2, cap):
     return w, actions
 
 
-def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, start=None):
-    """Howard policy iteration from the start table (fallback everywhere when
-    None) until the action table repeats.  evaluate(actions, v) gives a
-    table's relative values, warm-started from the previous ones (zeros at
-    first); backup(v) gives the greedy backup values and table, fallback at
-    the delay-cap states that cap indexes.  Returns (actions, final backup
-    minus its value at ref, that value as the gain, steps, span of the final
-    Bellman residual).
+def policy_iteration(n_states, cap, evaluate, backup, tol: float, start=None):
+    """Howard policy iteration over n_states states from the start table
+    (fallback everywhere when None) until the action table repeats.
+    evaluate(actions, v) gives a table's relative values, warm-started from
+    the previous ones (zeros at first); backup(v) gives the greedy backup
+    values and table, fallback at the delay-cap states that cap indexes.
+    Returns (actions, final backup minus its value at the reference state 0,
+    that value as the gain, steps, span of the final Bellman residual).
 
     The start table changes only the step count: the loop stops at the
     table that is greedy on its own values whatever it starts from, and the
@@ -269,14 +266,14 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, start=None):
     the residual span of the stable table exceeds tol, ValueError when start
     has another shape or another action than fallback at cap.
     """
-    actions = np.full(shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
+    actions = np.full(n_states, int(Action.SENSE_FALLBACK), dtype=np.int8)
     if start is not None:
         if np.shape(start) != actions.shape:
             raise ValueError(f"start table has shape {np.shape(start)}, not {actions.shape}")
         actions[...] = start
         if np.any(actions[cap] != Action.SENSE_FALLBACK):
             raise ValueError("start table must hold the fallback action at the delay cap")
-    v = np.zeros(shape)
+    v = np.zeros(n_states)
     for it in range(1, MAX_ITER + 1):
         v = evaluate(actions, v)
         w, improved = backup(v)
@@ -288,92 +285,54 @@ def policy_iteration(shape, ref, cap, evaluate, backup, tol: float, start=None):
         raise NoConvergence(MAX_ITER, span, tol)
     if span > tol:
         raise NoConvergence(it, span, tol)
-    gain = float(w[ref])
+    gain = float(w[0])
     return actions, w - gain, gain, it, span
 
 
-_CAP = np.s_[:, -1]  # the delay-cap states of a (belief, delay) table
-
-
-class GridStates:
-    """The states of one channel's belief grid up to delay l_max and their
-    successor structure: the interpolation of the unsensed belief update and
-    the grid points of alpha, beta and the reference pi0.  None of it depends
-    on the rewards.
-    """
-
-    def __init__(self, p: ChannelParams, grid: BeliefGrid, l_max: int):
-        pts = grid.points
-        self.grid, self.l_max = grid, l_max
-        self.lo, self.hi, self.w = grid.interp_weights(p.beta + (p.alpha - p.beta) * pts)
-        self.i_alpha = grid.index_of(p.alpha)
-        self.i_beta = grid.index_of(p.beta)
-        self.ref = grid.index_of(stationary_idle(p))
-        self.lam = pts[:, None]  # grid beliefs as a column
-
-    def rewards(self, r: RewardParams) -> tuple:
-        """The immediate reward of each action in each state under r."""
-        return immediate_rewards(r, self.lam, r.penalty_table(self.l_max)[None, :])
-
-
-def _backup(reach: GridStates, rewards: tuple, v: np.ndarray):
-    """One full Bellman backup: the backup values and the greedy action table."""
-    # Continuation table for delay l+1, capped at l_max.
-    v_next = np.concatenate([v[:, 1:], v[:, -1:]], axis=1)
-    q_idle = reach.lam * v[reach.i_alpha, 0]
-    q0 = rewards[0] + (
-        reach.w[:, None] * v_next[reach.lo] + (1.0 - reach.w)[:, None] * v_next[reach.hi]
-    )
-    q1 = rewards[1] + (q_idle + (1.0 - reach.lam) * v_next[reach.i_beta][None, :])
-    q2 = rewards[2] + (q_idle + (1.0 - reach.lam) * v[reach.i_beta, 0])
-    return greedy(q0, q1, q2, _CAP)
-
-
 def bellman_backup(vf: ValueFunction):
-    """One exact backup of a value table.
+    """One backup of a value table on its belief grid, the value after a
+    wait interpolated linearly between grid points.
 
     Returns (normalized table, gain estimate): the backup values minus the
-    backup value at the reference state, and that reference value itself.
+    backup value at the reference state (pi0, delay 1), and that reference
+    value itself.
     """
-    reach = GridStates(vf.channel, vf.grid, vf.l_max)
-    w, _ = _backup(reach, reach.rewards(vf.rewards), vf.values)
-    g = w[reach.ref, 0]
+    p, pts, v = vf.channel, vf.grid.points, vf.values
+    lam = pts[:, None]
+    i_alpha, i_beta = vf.grid.index_of(p.alpha), vf.grid.index_of(p.beta)
+    v_next = np.concatenate([v[:, 1:], v[:, -1:]], axis=1)  # delay l+1, capped at l_max
+    x = p.beta + (p.alpha - p.beta) * pts
+    hi = np.clip(np.searchsorted(pts, x), 1, len(pts) - 1)
+    w_lo = ((pts[hi] - x) / (pts[hi] - pts[hi - 1]))[:, None]
+    q0, q1, q2 = immediate_rewards(vf.rewards, lam, vf.rewards.penalty_table(vf.l_max))
+    q_idle = lam * v[i_alpha, 0]
+    w, _ = greedy(
+        q0 + w_lo * v_next[hi - 1] + (1.0 - w_lo) * v_next[hi],
+        q1 + q_idle + (1.0 - lam) * v_next[i_beta],
+        q2 + q_idle + (1.0 - lam) * v[i_beta, 0],
+        np.s_[:, -1],
+    )
+    g = w[vf.grid.index_of(stationary_idle(p)), 0]
     return w - g, float(g)
 
 
-def _evaluate(reach: GridStates, rewards: tuple, actions: np.ndarray) -> np.ndarray:
-    """Exact relative values of a fixed action table, zero at the reference.
+def _upper_envelope(lines: list, lo: float, hi: float) -> list:
+    """The lines, each (value at belief 0, value at belief 1), that are the
+    maximum somewhere on [lo, hi], from left to right: the highest at lo
+    (the steepest of equals), then each time the steeper line that overtakes
+    the last one first, until none does before hi."""
 
-    Sweeps backward from the delay cap, writing each column as coefficients
-    on (1, g, V(alpha, 1), V(beta, 1)), then solves for the three unknowns
-    with V(alpha, 1) and V(beta, 1) consistent and V(pi0, 1) = 0.  The cap
-    column must hold the fallback action, as every table from greedy does.
-    """
-    l_max = actions.shape[1]
-    lam = reach.lam[:, 0]
-    wait = (actions == Action.WAIT).T
-    sense_wait = (actions == Action.SENSE_WAIT).T
-    # Terms that do not reach delay l+1: reward, -g and the delay-1 landings.
-    coef = np.empty((l_max, 4, len(lam)))
-    coef[:, 0] = np.where(wait, rewards[0].T, rewards[1].T)
-    np.copyto(coef[:, 0], rewards[2].T, where=~(wait | sense_wait))
-    coef[:, 1] = -1.0
-    coef[:, 2] = np.where(wait, 0.0, lam)
-    coef[:, 3] = np.where(wait | sense_wait, 0.0, 1.0 - lam)
-    for l in range(l_max - 2, -1, -1):
-        nxt = coef[l + 1]
-        cont = np.where(wait[l], reach.w, 0.0) * np.take(nxt, reach.lo, axis=1)
-        cont += np.where(wait[l], 1.0 - reach.w, 0.0) * np.take(nxt, reach.hi, axis=1)
-        cont += np.where(sense_wait[l], 1.0 - lam, 0.0) * nxt[:, reach.i_beta, None]
-        coef[l] += cont
-    at = [reach.i_alpha, reach.i_beta, reach.ref]
-    delay1 = coef[0][:, at].T
-    lhs = delay1[:, 1:] - np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    # Cramer's rule through cross products.  A 3x3 system needs no LAPACK,
-    # whose first call in a process costs about half a megabyte resident.
-    adj = np.cross(lhs[[1, 2, 0]], lhs[[2, 0, 1]])
-    g, v_alpha1, v_beta1 = (-delay1[:, :1] * adj).sum(axis=0) / (lhs[0] * adj[0]).sum()
-    return (coef[:, 0] + g * coef[:, 1] + v_alpha1 * coef[:, 2] + v_beta1 * coef[:, 3]).T
+    def slope(line):
+        return line[1] - line[0]
+
+    kept = [max(lines, key=lambda m: (m[0] + slope(m) * lo, slope(m)))]
+    while True:
+        last = kept[-1]
+        ahead = [((last[0] - m[0]) / (slope(m) - slope(last)), -slope(m), m)
+                 for m in lines if slope(m) > slope(last)]
+        if not ahead or min(ahead)[0] >= hi:
+            return kept
+        kept.append(min(ahead)[2])
 
 
 def solve_single_channel(
@@ -382,34 +341,66 @@ def solve_single_channel(
     l_max: int = DEFAULT_L_MAX,
     tol: float = DEFAULT_TOL,
 ) -> ValueFunction:
-    """Howard policy iteration for the single-channel problem.
+    """The single-channel problem solved exactly on descriptor states, its
+    values and actions read onto BeliefGrid.for_channel(p) as the module
+    docstring says.
 
-    Each action table over BeliefGrid.for_channel(p) is evaluated exactly;
-    the returned values are the final backup renormalized at the reference
-    state (the grid point holding pi0, delay 1).  Deterministic given
-    identical inputs.  Raises as check_model and policy_iteration do.
+    The sweep holds every line by its values at beliefs 0 and 1, and carries
+    to delay l - 1 only the pieces of V(., l) that are the maximum somewhere
+    on the wait's image [min(alpha, beta), max(alpha, beta)].  The greedy
+    step picks the actions; the values are the backup renormalized at the
+    reference state (the grid point holding pi0, delay 1).  The gain,
+    iterations and residual_span are the descriptor solve's.  Raises as
+    multichannel.solve_multichannel does.
     """
-    check_model(p, tol, l_max)
-    reach = GridStates(p, BeliefGrid.for_channel(p), l_max)
-    rewards = reach.rewards(r)
-    actions, values, gain, steps, span = policy_iteration(
-        (len(reach.grid), l_max),
-        (reach.ref, 0),
-        _CAP,
-        lambda actions, _v: _evaluate(reach, rewards, actions),
-        lambda v: _backup(reach, rewards, v),
-        tol,
+    from .multichannel import solve_multichannel  # which imports this module
+
+    mvf = solve_multichannel(1, p, r, k_trunc=l_max + 1, l_max=l_max, tol=tol)
+    space, g = mvf.space, mvf.gain
+    keys = [space.key([space.busy_fresh], l) for l in range(1, l_max + 1)]
+    keys.append(space.key([space.idle_fresh], 1))
+    *v_beta, v_alpha1 = mvf.values[np.searchsorted(mvf.reach.keys, keys)].tolist()
+    # Each action's line, by its values at beliefs 0 and 1: the reward plus
+    # the exact values it lands on.  Sense-wait's last column, at the cap, is
+    # never read.
+    wait, sense_wait, fallback = immediate_rewards(
+        r, np.array([[0.0], [1.0]]), r.penalty_table(l_max)
     )
+    sense_wait = sense_wait + [v_beta[1:] + [0.0], [v_alpha1] * l_max]
+    fallback = (fallback[0, 0] + v_beta[0], fallback[1, 0] + v_alpha1)
+
+    grid = BeliefGrid.for_channel(p)
+    b = grid.points
+    lo, hi = sorted((p.alpha, p.beta))
+    q0 = np.empty((len(b), l_max))
+    pieces = []  # of V(., l + 1), each (value at 0, value at 1)
+    for l in range(l_max, 0, -1):
+        lines = [fallback]
+        if l < l_max:
+            # A wait moves belief 0 to beta and belief 1 to alpha.
+            waits = [(wait[l - 1] + u0 + (u1 - u0) * p.beta,
+                      wait[l - 1] + u0 + (u1 - u0) * p.alpha) for u0, u1 in pieces]
+            q0[:, l - 1] = np.max([(1.0 - b) * y0 + b * y1 for y0, y1 in waits], axis=0)
+            lines += waits + [tuple(sense_wait[:, l - 1].tolist())]
+        pieces = [(y0 - g, y1 - g) for y0, y1 in _upper_envelope(lines, lo, hi)]
+    lam = b[:, None]
+    w, actions = greedy(
+        q0,
+        (1.0 - lam) * sense_wait[0] + lam * sense_wait[1],
+        (1.0 - lam) * fallback[0] + lam * fallback[1],
+        np.s_[:, -1],
+    )
+    ref = grid.index_of(stationary_idle(p))
     return ValueFunction(
-        grid=reach.grid,
-        values=values,
+        grid=grid,
+        values=w - w[ref, 0],
         actions=actions,
-        gain=gain,
+        gain=g,
         l_max=l_max,
         channel=p,
         rewards=r,
-        iterations=steps,
-        residual_span=span,
+        iterations=mvf.iterations,
+        residual_span=mvf.residual_span,
         tol=tol,
-        reference_index=reach.ref,
+        reference_index=ref,
     )

@@ -6,7 +6,8 @@ the one-observation sensing counter; value-table interpolation, the
 nearest-grid-point action, the three action values and the paper's
 closed-form thresholds Th1 and Th2; plain dict/float finite-horizon dynamic
 programming over exactly reachable beliefs,
-a renewal-cycle average-reward calculator for fixed-shape policies, a
+a renewal-cycle average-reward calculator for single-channel policies, the
+single-channel value as the best wait-then-sense plan, a
 tuple-by-tuple closure and Bellman backup of the descriptor MDP, policy
 evaluation on the descriptor table by damped relative value iteration and
 by one dense solve over every state, the
@@ -227,52 +228,92 @@ def finite_horizon_actions(p, r, horizon, l_max):
     return actions
 
 
-def renewal_gain(p, r, l_star, wait_until=0):
-    """Average reward of a fixed-shape policy on the single channel, computed
-    by cycle counting on the exact belief orbit.
+def fixed_shape(l_star, wait_until=0):
+    """A fixed-shape single-channel policy for renewal_gain: wait while the
+    delay is at most wait_until, then sense every slot (waiting on busy),
+    and use the dedicated fallback once the delay reaches l_star."""
 
-    The policy waits while the delay is at most wait_until, then senses every
-    slot (waiting on busy) and uses the dedicated fallback once the delay
-    reaches l_star.  Returns reward per slot.
+    def act(sensed_idle, age, delay):
+        if delay <= wait_until:
+            return Action.WAIT
+        return Action.SENSE_FALLBACK if delay >= l_star else Action.SENSE_WAIT
+
+    return act
+
+
+def renewal_gain(p, r, act):
+    """Average reward of a single-channel policy, computed by cycle counting
+    on the exact belief orbit.
+
+    act(sensed_idle, age, delay) gives the action when the last sensing saw
+    the channel idle (or busy) age slots ago and the packet has this delay.
+    A cycle is one packet: it starts at delay 1 just after a sensing and ends
+    with a transmission; its one continuing path waits, or senses busy and
+    waits, until the policy falls back.  Returns reward per slot.
     """
     # Cycle starts at delay 1 with the post-transmission belief mix; solve for
     # the stationary split between the post-idle and post-busy entry points.
-    def cycle(b0):
-        """Expected (reward, length, prob idle transmit, prob entering next
-        cycle at alpha) from entry belief b0."""
+    def cycle(sensed_idle):
+        """Expected (reward, length, prob entering next cycle at alpha) after
+        a sensing that saw the channel idle or busy."""
         reward = 0.0
         length = 0.0
         p_alpha_entry = 0.0
         reach = 1.0
-        b = b0
-        l = 1
-        while l <= wait_until:
-            reward += reach * -r.gamma * math.log(l)
+        b = p.alpha if sensed_idle else p.beta
+        age = l = 1
+        while True:
             length += reach
-            b = update_unsensed(p, b)
+            a = act(sensed_idle, age, l)
+            if a == Action.WAIT:
+                reward += reach * -r.gamma * math.log(l)
+                b = update_unsensed(p, b)
+                age += 1
+            elif a == Action.SENSE_WAIT:
+                reward += reach * (
+                    b * (r.phi - r.c_s - r.p_p) + (1 - b) * (-r.c_s - r.gamma * math.log(l))
+                )
+                p_alpha_entry += reach * b
+                reach *= 1 - b
+                b, sensed_idle, age = p.beta, False, 1
+            else:
+                reward += reach * (
+                    b * (r.phi - r.c_s - r.p_p) + (1 - b) * (r.phi - r.c_s - r.p_3g)
+                )
+                p_alpha_entry += reach * b
+                return reward, length, p_alpha_entry
             l += 1
-        while l < l_star:
-            length += reach
-            reward += reach * (
-                b * (r.phi - r.c_s - r.p_p) + (1 - b) * (-r.c_s - r.gamma * math.log(l))
-            )
-            p_alpha_entry += reach * b
-            reach *= 1 - b
-            b = p.beta
-            l += 1
-        length += reach
-        reward += reach * (
-            b * (r.phi - r.c_s - r.p_p) + (1 - b) * (r.phi - r.c_s - r.p_3g)
-        )
-        p_alpha_entry += reach * b
-        return reward, length, p_alpha_entry
 
-    r_a, t_a, pa_a = cycle(p.alpha)
-    r_b, t_b, pa_b = cycle(p.beta)
+    r_a, t_a, pa_a = cycle(True)
+    r_b, t_b, pa_b = cycle(False)
     # Stationary probability that a cycle starts at belief alpha.
     # q = pa_a q + pa_b (1 - q)
     q = pa_b / (1 - pa_a + pa_b)
     return (q * r_a + (1 - q) * r_b) / (q * t_a + (1 - q) * t_b)
+
+
+def wait_then_sense_value(p, r, gain, v_alpha1, v_beta, belief, delay):
+    """Relative value V(belief, delay) of the single channel as the best of
+    "wait j slots, then sense" over j >= 0, given the gain g, the value at
+    (alpha, 1) and the values at (beta, l) for l = 1..len(v_beta), the delay
+    cap.  A sensing lands at one of those states, and a wait only moves the
+    belief by the unsensed update; at the cap only the fallback is allowed.
+    Every slot is charged g."""
+    l_max = len(v_beta)
+    best = -math.inf
+    waited = 0.0  # rewards of the waits so far, less g per slot
+    b, l = belief, delay
+    while True:
+        sense = r.phi - r.c_s + b * (-r.p_p + v_alpha1) + (1.0 - b) * (-r.p_3g + v_beta[0])
+        if l < l_max:
+            sense = max(sense, -r.c_s + b * (r.phi - r.p_p + v_alpha1)
+                        + (1.0 - b) * (-r.gamma * math.log(l) + v_beta[l]))
+        best = max(best, waited + sense - gain)
+        if l == l_max:
+            return best
+        waited -= r.gamma * math.log(l) + gain
+        b = update_unsensed(p, b)
+        l += 1
 
 
 def descriptor_successors(space, codes, l, l_max):

@@ -140,6 +140,14 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert "gain" in meta and meta["l_max"] == 20
 
 
+@pytest.mark.filterwarnings("ignore::osa.policy.DelayCapBound")
+def test_solve_runs_where_pi0_rounds_to_beta_s_grid_point(tmp_path):
+    # beta is a uniform grid point, and pi0 = 0.0198 rounds to it too.
+    out = tmp_path / "solve"
+    assert run(["solve", "--alpha", 0.01, "--beta", 0.02, "--lmax", 6, "--out", out]) == 0
+    assert (out / "value_function.csv").exists()
+
+
 @pytest.mark.parametrize("argv,l_max,cap_bound", [
     (["--scenario", 1, "--lmax", 15], 15, True),
     (["--scenario", 1, "--lmax", 8, "--gamma", 300], 8, False),

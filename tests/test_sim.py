@@ -266,8 +266,8 @@ def test_gamma_bisection_unreachable():
 @pytest.mark.parametrize("alpha,beta", [(0.15, 0.1), (0.85, 0.7), (0.95, 0.05), (0.3, 0.7)])
 def test_one_channel_descriptor_table_runs_the_grid_thresholds_episode(alpha, beta, l_max):
     # Simulated N = 1 runs act on the exact descriptor table (k_trunc =
-    # l_max + 1); the thresholds read off the interpolated belief grid, which
-    # they acted on before, run the same slots.  At k_trunc = l_max a packet
+    # l_max + 1); the thresholds read off the belief grid, which solve writes
+    # to policy.csv, run the same slots.  At k_trunc = l_max a packet
     # that waits l_max - 1 slots would see a stale belief at the cap: at
     # (0.95, 0.05) and l_max 5 that model's gain is 97.9 against the grid's
     # 41.5, and its table runs other episodes.

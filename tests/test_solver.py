@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait
+from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait, wait_then_sense_value
 from osa import solver
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
 from osa.multichannel import solve_multichannel
+from osa.sim import SimConfig, _solve
 from osa.solver import (
+    DEFAULT_TOL,
     BeliefGrid,
     RewardParams,
     ValueFunction,
@@ -85,6 +87,12 @@ def test_delay_penalty():
         (0.9996, 0.9996, 1002),  # the same next to 1
         (0.5, 0.5, 1001),  # every special on a uniform point
         (0.95, 0.05, 1001),  # beta on a uniform point, alpha and pi0 replace two
+        # A special on a uniform point keeps it from a later special that
+        # rounds to the same point, which is inserted instead.
+        (0.01, 0.02, 1002),
+        (0.02, 0.01, 1002),
+        (0.04, 0.05, 1002),
+        (0.5, 0.501, 1002),
     ],
 )
 def test_grid_contains_specials(alpha, beta, n_points):
@@ -210,11 +218,26 @@ def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards, monke
     [(0.15, 0.10, 50.0), (0.85, 0.70, 50.0), (0.95, 0.05, 50.0), (0.15, 0.10, 200.0)],
 )
 def test_solver_returns_bellman_fixed_point(alpha, beta, c_s):
+    # Every grid cell holds the best "wait j slots, then sense" value built
+    # from the exact descriptor solve's gain and its values at (alpha, 1) and
+    # (beta, l), and every descriptor belief on the grid its descriptor value.
+    p, l_max = ChannelParams(alpha, beta), 20
     r = RewardParams(**{**PRESET_REWARDS, "c_s": c_s})
-    vf = solve_single_channel(ChannelParams(alpha, beta), r, l_max=50)
-    values, gain = bellman_backup(vf)
-    assert np.abs(values - vf.values).max() <= 1e-9
-    assert gain == pytest.approx(vf.gain, abs=1e-9)
+    vf = solve_single_channel(p, r, l_max=l_max)
+    mvf = solve_multichannel(1, p, r, k_trunc=l_max + 1, l_max=l_max)
+    assert vf.gain == mvf.gain
+    space = mvf.space
+    value = dict(zip(mvf.reach.keys.tolist(), mvf.values.tolist()))
+    v_alpha1 = value[space.key([space.idle_fresh], 1)]
+    v_beta = [value[space.key([space.busy_fresh], l)] for l in range(1, l_max + 1)]
+    want = [[wait_then_sense_value(p, r, mvf.gain, v_alpha1, v_beta, b, l)
+             for l in range(1, l_max + 1)] for b in vf.grid.points.tolist()]
+    assert np.abs(vf.values - want).max() <= 1e-9
+    beliefs = space.belief[mvf.reach.codes[:, 0]]
+    shared = np.isin(beliefs, vf.grid.points)
+    assert shared.sum() >= 2 * l_max + 1  # beta and pi0 at every delay, alpha at 1
+    on_grid = vf.values[np.searchsorted(vf.grid.points, beliefs[shared]), mvf.delays[shared] - 1]
+    assert np.abs(on_grid - mvf.values[shared]).max() <= 1e-9
 
 
 def test_solver_tolerance_below_final_residual_stops(scen1_channel, preset_rewards):
@@ -237,16 +260,28 @@ def test_solver_deterministic(scen1_channel, preset_rewards):
 def test_solver_gain_matches_renewal_oracle(scen1_channel, preset_rewards):
     # The solved gain must not be beaten by any fixed-shape policy from the
     # renewal-cycle oracle, and must be close to the best of them.
-    from oracles import renewal_gain
+    from oracles import fixed_shape, renewal_gain
 
     vf = solve_single_channel(scen1_channel, preset_rewards, tol=1e-8)
     best = max(
-        renewal_gain(scen1_channel, preset_rewards, l_star, wait)
+        renewal_gain(scen1_channel, preset_rewards, fixed_shape(l_star, wait))
         for l_star in (10, 20, 30, 40, 50)
         for wait in (0, 2, 5, 8)
     )
     assert vf.gain >= best - 1e-3
     assert vf.gain == pytest.approx(best, abs=5.0)
+
+
+def test_solver_gain_does_not_drift_from_the_simulated_solve():
+    # At (0.15, 0.1), gamma 1 and l_max 100 a policy iteration on the
+    # interpolated grid reached -6.443185; the exact optimum is -6.443865,
+    # and simulate solves the same model to the same gain.
+    p, r = ChannelParams(0.15, 0.1), RewardParams(**{**PRESET_REWARDS, "gamma": 1.0})
+    vf = solve_single_channel(p, r, l_max=100)
+    assert vf.gain == pytest.approx(-6.443865, abs=1e-6)
+    exact = solve_multichannel(1, p, r, k_trunc=101, l_max=100)
+    cfg = SimConfig(channels=[p], rewards=r, policy=None, l_max=100)
+    assert vf.gain == exact.gain == _solve(cfg, r.gamma, DEFAULT_TOL).gain
 
 
 def test_solver_positive_gain_regime():
