@@ -34,8 +34,18 @@ in l_max steps into an expected reward, an expected sojourn and at most
 2 l_max delay-1 landings.  A policy is evaluated on that embedded semi-Markov
 chain over the delay-1 states by restarted GMRES on its evaluation equations,
 and the other layers are then filled backward in delay (Puterman 1994, Markov
-Decision Processes, sections 8.6, 9.2 and 11.4).  A solved table's wait
-thresholds are read with policy.wait_threshold, as the belief grid's are.
+Decision Processes, sections 8.6, 9.2 and 11.4).  The other layers solve
+their equations exactly, so the span of the final Bellman residual, which the
+solver checks against tol, is that of the GMRES residual with zero adjoined;
+GMRES stops only once that span is within a quarter of tol.  A solved table's
+wait thresholds are read with policy.wait_threshold, as the belief grid's
+are, on the belief b that the successor table holds.
+
+A solve makes each pass over the full state set once: the enumeration
+computes b per multiset and spreads it to the states, a solve computes 1 - b
+once for all its backups and evaluations, a backup sums each action's value
+in place, an evaluation builds each per-state array of its action table in
+one pass, and the summary reads b rather than recompute it.
 """
 
 from __future__ import annotations
@@ -67,10 +77,13 @@ DEFAULT_K_TRUNC = 20
 STATE_CAP = 5_000_000
 # The restart length of the evaluation's GMRES, the residual, relative to the
 # rewards per delay-1 visit, at which it stops, and how far above that a
-# residual that stops falling is still accepted.
+# residual that stops falling is still accepted.  _SPAN is the share of the
+# solver tolerance that the span of its residual may take: the span of the
+# final Bellman residual, which the solver checks against tol, is that span.
 _RESTART = 40
 _RTOL = 1e-13
 _FLOOR = 100
+_SPAN = 0.25
 
 STALE = 0  # age >= k_trunc or never observed: belief is the stationary pi0
 
@@ -234,10 +247,12 @@ class MultichannelValueFunction:
         channel, plus the delays whose threshold is violated.
 
         Each delay layer is read with policy.wait_threshold on the max belief
-        of its states.  Violations are reported rather than raised since the
-        max belief is not a sufficient statistic of the multichannel state.
+        of its states, the belief of the channel sensing would target, which
+        the successor table holds as b.  Violations are reported rather than
+        raised since the max belief is not a sufficient statistic of the
+        multichannel state.
         """
-        belief = self.space.belief[self.reach.codes].max(axis=1)
+        belief = self.reach.table.b
         wait = self.actions == int(Action.WAIT)
         layers = self.reach.table.layers
         read = [wait_threshold(belief[a:b], wait[a:b]) for a, b in zip(layers[:-1], layers[1:])]
@@ -312,10 +327,14 @@ def build_reachable_states(
         pos[layers[l + 1]] = np.arange(starts[l + 1], starts[l + 2])
         up_wait[starts[l]:starts[l + 1]] = pos[wait[layers[l]]]
         up_busy[starts[l]:starts[l + 1]] = pos[busy[layers[l]]]
-    b = space.belief[rows].max(axis=1)  # the belief of the channel sensing targets
+    # The belief of the channel sensing targets, a max over the columns: a
+    # max along each short row costs several times more.
+    b = space.belief[rows[:, 0]]
+    for column in rows.T[1:]:
+        b = np.maximum(b, space.belief[column])
     table = _Table(starts, b[multiset], up_wait, up_busy, idle1, busy1)
     keys = row_keys[multiset] + (delays - 1) * n_codes**n_channels
-    return ReachableStates(space, l_max, rows[multiset], delays, keys, table)
+    return ReachableStates(space, l_max, np.take(rows, multiset, axis=0), delays, keys, table)
 
 
 def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
@@ -329,55 +348,77 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
     that waits also lands one delay up, but on a multiset that a busy
     sensing that falls back lands at delay 1.)  check_cap sees the count of
     multisets expanded, each the multiset of at least one reachable state.
+    The arrays by id double their room when a round outgrows it, so each
+    round writes only its new multisets; the codes-only keys are merged in
+    sorted order each round.  Rows are gathered with np.take, which copies
+    whole rows several times faster than fancy indexing does.
 
     Returns, for the reached multisets in codes-key order: their code rows
     and codes-only keys; the ranks of their wait, idle and busy successors,
     -1 for a wait successor that no state reaches; and whether each is
     reached at delay 1.
     """
-    rows = np.zeros((1, n_channels), dtype=space.aged.dtype)  # by id
-    keys, order = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)  # in key order
-    succ = np.full((3, 1), -1, dtype=np.intp)  # wait, idle, busy ids, once expanded
-    least = np.ones(1, dtype=np.int64)  # l_max + 1 until reached
+    size = 1  # multisets found; the arrays by id below have room for more
+    rows = np.zeros((size, n_channels), dtype=space.aged.dtype)  # by id
+    succ = np.full((size, 3), -1, dtype=np.intp)  # wait, idle, busy ids, once expanded
+    least = np.ones(size, dtype=np.int64)  # l_max + 1 until reached
+    keys, order = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.intp)  # in key order
     expanded = 0
     frontier = np.zeros(1, dtype=np.intp)  # the multisets whose least delay fell
     while len(frontier):
-        new = frontier[succ[0, frontier] < 0]
+        new = frontier[succ[frontier, 0] < 0]
         if len(new):
             expanded += len(new)
             check_cap(expanded)
-            moved = np.concatenate(space.moves(rows[new]))
+            moved = np.concatenate(space.moves(np.take(rows, new, axis=0)))
             found, first, inverse = np.unique(
                 space.pack(moved, 1), return_index=True, return_inverse=True
             )
             at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
             ids = order[at]
             fresh = np.flatnonzero(keys[at] != found)
-            ids[fresh] = np.arange(len(keys), len(keys) + len(fresh))
-            rows = np.concatenate([rows, moved[first[fresh]]])
+            end = size + len(fresh)
+            if end > len(least):
+                rows, succ, least = (_grown(a, 2 * end) for a in (rows, succ, least))
+            ids[fresh] = np.arange(size, end)
+            rows[size:end] = np.take(moved, first[fresh], axis=0)
+            succ[size:end] = -1
+            least[size:end] = l_max + 1
+            size = end
+            succ[new] = ids[inverse].reshape(3, -1).T
             # Both parts are sorted, so the stable sort is a merge.
             keys = np.concatenate([keys, found[fresh]])
             merge = np.argsort(keys, kind="stable")
             keys, order = keys[merge], np.concatenate([order, ids[fresh]])[merge]
-            succ = np.hstack([succ, np.full((3, len(fresh)), -1, dtype=np.intp)])
-            succ[:, new] = ids[inverse].reshape(3, -1)
-            least = np.concatenate([least, np.full(len(fresh), l_max + 1)])
         delay = least[frontier]
-        wait, idle, busy = succ[:, frontier]
+        wait, idle, busy = np.take(succ, frontier, axis=0).T
         up = delay < l_max
         to = np.concatenate([idle, busy, wait[up]])
         via = np.concatenate([np.ones(2 * len(frontier), dtype=np.int64), delay[up] + 1])
         lower = via < least[to]
         to, via = to[lower], via[lower]
         np.minimum.at(least, to, via)
-        fell = np.zeros(len(least), dtype=bool)
+        fell = np.zeros(size, dtype=bool)
         fell[to] = True
         frontier = np.flatnonzero(fell)
     in_reach = least[order] <= l_max
     reached = order[in_reach]
-    rank = np.full(len(keys), -1, dtype=np.intp)
+    rank = np.full(size, -1, dtype=np.intp)
     rank[reached] = np.arange(len(reached))
-    return rows[reached], keys[in_reach], rank[succ[:, reached]], least[reached] == 1
+    return (
+        np.take(rows, reached, axis=0),
+        keys[in_reach],
+        rank[np.take(succ, reached, axis=0).T],
+        least[reached] == 1,
+    )
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """A copy of a with its first axis extended to size, the new entries
+    unset."""
+    out = np.empty((size, *a.shape[1:]), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 @dataclass
@@ -385,10 +426,14 @@ class _Table:
     """Successors of every descriptor state, sorted by delay.
 
     layers[l] is the first state at delay l + 1; b is the belief of the
-    channel sensing would target.  up_wait and up_busy are the successors at
-    delay l + 1 after a wait and after a busy sensing that waits (the state
-    itself at the cap); idle1 and busy1 are the delay-1 successors after an
-    idle sensing and after a busy sensing that falls back.
+    channel sensing would target, which MultichannelValueFunction.
+    lambda_summary reads as each state's max belief.  up_wait and up_busy
+    are the successors at delay l + 1 after a wait and after a busy sensing
+    that waits (the state itself at the cap); idle1 and busy1 are the
+    delay-1 successors after an idle sensing and after a busy sensing that
+    falls back.  The table holds only what the enumeration yields: a solve
+    computes 1 - b once itself and passes it to _backup and _evaluate, as
+    busy, rather than keep a copy per table.
     """
 
     layers: np.ndarray
@@ -404,33 +449,49 @@ class _Table:
         return np.s_[self.layers[-2]:]
 
 
-def _backup(t: _Table, rewards: tuple, v: np.ndarray):
-    """One Bellman backup: the backup values and the greedy action table."""
-    q_idle = t.b * v[t.idle1]
-    q0 = rewards[0] + v[t.up_wait]
-    q1 = rewards[1] + (q_idle + (1.0 - t.b) * v[t.up_busy])
-    q2 = rewards[2] + (q_idle + (1.0 - t.b) * v[t.busy1])
+def _backup(t: _Table, rewards: tuple, v: np.ndarray, busy: np.ndarray):
+    """One Bellman backup: the backup values and the greedy action table.
+    busy is 1 - t.b.  Each action's value is summed in place on the values
+    it gathers, so a backup allocates one array per gather."""
+    q_idle = v[t.idle1]
+    q_idle *= t.b
+    q0 = v[t.up_wait]
+    q0 += rewards[0]
+    q1 = v[t.up_busy]
+    q1 *= busy
+    q1 += q_idle
+    q1 += rewards[1]
+    q2 = v[t.busy1]
+    q2 *= busy
+    q2 += q_idle
+    q2 += rewards[2]
     return greedy(q0, q1, q2, t.cap)
 
 
-def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray):
+def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray,
+              busy: np.ndarray, tol: float):
     """Relative values of a fixed action table, zero at the reference state 0.
 
     The delay-1 values h and the gain g solve (I - P) h + g tau = r, h[0] =
     0, on the embedded chain (landings P, sojourns tau, rewards per visit r).
     _gmres finds (g, h[1:]) from the previous table's delay-1 values v1 and
-    the g that fits them best; the other layers then follow backward in
-    delay.  Raises NoConvergence as _gmres does.
+    the g that fits them best, to a residual whose span is within a quarter
+    of the solver tolerance tol; the other layers then follow backward in
+    delay.  busy is 1 - t.b.  Each per-state array is built in one pass
+    over the states, by np.where and np.copyto, into one new array.  Raises
+    NoConvergence as _gmres does.
     """
-    wait = actions == Action.WAIT
-    sense_wait = actions == Action.SENSE_WAIT
-    reward = np.choose(actions, rewards)
+    wait = actions == int(Action.WAIT)
+    sense_wait = actions == int(Action.SENSE_WAIT)
+    reward = np.where(sense_wait, rewards[1], rewards[2])
+    np.copyto(reward, rewards[0], where=wait)
     # The one successor at delay l + 1 and the chance of moving there; every
     # other exit lands at delay 1.
     up = np.where(sense_wait, t.up_busy, t.up_wait)
-    p_up = np.where(wait, 1.0, np.where(sense_wait, 1.0 - t.b, 0.0))
+    p_up = np.where(sense_wait, busy, 0.0)
+    np.copyto(p_up, 1.0, where=wait)
     p_idle1 = np.where(wait, 0.0, t.b)
-    p_busy1 = np.where(wait | sense_wait, 0.0, 1.0 - t.b)
+    p_busy1 = np.where(actions == int(Action.SENSE_FALLBACK), busy, 0.0)
 
     n1 = t.layers[1]
     cur = np.arange(n1)
@@ -450,15 +511,18 @@ def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray):
     lands, probs = np.stack(lands, axis=1), np.stack(probs, axis=1)
 
     def apply(x):
-        # x holds g in place of h[0], which is zero.
+        # x holds g in place of h[0], which is zero.  The landings' values
+        # are weighted in place: the product holds one array of their size.
         h = x.copy()
         h[0] = 0.0
-        return h - (probs * h[lands]).sum(axis=1) + x[0] * sojourn
+        landed = h[lands]
+        landed *= probs
+        return h - landed.sum(axis=1) + x[0] * sojourn
 
     x = v1.copy()  # x[0] = v1[0] = 0: the reference state's value, not g
     r = total - apply(x)
     x[0] = (r @ sojourn) / (sojourn @ sojourn)
-    v1 = _gmres(apply, total, x, r - x[0] * sojourn)
+    v1 = _gmres(apply, total, x, r - x[0] * sojourn, _SPAN * tol)
     gain = float(v1[0])
     v1[0] = 0.0
 
@@ -473,17 +537,32 @@ def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray):
     return v
 
 
-def _gmres(apply, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _span(r: np.ndarray) -> float:
+    """Span of an evaluation residual r over the delay-1 states together with
+    the zero residual of every other state, which the backward fill solves
+    exactly."""
+    return max(float(r.max()), 0.0) - min(float(r.min()), 0.0)
+
+
+def _gmres(apply, b: np.ndarray, x: np.ndarray, r: np.ndarray, span: float) -> np.ndarray:
     """Solve apply(y) = b by GMRES restarted every _RESTART products (Saad &
-    Schultz 1986, SIAM J. Sci. Stat. Comput. 7), from x with residual r, to
-    a residual of _RTOL |b|: classical Gram-Schmidt done twice, Givens
-    rotations, the residual recomputed after each cycle.  A cycle that does
-    not lower it ends the solve, at up to _FLOOR times the target (rounding
-    in the products of a y large against b can leave that much); above that
-    it raises NoConvergence, as a product past solver.MAX_ITER would."""
+    Schultz 1986, SIAM J. Sci. Stat. Comput. 7), from x with residual r:
+    classical Gram-Schmidt done twice, Givens rotations, the residual
+    recomputed after each cycle.
+
+    It stops at a residual of _RTOL |b| whose _span is at most span.  A
+    residual below _RTOL |b| whose span is larger goes on to a 2-norm of
+    span / 2, which bounds its span by span; the span is checked after every
+    cycle.  A cycle that does not lower the residual ends the solve, at up
+    to _FLOOR times _RTOL |b| (rounding in the products of a y large against
+    b can leave that much); above that it raises NoConvergence, as a
+    product past solver.MAX_ITER would."""
     target = _RTOL * np.sqrt(b @ b)
+    goal = target  # where a cycle may stop
     norm, products = np.sqrt(r @ r), 0
-    while norm > target:
+    while norm > target or _span(r) > span:
+        if norm <= goal:
+            goal = span / 2
         basis = np.empty((_RESTART + 1, len(x)))
         basis[0] = r / norm
         hess = np.zeros((_RESTART + 1, _RESTART))
@@ -506,7 +585,7 @@ def _gmres(apply, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
             rot[j] = col[j : j + 2] / np.hypot(col[j], col[j + 1])
             col[j], col[j + 1] = rot[j] @ col[j : j + 2], 0.0
             e[j], e[j + 1] = rot[j] * e[j] * (1.0, -1.0)
-            if abs(e[j + 1]) <= target or w_norm == 0.0:
+            if abs(e[j + 1]) <= goal or w_norm == 0.0:
                 break
             basis[j + 1] = w / w_norm
         y = np.zeros(j + 1)
@@ -561,11 +640,12 @@ def solve_multichannel(
         raise ValueError("reach holds the states of another model")
     t = reach.table
     rewards = immediate_rewards(r, t.b, r.penalty_table(l_max)[reach.delays - 1])
+    busy = 1.0 - t.b
     actions, values, gain, steps, span = policy_iteration(
         len(reach.delays),
         t.cap,
-        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]]),
-        lambda v: _backup(t, rewards, v),
+        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]], busy, tol),
+        lambda v: _backup(t, rewards, v, busy),
         tol,
         start=start,
     )

@@ -206,10 +206,11 @@ def immediate_rewards(r: RewardParams, b, f):
     b is the idle probability of the channel sensing would target and f the
     delay penalty of the packet in hand; both broadcast as arrays.
     """
+    wait, busy = -f, 1.0 - b
     return (
-        -f,
-        -r.c_s + b * (r.phi - r.p_p) + (1.0 - b) * (-f),
-        r.phi - r.c_s - b * r.p_p - (1.0 - b) * r.p_3g,
+        wait,
+        -r.c_s + b * (r.phi - r.p_p) + busy * wait,
+        r.phi - r.c_s - b * r.p_p - busy * r.p_3g,
     )
 
 
@@ -237,15 +238,21 @@ def check_model(p: ChannelParams, tol: float, l_max: int) -> None:
 
 
 def greedy(q0, q1, q2, cap):
-    """Greedy backup values and actions, ties broken toward the lower action
-    index.  Only the fallback action is admissible at the delay-cap states,
-    which cap indexes; q0 and q1 are overwritten there."""
+    """Greedy backup values and int8 actions: the lowest action index whose
+    value is within TIE_TOL of the best.  Only the fallback action is
+    admissible at the delay-cap states, which cap indexes; q0 and q1 are
+    overwritten there.
+
+    The actions come from two comparisons by arithmetic, 2 - [q1 ties]
+    zeroed where q0 ties, with no masked store; a NaN ties nothing, so a
+    state whose best value is NaN falls back."""
     q0[cap] = -np.inf
     q1[cap] = -np.inf
-    w = np.maximum(np.maximum(q0, q1), q2)
-    actions = np.full(w.shape, int(Action.SENSE_FALLBACK), dtype=np.int8)
-    actions[q1 >= w - TIE_TOL] = int(Action.SENSE_WAIT)
-    actions[q0 >= w - TIE_TOL] = int(Action.WAIT)
+    w = np.maximum(q0, q1)
+    np.maximum(w, q2, out=w)
+    near = w - TIE_TOL
+    actions = int(Action.SENSE_FALLBACK) - (q1 >= near).view(np.int8)
+    actions *= ~(q0 >= near)
     return w, actions
 
 
@@ -256,7 +263,9 @@ def policy_iteration(n_states, cap, evaluate, backup, tol: float, start=None):
     the previous ones (zeros at first); backup(v) gives the greedy backup
     values and table, fallback at the delay-cap states that cap indexes.
     Returns (actions, final backup minus its value at the reference state 0,
-    that value as the gain, steps, span of the final Bellman residual).
+    that value as the gain, steps, span of the final Bellman residual).  The
+    steps compare tables only; the residual span is taken once, after the
+    last step.
 
     The start table changes only the step count: the loop stops at the
     table that is greedy on its own values whatever it starts from, and the
@@ -277,11 +286,13 @@ def policy_iteration(n_states, cap, evaluate, backup, tol: float, start=None):
     for it in range(1, MAX_ITER + 1):
         v = evaluate(actions, v)
         w, improved = backup(v)
-        span = float(np.ptp(w - v))
-        if np.array_equal(improved, actions):
+        stable = np.array_equal(improved, actions)
+        if stable or it == MAX_ITER:
             break
         actions = improved
-    else:
+        del w  # not held while the next table is evaluated
+    span = float(np.ptp(w - v))
+    if not stable:
         raise NoConvergence(MAX_ITER, span, tol)
     if span > tol:
         raise NoConvergence(it, span, tol)

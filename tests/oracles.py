@@ -371,11 +371,12 @@ def descriptor_backup(space, index, values, r, l_max):
     return out
 
 
-def damped_evaluation(t, rewards, actions, v1, span_tol=1e-11, max_sweeps=10**6):
+def damped_evaluation(t, rewards, actions, v1, busy, tol, span_tol=1e-11, max_sweeps=10**6):
     """Relative values of a fixed action table on a descriptor successor
     table t (multichannel._Table), zero at the reference state 0: the
     evaluation multichannel._evaluate makes by GMRES, made instead by damped
-    relative value iteration.
+    relative value iteration.  It takes _evaluate's arguments; busy is
+    1 - t.b, and the solver tolerance tol is not read.
 
     The path from each delay-1 state unrolls into an expected reward r, an
     expected sojourn tau and its delay-1 landings P.  The delay-1 values v1
@@ -390,9 +391,9 @@ def damped_evaluation(t, rewards, actions, v1, span_tol=1e-11, max_sweeps=10**6)
     sense_wait = actions == Action.SENSE_WAIT
     reward = np.choose(actions, rewards)
     up = np.where(sense_wait, t.up_busy, t.up_wait)
-    p_up = np.where(wait, 1.0, np.where(sense_wait, 1.0 - t.b, 0.0))
+    p_up = np.where(wait, 1.0, np.where(sense_wait, busy, 0.0))
     p_idle1 = np.where(wait, 0.0, t.b)
-    p_busy1 = np.where(wait | sense_wait, 0.0, 1.0 - t.b)
+    p_busy1 = np.where(wait | sense_wait, 0.0, busy)
 
     n1 = t.layers[1]
     cur = np.arange(n1)

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from dataclasses import replace
 
@@ -374,6 +375,48 @@ def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, 
     assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
 
 
+# sha256 of actions.tobytes() and the gain of each preset's N=4, L=15,
+# k_trunc=20 solve, recorded at commit 509a732.  Presets 2 and 3 reach the
+# same states and solve to the same table.
+PRESET_TABLES = {
+    1: ("af038ba6cf6a4e1b653fe22e493da497c75cae803b16a92c1edaae6f4d869f3f", -40.50228407379247),
+    2: ("219fdccd657784da2f2be171ddd2427afc456fc5876d47a4fe4766ff0f7f38eb", 161.26947560531852),
+    3: ("219fdccd657784da2f2be171ddd2427afc456fc5876d47a4fe4766ff0f7f38eb", 166.42910723689317),
+}
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_preset_action_tables_are_pinned(scenario, preset_solves):
+    digest, gain = PRESET_TABLES[scenario]
+    mvf = preset_solves(scenario)
+    assert hashlib.sha256(mvf.actions.tobytes()).hexdigest() == digest
+    assert abs(mvf.gain - gain) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "gamma", [39.95477403899639, 40.685968826071665, 41.203529296168675, 43.62290514443638]
+)
+def test_evaluation_stops_within_the_span_tol_asks_for(gamma, tmp_path):
+    # Each gamma lies 1e-7 (relative) above one where the preset-1 table
+    # changes.  Stopping GMRES on the 2-norm of its residual alone left a
+    # residual span of 1.1e-9 to 3.3e-9 in the delay-1 states, above tol =
+    # 1e-9, and `solve` exited 2.  The table solved there is the one a little
+    # further above.  (At the second gamma the table changes twice more
+    # between gamma (1 + 5e-7) and gamma (1 + 1e-6), so the comparison is
+    # made at gamma (1 + 1e-7).)
+    argv = ["solve", "--scenario", "1", "--lmax", "15", "--gamma", repr(gamma)]
+    assert osa.cli.main([*argv, "--out", str(tmp_path)]) == 0
+    sc = SCENARIOS[1]
+    reach = build_reachable_states(sc.n_channels, sc.channel, k_trunc=20, l_max=15)
+    at, above = (
+        solve_multichannel(sc.n_channels, sc.channel, replace(sc.rewards, gamma=g),
+                           k_trunc=20, l_max=15, reach=reach)
+        for g in (gamma, gamma * (1 + 1e-7))
+    )
+    assert at.residual_span <= at.tol
+    assert np.array_equal(at.actions, above.actions)
+
+
 def test_descriptor_solver_step_cap(monkeypatch):
     # solver.MAX_ITER also caps the matrix-vector products of each
     # evaluation, so at 1 the first evaluation raises, before the first
@@ -434,7 +477,7 @@ def test_gmres_evaluation_matches_exact_evaluation(n, k_trunc, l_max, beta, alph
     v1[0] = 0.0  # as every table's values are, at the reference state
     exact = exact_evaluation(t, rewards, actions)
     try:
-        gmres = multichannel._evaluate(t, rewards, actions, v1.copy())
+        gmres = multichannel._evaluate(t, rewards, actions, v1.copy(), 1.0 - t.b, solver.DEFAULT_TOL)
     except NoConvergence:
         assert exact is None
         reject()
@@ -458,7 +501,7 @@ def test_table_with_two_recurrent_classes_raises():
                         "102122010012020011201001012021212122022222222222222222222"], dtype=np.int8)
     rewards = solver.immediate_rewards(PRESET, t.b, PRESET.penalty_table(3)[reach.delays - 1])
     with pytest.raises(NoConvergence) as err:
-        multichannel._evaluate(t, rewards, actions, np.zeros(t.layers[1]))
+        multichannel._evaluate(t, rewards, actions, np.zeros(t.layers[1]), 1.0 - t.b, solver.DEFAULT_TOL)
     assert err.value.span > err.value.tol
 
 
@@ -486,6 +529,6 @@ def test_stalled_evaluation_raises_within_one_restart_cycle():
     b = np.zeros(2 * multichannel._RESTART)
     b[0] = 1.0
     with pytest.raises(NoConvergence) as err:
-        multichannel._gmres(shift, b, np.zeros(len(b)), b.copy())
+        multichannel._gmres(shift, b, np.zeros(len(b)), b.copy(), 1e-9)
     assert len(products) == err.value.iterations == multichannel._RESTART + 1
     assert err.value.span == 1.0

@@ -189,6 +189,52 @@ def test_backup_preserves_delay_monotonicity(scen1_channel, preset_rewards):
     assert np.all(values[:, :-1] - values[:, 1:] >= -1e-9)
 
 
+def test_greedy_takes_the_lowest_action_within_tie_tol():
+    # One state per row: (q0, q1, q2) and the action greedy must pick.  The
+    # best value is 1.0, so a value 0.5 TIE_TOL below it ties and one 2
+    # TIE_TOL below it does not.
+    inside, outside = 1.0 - 0.5 * solver.TIE_TOL, 1.0 - 2.0 * solver.TIE_TOL
+    rows = [
+        ((1.0, 1.0, 1.0), 0),  # exact three-way tie
+        ((1.0, 1.0, 0.0), 0),  # exact two-way ties
+        ((1.0, 0.0, 1.0), 0),
+        ((0.0, 1.0, 1.0), 1),
+        ((inside, 0.0, 1.0), 0),  # within TIE_TOL of the best
+        ((0.0, inside, 1.0), 1),
+        ((inside, inside, 1.0), 0),
+        ((inside, 1.0, 0.0), 0),
+        ((outside, 0.0, 1.0), 2),  # just outside TIE_TOL
+        ((0.0, outside, 1.0), 2),
+        ((outside, 1.0, 0.0), 1),
+        ((1.0, 0.0, 0.0), 0),  # a clear best
+        ((0.0, 1.0, 0.0), 1),
+        ((0.0, 0.0, 1.0), 2),
+        ((np.nan, 1.0, 0.0), 2),  # a NaN ties nothing
+    ]
+    q0, q1, q2 = (np.array(col) for col in zip(*(q for q, _ in rows)))
+    w, actions = solver.greedy(q0, q1, q2, np.s_[len(rows):])
+    assert actions.dtype == np.int8
+    assert actions.tolist() == [a for _, a in rows]
+    assert np.array_equal(w[:-1], np.max([q for q, _ in rows[:-1]], axis=1))
+
+
+def test_greedy_forces_fallback_at_the_cap():
+    # Wait and sense-wait win everywhere, yet the cap states, given as a
+    # slice or (in the grid's layout) as the last column, fall back, and
+    # their backup value is the fallback value.
+    q0, q1, q2 = np.full(6, 5.0), np.full(6, 5.0), np.arange(6.0)
+    w, actions = solver.greedy(q0, q1, q2, np.s_[4:])
+    assert actions.dtype == np.int8
+    assert actions.tolist() == [0, 0, 0, 0, 2, 2]
+    assert w.tolist() == [5.0, 5.0, 5.0, 5.0, 4.0, 5.0]
+    assert np.all(q0[4:] == -np.inf) and np.all(q1[4:] == -np.inf)
+    grid = [np.full((3, 4), 5.0), np.full((3, 4), 5.0), np.zeros((3, 4))]
+    w, actions = solver.greedy(*grid, np.s_[:, -1])
+    assert actions.dtype == np.int8
+    assert actions.tolist() == [[0, 0, 0, 2]] * 3
+    assert np.all(w[:, -1] == 0.0)
+
+
 @pytest.mark.parametrize(
     "solve",
     [solve_single_channel, lambda p, r, **kw: solve_multichannel(2, p, r, **kw)],
