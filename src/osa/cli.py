@@ -18,6 +18,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -97,7 +98,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process: main and rerun
+    share it."""
     parser = _Parser(prog="osa", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -325,8 +329,8 @@ def cmd_compare(args) -> int:
     _write_manifest(args, [path])
     for row in rows:
         print(
-            f"k={row.k} gamma={row.gamma:.4g} matched_delay={row.matched_delay_mp:.3f} "
-            f"reduction={row.reduction_pct:.2f}%"
+            f"k={row.k} gamma={row.gamma:.4g} matched_delay_mp={row.matched_delay_mp:.3f} "
+            f"matched_delay_opt={row.matched_delay_opt:.3f} reduction={row.reduction_pct:.2f}%"
         )
     return 0
 

@@ -23,23 +23,24 @@ table follow from the multisets' successor ids by index arithmetic.  Each
 sorted states run layer by layer in delay and the delay-1 states come first.
 The solver works on these arrays alone, and the packed key is the only state
 lookup; the (codes tuple, delay) view of the states is built only when
-something reads it.  The successor tables do not depend on the rewards, so
-solves of one model at several delay penalties can share one enumeration.
+something reads it.  The successors do not depend on the rewards, so solves
+of one model at several delay penalties can share one enumeration.
 
-The Howard policy-iteration core of solver.py solves the MDP; this module
-supplies the packed-key successor tables and the evaluation step.  Under a
-fixed action table every state has at most one successor at delay l+1 and all
-its other exits land at delay 1, so the path from each delay-1 state unrolls
-in l_max steps into an expected reward, an expected sojourn and at most
-2 l_max delay-1 landings.  A policy is evaluated on that embedded semi-Markov
-chain over the delay-1 states by restarted GMRES on its evaluation equations,
-and the other layers are then filled backward in delay (Puterman 1994, Markov
-Decision Processes, sections 8.6, 9.2 and 11.4).  The other layers solve
+solve_multichannel runs Howard policy iteration on the MDP: it evaluates an
+action table, improves it by one greedy backup (solver.greedy) and stops
+when the table repeats.  Under a fixed action table every state has at most
+one successor at delay l+1 and all its other exits land at delay 1, so the
+path from each delay-1 state unrolls in l_max steps into an expected reward,
+an expected sojourn and at most 2 l_max delay-1 landings.  A policy is
+evaluated on that embedded semi-Markov chain over the delay-1 states by
+restarted GMRES on its evaluation equations, and the other layers are then
+filled backward in delay (Puterman 1994, Markov Decision Processes, sections
+8.6, 9.2 and 11.4).  The other layers solve
 their equations exactly, so the span of the final Bellman residual, which the
 solver checks against tol, is that of the GMRES residual with zero adjoined;
 GMRES stops only once that span is within a quarter of tol.  A solved table's
 wait thresholds are read with policy.wait_threshold, as the belief grid's
-are, on the belief b that the successor table holds.
+are, on the belief b that ReachableStates holds.
 
 A solve makes each pass over the full state set once: the enumeration
 computes b per multiset and spreads it to the states, a solve computes 1 - b
@@ -55,7 +56,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import solver
 from .channel import ChannelParams, iterate_unsensed, stationary_idle
 from .errors import NoConvergence, StateSpaceTooLarge
 from .policy import wait_threshold
@@ -68,13 +68,14 @@ from .solver import (
     check_model,
     greedy,
     immediate_rewards,
-    policy_iteration,
 )
 
 DEFAULT_K_TRUNC = 20
-# Read at call time, so a test can patch it: the most reachable states (or
-# code multisets) an enumeration may hold.
+# Read at call time, so a test can patch them: the most reachable states (or
+# code multisets) an enumeration may hold, and the cap on policy-iteration
+# steps and on the matrix-vector products of each evaluation.
 STATE_CAP = 5_000_000
+MAX_ITER = 100_000
 # The restart length of the evaluation's GMRES, the residual, relative to the
 # rewards per delay-1 visit, at which it stops, and how far above that a
 # residual that stops falling is still accepted.  _SPAN is the share of the
@@ -169,13 +170,20 @@ class DescriptorSpace:
 
 @dataclass
 class ReachableStates:
-    """Reachable descriptor states up to delay l_max, sorted by (delay, codes).
+    """Reachable descriptor states up to delay l_max, sorted by (delay, codes),
+    with their successors: the part of the MDP that does not depend on the
+    rewards.
 
     codes holds one sorted code row per state and delays its delay; keys are
-    their packed int64 keys, ascending.  table holds the successors of every
-    state: the part of the MDP that does not depend on the rewards.  states
-    lists the (codes tuple, delay) pairs; it is built the first time it is
-    read.
+    their packed int64 keys, ascending.  layers[l] is the first state at
+    delay l + 1; b is the belief of the channel sensing would target, which
+    MultichannelValueFunction.lambda_summary reads as each state's max
+    belief.  up_wait and up_busy are the successors at delay l + 1 after a
+    wait and after a busy sensing that waits (the state itself at the cap);
+    idle1 and busy1 are the delay-1 successors after an idle sensing and
+    after a busy sensing that falls back.  A solve computes 1 - b itself.
+    states lists the (codes tuple, delay) pairs; it is built the first time
+    it is read.
     """
 
     space: DescriptorSpace
@@ -183,7 +191,17 @@ class ReachableStates:
     codes: np.ndarray
     delays: np.ndarray
     keys: np.ndarray
-    table: _Table
+    layers: np.ndarray
+    b: np.ndarray
+    up_wait: np.ndarray
+    up_busy: np.ndarray
+    idle1: np.ndarray
+    busy1: np.ndarray
+
+    @property
+    def cap(self):
+        """The delay-cap states, the last layer."""
+        return np.s_[self.layers[-2]:]
 
     @cached_property
     def states(self) -> list:
@@ -248,13 +266,13 @@ class MultichannelValueFunction:
 
         Each delay layer is read with policy.wait_threshold on the max belief
         of its states, the belief of the channel sensing would target, which
-        the successor table holds as b.  Violations are reported rather than
-        raised since the max belief is not a sufficient statistic of the
-        multichannel state.
+        reach holds as b.  Violations are reported rather than raised since
+        the max belief is not a sufficient statistic of the multichannel
+        state.
         """
-        belief = self.reach.table.b
+        belief = self.reach.b
         wait = self.actions == int(Action.WAIT)
-        layers = self.reach.table.layers
+        layers = self.reach.layers
         read = [wait_threshold(belief[a:b], wait[a:b]) for a, b in zip(layers[:-1], layers[1:])]
         return np.array([th for th, _ in read]), [l for l, (_, bad) in enumerate(read, 1) if bad]
 
@@ -273,15 +291,15 @@ def build_reachable_states(
     l_max: int = DEFAULT_L_MAX,
 ) -> ReachableStates:
     """Closure of the descriptor-state space under all actions, with the
-    successor table of its states.
+    successors of its states.
 
     States are (sorted descriptor tuple, delay); the start state has every
     channel stale at delay 1.  A state's successors depend on its code
     multiset alone, so the closure runs over multisets (_multisets) and the
     delay layers follow by index arithmetic: layer 1 holds the multisets
     reached at delay 1, and layer l + 1 the wait and busy successors of
-    layer l.  Each layer is sorted by codes, and the table is read off the
-    multiset ranks in the same pass.  Raises StateSpaceTooLarge past
+    layer l.  Each layer is sorted by codes, and the successors are read off
+    the multiset ranks in the same pass.  Raises StateSpaceTooLarge past
     STATE_CAP multisets or states, counted before each batch of moves and
     after each layer, or when a packed key would not fit in an int64;
     ValueError as check_count does for n_channels below 1 or l_max below 2.
@@ -332,9 +350,9 @@ def build_reachable_states(
     b = space.belief[rows[:, 0]]
     for column in rows.T[1:]:
         b = np.maximum(b, space.belief[column])
-    table = _Table(starts, b[multiset], up_wait, up_busy, idle1, busy1)
     keys = row_keys[multiset] + (delays - 1) * n_codes**n_channels
-    return ReachableStates(space, l_max, np.take(rows, multiset, axis=0), delays, keys, table)
+    return ReachableStates(space, l_max, np.take(rows, multiset, axis=0), delays, keys,
+                           starts, b[multiset], up_wait, up_busy, idle1, busy1)
 
 
 def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
@@ -421,35 +439,7 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Table:
-    """Successors of every descriptor state, sorted by delay.
-
-    layers[l] is the first state at delay l + 1; b is the belief of the
-    channel sensing would target, which MultichannelValueFunction.
-    lambda_summary reads as each state's max belief.  up_wait and up_busy
-    are the successors at delay l + 1 after a wait and after a busy sensing
-    that waits (the state itself at the cap); idle1 and busy1 are the
-    delay-1 successors after an idle sensing and after a busy sensing that
-    falls back.  The table holds only what the enumeration yields: a solve
-    computes 1 - b once itself and passes it to _backup and _evaluate, as
-    busy, rather than keep a copy per table.
-    """
-
-    layers: np.ndarray
-    b: np.ndarray
-    up_wait: np.ndarray
-    up_busy: np.ndarray
-    idle1: np.ndarray
-    busy1: np.ndarray
-
-    @property
-    def cap(self):
-        """The delay-cap states, the last layer."""
-        return np.s_[self.layers[-2]:]
-
-
-def _backup(t: _Table, rewards: tuple, v: np.ndarray, busy: np.ndarray):
+def _backup(t: ReachableStates, rewards: tuple, v: np.ndarray, busy: np.ndarray):
     """One Bellman backup: the backup values and the greedy action table.
     busy is 1 - t.b.  Each action's value is summed in place on the values
     it gathers, so a backup allocates one array per gather."""
@@ -468,7 +458,7 @@ def _backup(t: _Table, rewards: tuple, v: np.ndarray, busy: np.ndarray):
     return greedy(q0, q1, q2, t.cap)
 
 
-def _evaluate(t: _Table, rewards: tuple, actions: np.ndarray, v1: np.ndarray,
+def _evaluate(t: ReachableStates, rewards: tuple, actions: np.ndarray, v1: np.ndarray,
               busy: np.ndarray, tol: float):
     """Relative values of a fixed action table, zero at the reference state 0.
 
@@ -556,7 +546,7 @@ def _gmres(apply, b: np.ndarray, x: np.ndarray, r: np.ndarray, span: float) -> n
     cycle.  A cycle that does not lower the residual ends the solve, at up
     to _FLOOR times _RTOL |b| (rounding in the products of a y large against
     b can leave that much); above that it raises NoConvergence, as a
-    product past solver.MAX_ITER would."""
+    product past MAX_ITER would."""
     target = _RTOL * np.sqrt(b @ b)
     goal = target  # where a cycle may stop
     norm, products = np.sqrt(r @ r), 0
@@ -570,7 +560,7 @@ def _gmres(apply, b: np.ndarray, x: np.ndarray, r: np.ndarray, span: float) -> n
         e = np.zeros(_RESTART + 1)
         e[0] = norm
         for j in range(_RESTART):
-            if products == solver.MAX_ITER:
+            if products == MAX_ITER:
                 raise NoConvergence(products, norm, target)
             products += 1
             w = apply(basis[j])
@@ -620,16 +610,20 @@ def solve_multichannel(
     values; the returned values are the final backup renormalized at the
     reference state (all channels stale, delay 1).  start, an action table
     over the same reachable states such as the one solved at a nearby gamma,
-    is where the iteration begins; it changes only the step count, not the
-    actions returned, and the gain and values only in their last digits.
-    reach, the states of an earlier solve of the same n_channels, p, k_trunc
-    and l_max (its `reach`), spares enumerating them and building their
-    successor table again: only the rewards depend on r.
+    is where the iteration begins (fallback everywhere when None); it
+    changes only the step count, not the actions returned, and the gain and
+    values only in their last digits.  reach, the states of an earlier solve
+    of the same n_channels, p, k_trunc and l_max (its `reach`), spares
+    enumerating them again: only the rewards depend on r.  The steps compare
+    tables only; the span of the final Bellman residual is taken once.
 
-    solver.MAX_ITER caps both the policy-iteration steps and the
-    matrix-vector products of each evaluation.  Raises as check_model and
-    policy_iteration do, NoConvergence when an evaluation hits that cap or
-    stalls, and ValueError when reach belongs to another model.
+    MAX_ITER caps both the policy-iteration steps and the matrix-vector
+    products of each evaluation.  Raises as check_model does; NoConvergence
+    when the table still changes after MAX_ITER steps, when the residual
+    span of the stable table exceeds tol, or when an evaluation hits that
+    cap or stalls; ValueError when reach belongs to another model, or when
+    start has another shape, an entry that is not an integer action 0, 1
+    or 2, or another action than fallback at the delay cap.
     """
     check_model(p, tol, l_max)
     if reach is None:
@@ -638,20 +632,36 @@ def solve_multichannel(
         n_channels, p, k_trunc, l_max
     ):
         raise ValueError("reach holds the states of another model")
-    t = reach.table
-    rewards = immediate_rewards(r, t.b, r.penalty_table(l_max)[reach.delays - 1])
-    busy = 1.0 - t.b
-    actions, values, gain, steps, span = policy_iteration(
-        len(reach.delays),
-        t.cap,
-        lambda actions, v: _evaluate(t, rewards, actions, v[: t.layers[1]], busy, tol),
-        lambda v: _backup(t, rewards, v, busy),
-        tol,
-        start=start,
-    )
+    rewards = immediate_rewards(r, reach.b, r.penalty_table(l_max)[reach.delays - 1])
+    busy = 1.0 - reach.b
+    actions = np.full(len(reach.delays), int(Action.SENSE_FALLBACK), dtype=np.int8)
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != actions.shape:
+            raise ValueError(f"start table has shape {start.shape}, not {actions.shape}")
+        if start.dtype.kind not in "iu" or start.min() < 0 or start.max() > 2:
+            raise ValueError("start table must hold integer actions 0, 1 or 2")
+        actions[...] = start
+        if np.any(actions[reach.cap] != Action.SENSE_FALLBACK):
+            raise ValueError("start table must hold the fallback action at the delay cap")
+    v = np.zeros(len(actions))
+    for steps in range(1, MAX_ITER + 1):
+        v = _evaluate(reach, rewards, actions, v[: reach.layers[1]], busy, tol)
+        w, improved = _backup(reach, rewards, v, busy)
+        stable = np.array_equal(improved, actions)
+        if stable or steps == MAX_ITER:
+            break
+        actions = improved
+        del w  # not held while the next table is evaluated
+    span = float(np.ptp(w - v))
+    if not stable:
+        raise NoConvergence(MAX_ITER, span, tol)
+    if span > tol:
+        raise NoConvergence(steps, span, tol)
+    gain = float(w[0])
     return MultichannelValueFunction(
         reach=reach,
-        values=values,
+        values=w - gain,
         actions=actions,
         gain=gain,
         rewards=r,

@@ -21,9 +21,10 @@ update.  So each V(., l) is convex and piecewise linear in the belief
 sense actions' lines and of V(., l+1) seen through the update.  One backward
 sweep in delay fills the grid without interpolating.
 
-This module also holds the Howard policy-iteration core that the descriptor
-solver runs: check_model, immediate_rewards, greedy and policy_iteration
-(Puterman 1994, Markov Decision Processes, sections 8.6 and 9.2).
+This module also holds the model checks, immediate rewards and capped
+greedy step that the descriptor solver's Howard policy iteration uses
+(check_model, immediate_rewards, greedy; Puterman 1994, Markov Decision
+Processes, sections 8.6 and 9.2).
 """
 
 from __future__ import annotations
@@ -36,16 +37,14 @@ from enum import IntEnum
 import numpy as np
 
 from .channel import ChannelParams, stationary_idle
-from .errors import DegenerateChain, NoConvergence
+from .errors import DegenerateChain
 
 DEFAULT_L_MAX = 50
 DEFAULT_TOL = 1e-9
 TIE_TOL = 1e-12
-# Read at call time, so a test can patch them: the uniform points of every
-# belief grid, and the cap on policy-iteration steps (and on the descriptor
-# solver's matrix-vector products in each evaluation).
+# Read at call time, so a test can patch it: the uniform points of every
+# belief grid.
 GRID_POINTS = 1001
-MAX_ITER = 100_000
 
 
 class Action(IntEnum):
@@ -254,50 +253,6 @@ def greedy(q0, q1, q2, cap):
     actions = int(Action.SENSE_FALLBACK) - (q1 >= near).view(np.int8)
     actions *= ~(q0 >= near)
     return w, actions
-
-
-def policy_iteration(n_states, cap, evaluate, backup, tol: float, start=None):
-    """Howard policy iteration over n_states states from the start table
-    (fallback everywhere when None) until the action table repeats.
-    evaluate(actions, v) gives a table's relative values, warm-started from
-    the previous ones (zeros at first); backup(v) gives the greedy backup
-    values and table, fallback at the delay-cap states that cap indexes.
-    Returns (actions, final backup minus its value at the reference state 0,
-    that value as the gain, steps, span of the final Bellman residual).  The
-    steps compare tables only; the residual span is taken once, after the
-    last step.
-
-    The start table changes only the step count: the loop stops at the
-    table that is greedy on its own values whatever it starts from, and the
-    values and gain change only in their last digits.
-
-    Raises NoConvergence when the table still changes after MAX_ITER steps or
-    the residual span of the stable table exceeds tol, ValueError when start
-    has another shape or another action than fallback at cap.
-    """
-    actions = np.full(n_states, int(Action.SENSE_FALLBACK), dtype=np.int8)
-    if start is not None:
-        if np.shape(start) != actions.shape:
-            raise ValueError(f"start table has shape {np.shape(start)}, not {actions.shape}")
-        actions[...] = start
-        if np.any(actions[cap] != Action.SENSE_FALLBACK):
-            raise ValueError("start table must hold the fallback action at the delay cap")
-    v = np.zeros(n_states)
-    for it in range(1, MAX_ITER + 1):
-        v = evaluate(actions, v)
-        w, improved = backup(v)
-        stable = np.array_equal(improved, actions)
-        if stable or it == MAX_ITER:
-            break
-        actions = improved
-        del w  # not held while the next table is evaluated
-    span = float(np.ptp(w - v))
-    if not stable:
-        raise NoConvergence(MAX_ITER, span, tol)
-    if span > tol:
-        raise NoConvergence(it, span, tol)
-    gain = float(w[0])
-    return actions, w - gain, gain, it, span
 
 
 def bellman_backup(vf: ValueFunction):

@@ -372,10 +372,10 @@ def descriptor_backup(space, index, values, r, l_max):
 
 
 def damped_evaluation(t, rewards, actions, v1, busy, tol, span_tol=1e-11, max_sweeps=10**6):
-    """Relative values of a fixed action table on a descriptor successor
-    table t (multichannel._Table), zero at the reference state 0: the
-    evaluation multichannel._evaluate makes by GMRES, made instead by damped
-    relative value iteration.  It takes _evaluate's arguments; busy is
+    """Relative values of a fixed action table on the reachable descriptor
+    states t (multichannel.ReachableStates), zero at the reference state 0:
+    the evaluation multichannel._evaluate makes by GMRES, made instead by
+    damped relative value iteration.  It takes _evaluate's arguments; busy is
     1 - t.b, and the solver tolerance tol is not read.
 
     The path from each delay-1 state unrolls into an expected reward r, an
@@ -437,12 +437,12 @@ def damped_evaluation(t, rewards, actions, v1, busy, tol, span_tol=1e-11, max_sw
 
 
 def exact_evaluation(t, rewards, actions):
-    """Gain and relative values of a fixed action table on a descriptor
-    successor table t (multichannel._Table), zero at the reference state 0,
-    by one dense solve over every state.
+    """Gain and relative values of a fixed action table on the reachable
+    descriptor states t (multichannel.ReachableStates), zero at the
+    reference state 0, by one dense solve over every state.
 
-    The table's one-slot chain P, built state by state from the successor
-    table, and its rewards per slot r give (I - P) h + g 1 = r with h[0] =
+    The table's one-slot chain P, built state by state from the successors
+    of t, and its rewards per slot r give (I - P) h + g 1 = r with h[0] =
     0: a square system in g (in h[0]'s column) and h[1:].  It is singular,
     and the result None, when the chain has more than one recurrent class.
     """

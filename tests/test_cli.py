@@ -324,6 +324,20 @@ def test_compare_exit_and_csv(tmp_path):
     assert len(lines) == 2
 
 
+def test_compare_summary_prints_both_matched_delays(tmp_path, capsys):
+    # --match-tol gates only the bracket's ends: inside it the closest gamma
+    # misses k=5's delay by more than 0.1, and the summary line shows both.
+    out = tmp_path / "cmp"
+    assert run(["compare", "--alpha", 0.15, "--beta", 0.1, "--lmax", 15, "--ks", 5,
+                "--match-tol", 0.1, "--out", out]) == 0
+    k, gamma, mp, opt, _, _, pct = (out / "compare.csv").read_text().splitlines()[1].split(",")
+    assert abs(float(mp) - float(opt)) > 0.1
+    assert capsys.readouterr().out == (
+        f"k={k} gamma={float(gamma):.4g} matched_delay_mp={float(mp):.3f} "
+        f"matched_delay_opt={float(opt):.3f} reduction={float(pct):.2f}%\n"
+    )
+
+
 def test_compare_against_a_baseline_without_energy_is_usage_error(tmp_path, capsys):
     # With no sensing or primary-channel cost, memoryless k=8 at (0.85, 0.7)
     # delivers every packet free, so no energy reduction is defined against it.

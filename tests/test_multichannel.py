@@ -243,7 +243,7 @@ def _assert_matches_tuple_closure(reach, n, l_max):
 
 def _assert_table_matches_successors(reach):
     """Every successor table entry against the state-by-state oracle."""
-    t, space, l_max = reach.table, reach.space, reach.l_max
+    t, space, l_max = reach, reach.space, reach.l_max
     index = {state: i for i, state in enumerate(reach.states)}
     assert t.layers.tolist() == [
         next((i for i, (_, d) in enumerate(reach.states) if d >= l), len(index))
@@ -418,10 +418,10 @@ def test_evaluation_stops_within_the_span_tol_asks_for(gamma, tmp_path):
 
 
 def test_descriptor_solver_step_cap(monkeypatch):
-    # solver.MAX_ITER also caps the matrix-vector products of each
+    # MAX_ITER also caps the matrix-vector products of each
     # evaluation, so at 1 the first evaluation raises, before the first
     # policy step ends.
-    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    monkeypatch.setattr(multichannel, "MAX_ITER", 1)
     with pytest.raises(NoConvergence) as err:
         solve_multichannel(2, ChannelParams(0.85, 0.7), PRESET, k_trunc=8, l_max=8)
     assert err.value.iterations == 1
@@ -468,7 +468,7 @@ def test_gmres_evaluation_matches_exact_evaluation(n, k_trunc, l_max, beta, alph
     # chains, where rounding alone moves them by 1e-7.
     reach = build_reachable_states(n, ChannelParams(beta if alpha is None else alpha, beta),
                                    k_trunc=k_trunc, l_max=l_max)
-    t = reach.table
+    t = reach
     rewards = solver.immediate_rewards(PRESET, t.b, PRESET.penalty_table(l_max)[reach.delays - 1])
     rng = np.random.default_rng(seed)
     actions = rng.integers(0, 3, len(reach.delays)).astype(np.int8)
@@ -496,7 +496,7 @@ def test_table_with_two_recurrent_classes_raises():
     # solution with one gain: GMRES stalls and raises rather than return one.
     reach = build_reachable_states(2, ChannelParams(0.0566896118459993, 0.5767224441192895),
                                    k_trunc=6, l_max=3)
-    t = reach.table
+    t = reach
     actions = np.array([int(a) for a in
                         "102122010012020011201001012021212122022222222222222222222"], dtype=np.int8)
     rewards = solver.immediate_rewards(PRESET, t.b, PRESET.penalty_table(3)[reach.delays - 1])

@@ -300,16 +300,17 @@ def test_episodes_are_shared_and_sweep_rows_run_at_their_own_gamma():
 
 
 def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
-    # The same compare runs twice through a wrapped Howard loop: once as it
-    # is, once with every start table dropped.  Steps are counted, not timed.
-    real = osa.multichannel.policy_iteration
+    # The same compare runs twice through a wrapped descriptor solver: once
+    # as it is, once with every start table dropped.  Steps are counted, not
+    # timed.
+    real = osa.sim.solve_multichannel
     calls, steps = {}, {}
 
     def counted(cold):
         def wrapped(*args, start=None, **kwargs):
             out = real(*args, start=None if cold else start, **kwargs)
             calls[cold] = calls.get(cold, 0) + 1
-            steps[cold] = steps.get(cold, 0) + out[3]
+            steps[cold] = steps.get(cold, 0) + out.iterations
             return out
         return wrapped
 
@@ -317,7 +318,7 @@ def test_compare_warm_starts_take_fewer_policy_iteration_steps(monkeypatch):
                     num_packets=500, l_max=15)
     rows = {}
     for cold in (False, True):
-        monkeypatch.setattr(osa.multichannel, "policy_iteration", counted(cold))
+        monkeypatch.setattr(osa.sim, "solve_multichannel", counted(cold))
         rows[cold] = compare_with_memoryless(cfg, [2, 3], solver_tol=1e-7)
     assert rows[False] == rows[True]
     assert calls[False] == calls[True]

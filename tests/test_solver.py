@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait, wait_then_sense_value
-from osa import solver
+from osa import multichannel, solver
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
 from osa.multichannel import solve_multichannel
@@ -252,7 +252,7 @@ def test_solver_rejects_degenerate_and_bad_args(solve, preset_rewards):
 
 
 def test_solver_no_convergence_reports_span(scen1_channel, preset_rewards, monkeypatch):
-    monkeypatch.setattr(solver, "MAX_ITER", 3)
+    monkeypatch.setattr(multichannel, "MAX_ITER", 3)
     with pytest.raises(NoConvergence) as err:
         solve_single_channel(scen1_channel, preset_rewards)
     assert err.value.iterations == 3
@@ -392,3 +392,17 @@ def test_start_table_must_fit_the_model(solve, scen1_channel, preset_rewards):
     waiting = np.zeros_like(table)  # waits everywhere, the delay cap included
     with pytest.raises(ValueError, match="fallback action at the delay cap"):
         solve(scen1_channel, preset_rewards, l_max=6, start=waiting)
+
+
+@pytest.mark.parametrize("fill", [7, -1, 0.7, 2.9, 2.0, None], ids=str)
+def test_start_table_must_hold_integer_actions(fill, scen1_channel, preset_rewards):
+    # An entry outside 0, 1 and 2, or any table of floats, is refused rather
+    # than cast to int8; None puts one action 3 below the cap of a valid table.
+    model = dict(n_channels=2, p=scen1_channel, r=preset_rewards, k_trunc=5, l_max=6)
+    start = solve_multichannel(**model).actions
+    if fill is None:
+        start[0] = 3
+    else:
+        start = np.full(start.shape, fill)
+    with pytest.raises(ValueError, match="integer actions 0, 1 or 2"):
+        solve_multichannel(**model, start=start)
