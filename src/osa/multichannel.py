@@ -182,8 +182,8 @@ class ReachableStates:
     wait and after a busy sensing that waits (the state itself at the cap);
     idle1 and busy1 are the delay-1 successors after an idle sensing and
     after a busy sensing that falls back.  A solve computes 1 - b itself.
-    states lists the (codes tuple, delay) pairs; it is built the first time
-    it is read.
+    states lists the (codes tuple, delay) pairs and sensed_code the code
+    that those successors sense; each is built the first time it is read.
     """
 
     space: DescriptorSpace
@@ -218,6 +218,16 @@ class ReachableStates:
         fresh[0] = True  # the start state, key 0
         elements = kinds[fresh.astype(np.intp), self.codes]
         return list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
+
+    @cached_property
+    def sensed_code(self) -> np.ndarray:
+        # DescriptorSpace.moves senses the argmax of its sorted row's
+        # beliefs, the first code whose belief is the row's max b.
+        belief = self.space.belief
+        code = self.codes[:, -1].copy()
+        for column in self.codes.T[-2::-1]:
+            np.copyto(code, column, where=belief[column] == self.b)
+        return code
 
 
 @dataclass
@@ -254,11 +264,6 @@ class MultichannelValueFunction:
     def states(self) -> list:
         """(codes tuple, delay) per state, built on first read."""
         return self.reach.states
-
-    @cached_property
-    def action_by_key(self) -> dict:
-        """Action index by packed state key (DescriptorSpace.key), as ints."""
-        return dict(zip(self.reach.keys.tolist(), self.actions.tolist()))
 
     def lambda_summary(self) -> tuple[np.ndarray, list]:
         """Per-delay wait threshold in the belief of the would-be sensed

@@ -12,8 +12,8 @@ barely grows with N: when alpha > beta aging never reorders the channels, so
 it keeps them in belief order (idle sensing to the head, busy to the tail)
 and reads only the top one or two beliefs, scanning every channel only for
 a float tie at the top (lowest index wins) and, when alpha <= beta, in every
-slot.  A descriptor policy's state is a packed key walked through a memo of
-(key, sensed code, observation) moves.
+slot.  A descriptor policy's state is its index in the solver's reachable
+states, walked on the solver's own successor table.
 
 Each channel owns an independent random stream derived from the top-level
 seed, and its true state advances once per slot regardless of the policy, so
@@ -207,21 +207,26 @@ def _compile(policy, l_max: int):
     return [None] + wait_below, [None] + sense
 
 
-def _next_key(space, n: int, key: int, code: int, obs: int) -> int:
-    """The delay-1 key (DescriptorSpace.key) of n channels' codes one slot
-    after the codes of the delay-1 key `key`: every code ages, except that a
-    channel of the given code is sensed when obs >= 0 and becomes fresh."""
-    n_codes = len(space.belief)
-    codes = []
-    for _ in range(n):
-        key, c = divmod(key, n_codes)
-        codes.append(c)
-    if obs >= 0:
-        codes.remove(code)
-    codes = [int(space.aged[c]) for c in codes]
-    if obs >= 0:
-        codes.append(space.busy_fresh if obs else space.idle_fresh)
-    return space.key(codes, 1)
+def _state(reach, codes, delay: int) -> int:
+    """The index in reach of the state of these codes, in any order, at this
+    delay; KeyError when reach does not hold it."""
+    key = reach.space.key(codes, delay)
+    i = int(np.searchsorted(reach.keys, key))
+    if i == len(reach.keys) or reach.keys[i] != key:
+        raise KeyError(f"no reachable state of codes {sorted(codes)} at delay {delay}")
+    return i
+
+
+def _detour(reach, state: int, code: int, obs: int, via: int) -> int:
+    """The successor of a state after a sensing of a channel of another code
+    than reach.sensed_code[state], which the table's successor `via` senses:
+    every code of the state ages except one of the sensed code, which turns
+    fresh, and the delay is via's.  Raises as _state does."""
+    space = reach.space
+    codes = reach.codes[state].tolist()
+    codes.remove(code)
+    codes = space.aged[codes].tolist() + [space.busy_fresh if obs else space.idle_fresh]
+    return _state(reach, codes, int(reach.delays[via]))
 
 
 class SlotEnv:
@@ -254,11 +259,16 @@ class SlotEnv:
     (or rows that could leave [beta, alpha] in floats) every slot of N > 1
     channels takes that scan.
 
-    A descriptor policy's state is walked by its packed key: one running key
-    of the code multiset at delay 1, plus a per-call memo from (key, the
-    sensed channel's code, observation) to the next key.  The sensed code
-    comes from the channel's row and last sensing (DescriptorSpace.codes_for),
-    so it is the code of the channel the float beliefs chose.  Threshold
+    A descriptor policy's state is its index in policy.reach, at its delay
+    capped at the policy's l_max, walked on the successor arrays the solver
+    uses (up_wait, idle1, up_busy, busy1), read through memoryviews.  The
+    sensed code comes from the channel's row and last sensing
+    (DescriptorSpace.codes_for), so it is the code of the channel the float
+    beliefs chose.  The table's successor holds when that is the code the
+    solver senses (reach.sensed_code), as it always is for one channel;
+    where a float tie or a collapsed age makes it another, the successor is
+    found by its packed key (_detour), memoized per call by (state, code,
+    observation).  Threshold
     policies, the memoryless baseline among them, are compiled on their first
     run() on an env; a policy changed in place after that runs as it was
     compiled.
@@ -325,7 +335,9 @@ class SlotEnv:
         TypeError for a policy that is not a ThresholdPolicy (the memoryless
         baseline is one) or MultichannelValueFunction; ValueError unless
         exactly one count is given and it is an int >= 0, and for a
-        MultichannelValueFunction solved for another number of channels.
+        MultichannelValueFunction solved for another number of channels;
+        KeyError when the channels reach a state that such a policy's reach
+        does not hold.
         """
         self._check_usable()
         if (slots is None) == (packets is None):
@@ -353,23 +365,25 @@ class SlotEnv:
             beliefs = self._beliefs(slot)
             order = sorted(range(n), key=lambda i: -beliefs[i])
 
-        by_key = None
+        acts = sensed_code = None
         if isinstance(policy, MultichannelValueFunction):
             if policy.n_channels != n:
                 raise ValueError(
                     f"descriptor policy solved for {policy.n_channels} channels run on {n}"
                 )
-            space, by_key = policy.space, policy.action_by_key
-            codes_for = space.codes_for
-            # The key of the code multiset at delay 1, plus the offset of the
-            # delay's layer (capped at the policy's l_max).
-            key = space.key([
+            reach = policy.reach
+            codes_for = reach.space.codes_for
+            # Read through memoryviews, which make no Python object per state.
+            acts, up_wait, up_busy, idle1, busy1 = map(memoryview, (
+                policy.actions, reach.up_wait, reach.up_busy, reach.idle1, reach.busy1,
+            ))
+            # One channel is always the channel the solver senses.
+            sensed_code = memoryview(reach.sensed_code) if n > 1 else None
+            state = _state(reach, [
                 STALE if t is pi0_row else codes_for(t is idle_row, slot - s)
                 for t, s in zip(tables, last)
-            ], 1)
-            layer = len(space.belief) ** n
-            offset = [None] + [(min(d, policy.l_max) - 1) * layer for d in range(1, l_max + 1)]
-            memo = {}
+            ], min(delay, policy.l_max))
+            detours = {}  # (state, sensed code, obs) -> _detour's successor
         else:
             wait_below, sense = self._rule(policy)
 
@@ -387,8 +401,8 @@ class SlotEnv:
                     b = tables[target][slot - last[target] - 1]
                 except IndexError:
                     b = self._beliefs(slot)[target]
-            if by_key is not None:
-                action = by_key[key + offset[delay]]
+            if acts is not None:
+                action = acts[state]
             elif b <= wait_below[delay]:
                 action = _WAIT
             else:
@@ -398,7 +412,7 @@ class SlotEnv:
             if action == _WAIT:
                 if delay >= l_max:
                     raise self._overflowed("wait")
-                obs = code = -1
+                obs = -1
                 reward = wait_reward[delay]
             else:
                 if ordered:
@@ -415,7 +429,7 @@ class SlotEnv:
                         order.insert(0, target)
                     else:
                         order.append(target)
-                if by_key is not None:
+                if sensed_code is not None:
                     row = tables[target]
                     code = STALE if row is pi0_row else codes_for(row is idle_row, slot - last[target])
                 sensed += 1
@@ -443,11 +457,18 @@ class SlotEnv:
             if trace is not None:
                 trace.append(TraceRow(slot, b, delay, action, obs, reward))
             slot += 1
-            if by_key is not None:
-                move = key, code, obs
-                key = memo.get(move)
-                if key is None:
-                    key = memo[move] = _next_key(space, n, *move)
+            if acts is not None:
+                if obs < 0:
+                    state = up_wait[state]
+                else:
+                    via = (idle1 if obs == 0 else busy1 if action == _FALLBACK else up_busy)[state]
+                    if sensed_code is None or code == sensed_code[state]:
+                        state = via
+                    else:
+                        move = state, code, obs
+                        state = detours.get(move)
+                        if state is None:
+                            state = detours[move] = _detour(reach, *move, via)
 
             if transmitted:
                 delay_total += delay

@@ -156,13 +156,22 @@ def nearest_action(vf, belief, delay):
     return Action(int(vf.actions[i, delay - 1]))
 
 
+def action_by_key(mvf) -> dict:
+    """A descriptor solve's action index by packed state key
+    (DescriptorSpace.key), as ints."""
+    return dict(zip(mvf.reach.keys.tolist(), mvf.actions.tolist()))
+
+
 def action_for(mvf, codes, delay):
     """The action of a descriptor solve at the state of these codes, in any
     order, and this delay (capped at l_max), read through the packed key."""
     # Aged codes are numpy int32 scalars; int() keeps key()'s arithmetic in
     # Python ints, which cannot overflow.
     key = mvf.space.key([int(c) for c in codes], min(delay, mvf.l_max))
-    return Action(mvf.action_by_key[key])
+    i = int(np.searchsorted(mvf.reach.keys, key))
+    if i == len(mvf.reach.keys) or mvf.reach.keys[i] != key:
+        raise KeyError(key)
+    return Action(int(mvf.actions[i]))
 
 
 def reachable_beliefs(p, depth):
@@ -505,7 +514,7 @@ class ReferenceSlotEnv:
     updates every belief, ages the descriptor codes, and asks the policy
     through its act() method or, for a descriptor policy, reads the action
     at the position of the (sorted codes, delay) tuple in policy.states, not
-    through the packed keys the kernel uses.  Keeps the same counters and
+    through the successor table the kernel walks.  Keeps the same counters and
     persists across run() calls as SlotEnv does.
     """
 

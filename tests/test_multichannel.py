@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import osa.cli
 from oracles import (
+    action_by_key,
     action_for,
     damped_evaluation,
     descriptor_successors,
@@ -114,15 +115,16 @@ def test_single_channel_equivalence():
     mvf = solve_multichannel(1, p, PRESET, k_trunc=20, l_max=15)
     assert mvf.gain == pytest.approx(renewal_gain(p, PRESET, _table_policy(mvf)), abs=1e-3)
     acts = finite_horizon_actions(p, PRESET, horizon=30, l_max=15)
+    by_key = action_by_key(mvf)
     compared = agree = 0
     for start, sensed_idle in ((p.alpha, True), (p.beta, False)):
         b = start
         for age in range(1, 16):
             for l in range(age, 16):
                 key = mvf.space.key([mvf.space.codes_for(sensed_idle, age)], l)
-                if key in mvf.action_by_key:
+                if key in by_key:
                     compared += 1
-                    agree += mvf.action_by_key[key] == acts[(b, l)]
+                    agree += by_key[key] == acts[(b, l)]
             b = update_unsensed(p, b)
     for l in range(1, 16):  # never sensed: the stationary belief
         compared += 1

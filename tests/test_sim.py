@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from osa.sim import (
     _Episodes,
     _match_gamma,
     _solve,
+    _state,
     compare_with_memoryless,
     idle_flags,
     little_check,
@@ -541,8 +543,11 @@ def _kernel_cases(draw):
     elif kind == "memoryless":
         policy = MemorylessPolicy(draw(st.integers(1, l_max + 2)))
     else:
+        # The policy's own cap may lie above or below the env's: past its cap
+        # the policy falls back, and below the env's cap a wait overflows.
         policy = solve_multichannel(n, p, PRESET, k_trunc=draw(st.integers(1, 12)),
-                                    l_max=l_max, tol=1e-6)
+                                    l_max=draw(st.one_of(st.just(l_max), st.integers(2, 20))),
+                                    tol=1e-6)
     runs = draw(st.lists(st.one_of(st.tuples(st.just("slots"), st.integers(1, 1000)),
                                    st.tuples(st.just("packets"), st.integers(1, 100))),
                          min_size=1, max_size=5))
@@ -715,8 +720,8 @@ def test_tied_top_beliefs_sense_the_lowest_index_channel(kind, preset_solves):
     # beliefs, where the lowest index need not be the order list's head;
     # memoryless windows in between reorder the channels.  The solved
     # descriptor policy meets ties too, between channels of different codes
-    # (ages past about 12 share one float belief), so its key walk must take
-    # the code of the channel the tie rule sensed.
+    # (ages past about 12 share one float belief), so its walk must take the
+    # code of the channel the tie rule sensed.
     sc = SCENARIOS[1]
     if kind == "threshold":
         waiting, memoryless = constant_threshold_policy(0.5, 15, 15), MemorylessPolicy(2)
@@ -746,8 +751,9 @@ def test_descriptor_walk_keys_on_the_sensed_channels_code():
     # that collapses to stale keeps a float belief far from pi0, so the
     # channel the float beliefs sense is often not the one the code model
     # would sense (the argmax over code beliefs, lowest index among ties).
-    # The kernel walks the key with the code of the channel it sensed and
-    # matches the reference, which ages each channel's code per slot.
+    # There the kernel leaves the solver's successor table for the state
+    # that the sensed channel's code gives, and matches the reference, which
+    # ages each channel's code per slot.
     sc = SCENARIOS[3]
     mvf = solve_multichannel(4, sc.channel, sc.rewards, k_trunc=3, l_max=15, tol=1e-6)
     windows = [(mvf, 250)] * 8
@@ -770,8 +776,8 @@ def test_slot_kernel_senses_by_float_belief_at_the_default_k_trunc(preset_solves
     # setting.  Ages past about 12 hold pi0 in floats, so a stale channel and
     # an old busy one tie there, and the lowest-index rule often senses a
     # channel whose code is not the code model's argmax.  The kernel must
-    # sense as the float beliefs do, as the reference does, not as a walk of
-    # the solver's successor table would.
+    # sense as the float beliefs do, as the reference does: it walks the
+    # solver's successor table and leaves it only at those sensings.
     sc = SCENARIOS[1]
     mvf = preset_solves(1)
     env = SlotEnv(sc.channels(), sc.rewards, 0, 15)
@@ -787,3 +793,35 @@ def test_slot_kernel_senses_by_float_belief_at_the_default_k_trunc(preset_solves
             ranked = sorted(codes)
             differ += codes[target] != ranked[int(np.argmax(space.belief[ranked]))]
     assert differ >= 50
+
+
+def test_descriptor_walk_allocates_no_object_per_state():
+    # A freshly solved preset-1 policy at N=4 and k_trunc 20 (64,300 states).
+    # The walk reads the solver's arrays in place: a 100-packet episode
+    # peaks at 0.84 MB of traced allocations, most of it reach.sensed_code,
+    # where a dict of every state's action peaked at 7.0 MB.
+    sc = SCENARIOS[1]
+    mvf = solve_multichannel(4, sc.channel, sc.rewards, k_trunc=20, l_max=15)
+    env = SlotEnv(sc.channels(), sc.rewards, 0, 15)
+    tracemalloc.start()
+    try:
+        env.run(mvf, packets=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert env.packets == 100
+    assert peak < 2_000_000
+
+
+def test_descriptor_state_outside_the_reach_raises_key_error():
+    # Only one channel is sensed per slot, so two channels never both hold
+    # the fresh busy code; and no state lies past the policy's cap.  The
+    # lookup raises there rather than return the state whose key sorts next.
+    mvf = solve_multichannel(2, SCEN1, PRESET, k_trunc=4, l_max=5)
+    space = mvf.space
+    assert _state(mvf.reach, [STALE, STALE], 1) == 0
+    assert _state(mvf.reach, [space.busy_fresh, STALE], 1) > 0
+    with pytest.raises(KeyError):
+        _state(mvf.reach, [space.busy_fresh, space.busy_fresh], 1)
+    with pytest.raises(KeyError):
+        _state(mvf.reach, [STALE, STALE], 6)
