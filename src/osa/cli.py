@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -45,6 +46,7 @@ from .sim import (
     SimConfig,
     SweepRow,
     TraceRow,
+    _compile,
     _solve,
     compare_with_memoryless,
     little_check,
@@ -52,7 +54,7 @@ from .sim import (
     sweep_gamma,
     write_rows,
 )
-from .solver import DEFAULT_L_MAX, DEFAULT_TOL, check_count, check_tol, solve_single_channel
+from .solver import DEFAULT_L_MAX, DEFAULT_TOL, Action, check_count, check_tol, solve_single_channel
 
 USAGE_ERROR, SOLVER_ERROR, SIM_ERROR = 1, 2, 3
 SOLVER_FAILURES = (NoConvergence, StateSpaceTooLarge, DegenerateChain, NotThreshold)
@@ -267,9 +269,11 @@ def cmd_solve(args) -> int:
 
 
 def _check_cap(flag: str, value, policy: ThresholdPolicy, lmax: int) -> None:
-    """Raise ValueError for a policy that waits or sense-waits at --lmax: its
-    episode would hold a packet past the cap."""
-    if policy.l_star > lmax or policy.threshold(lmax) > 0:
+    """Raise ValueError for a policy that waits or sense-waits at --lmax, as
+    the slot kernel compiles it: its episode would hold a packet past the
+    cap."""
+    wait_below, sense = _compile(policy, lmax)
+    if wait_below[lmax] > -math.inf or sense[lmax] == Action.SENSE_WAIT:
         raise ValueError(f"{flag} {value} waits or sense-waits at --lmax {lmax}")
 
 

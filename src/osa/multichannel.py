@@ -13,14 +13,17 @@ its belief grid off it.
 Sensing always targets the channel with the highest belief, the channel-choice
 rule used throughout; within a merged state equal-belief channels are
 interchangeable, so any deterministic pick is equivalent to the lowest-index
-rule on the unmerged system.
+rule on the unmerged system.  DescriptorSpace.moves alone makes that pick:
+the enumeration keeps the code it senses for each state, and the solver and
+the slot kernel read that code and its belief.
 
 States are enumerated per code multiset, over arrays.  A state's successors
 depend on its code multiset alone, not on its delay, so DescriptorSpace.moves
 runs once per reachable multiset, and the delay layers and the successor
 table follow from the multisets' successor ids by index arithmetic.  Each
-(sorted code multiset, delay) packs into one int64 key, delay first, so the
-sorted states run layer by layer in delay and the delay-1 states come first.
+(sorted code multiset, delay) packs into one int64 key, delay first
+(DescriptorSpace.pack), so the sorted states run layer by layer in delay and
+the delay-1 states come first.
 The solver works on these arrays alone, and the packed key is the only state
 lookup; the (codes tuple, delay) view of the states is built only when
 something reads it.  The successors do not depend on the rewards, so solves
@@ -43,7 +46,8 @@ wait thresholds are read with policy.wait_threshold, as the belief grid's
 are, on the belief b that ReachableStates holds.
 
 A solve makes each pass over the full state set once: the enumeration
-computes b per multiset and spreads it to the states, a solve computes 1 - b
+keeps the sensed code per multiset and spreads it to the states, b is read
+off it in one gather, a solve computes 1 - b
 once for all its backups and evaluations, a backup sums each action's value
 in place, an evaluation builds each per-state array of its action table in
 one pass, and the summary reads b rather than recompute it.
@@ -131,14 +135,6 @@ class DescriptorSpace:
             keys = keys * len(self.belief) + codes[:, j]
         return keys
 
-    def key(self, codes, delay: int) -> int:
-        """pack() of one state: Python-int codes in any order and a delay."""
-        n_codes = len(self.belief)
-        key = delay - 1
-        for c in sorted(codes):
-            key = key * n_codes + c
-        return key
-
     @property
     def truncation_bound(self) -> float:
         """Largest belief error a descriptor takes on when it collapses to
@@ -150,9 +146,11 @@ class DescriptorSpace:
     def moves(self, codes: np.ndarray):
         """Descriptors after one slot, per row of sorted codes.
 
-        Returns the rows after a wait and after the max-belief channel (lowest
-        index among ties) is sensed idle and sensed busy; every returned row is
-        sorted.
+        Sensing targets the max-belief channel, the lowest index among ties:
+        the first code of the row whose belief is the row's max.  Returns the
+        rows after a wait and after that channel is sensed idle and sensed
+        busy, every one sorted, and the code sensed in each row.  This is the
+        one place the sensed channel is chosen.
         """
         rows = np.arange(len(codes))
         target = np.argmax(self.belief[codes], axis=1)
@@ -165,7 +163,7 @@ class DescriptorSpace:
         fresh[:] = self.busy_fresh
         after_busy = np.sort(np.hstack([rest, fresh]), axis=1)
         waited = np.sort(self.aged[codes], axis=1)
-        return waited, after_idle, after_busy
+        return waited, after_idle, after_busy, codes[rows, target]
 
 
 @dataclass
@@ -175,15 +173,16 @@ class ReachableStates:
     rewards.
 
     codes holds one sorted code row per state and delays its delay; keys are
-    their packed int64 keys, ascending.  layers[l] is the first state at
-    delay l + 1; b is the belief of the channel sensing would target, which
-    MultichannelValueFunction.lambda_summary reads as each state's max
-    belief.  up_wait and up_busy are the successors at delay l + 1 after a
+    their packed int64 keys (DescriptorSpace.pack), ascending.  layers[l] is
+    the first state at delay l + 1.  sensed_code is the code that
+    DescriptorSpace.moves senses in each state, and b its belief, which is
+    the state's max belief and which MultichannelValueFunction.lambda_summary
+    reads.  up_wait and up_busy are the successors at delay l + 1 after a
     wait and after a busy sensing that waits (the state itself at the cap);
     idle1 and busy1 are the delay-1 successors after an idle sensing and
-    after a busy sensing that falls back.  A solve computes 1 - b itself.
-    states lists the (codes tuple, delay) pairs and sensed_code the code
-    that those successors sense; each is built the first time it is read.
+    after a busy sensing that falls back; every sensing successor senses
+    sensed_code.  A solve computes 1 - b itself.  states lists the (codes
+    tuple, delay) pairs; it is built the first time it is read.
     """
 
     space: DescriptorSpace
@@ -192,6 +191,7 @@ class ReachableStates:
     delays: np.ndarray
     keys: np.ndarray
     layers: np.ndarray
+    sensed_code: np.ndarray
     b: np.ndarray
     up_wait: np.ndarray
     up_busy: np.ndarray
@@ -218,16 +218,6 @@ class ReachableStates:
         fresh[0] = True  # the start state, key 0
         elements = kinds[fresh.astype(np.intp), self.codes]
         return list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
-
-    @cached_property
-    def sensed_code(self) -> np.ndarray:
-        # DescriptorSpace.moves senses the argmax of its sorted row's
-        # beliefs, the first code whose belief is the row's max b.
-        belief = self.space.belief
-        code = self.codes[:, -1].copy()
-        for column in self.codes.T[-2::-1]:
-            np.copyto(code, column, where=belief[column] == self.b)
-        return code
 
 
 @dataclass
@@ -325,7 +315,9 @@ def build_reachable_states(
                 f"k_trunc={k_trunc}, l_max={l_max})"
             )
 
-    rows, row_keys, (wait, idle, busy), first = _multisets(space, n_channels, l_max, check_cap)
+    rows, row_keys, sensed, (wait, idle, busy), first = _multisets(
+        space, n_channels, l_max, check_cap
+    )
     layers = [np.flatnonzero(first)]
     count = len(layers[0])
     for _ in range(l_max - 1):
@@ -350,14 +342,10 @@ def build_reachable_states(
         pos[layers[l + 1]] = np.arange(starts[l + 1], starts[l + 2])
         up_wait[starts[l]:starts[l + 1]] = pos[wait[layers[l]]]
         up_busy[starts[l]:starts[l + 1]] = pos[busy[layers[l]]]
-    # The belief of the channel sensing targets, a max over the columns: a
-    # max along each short row costs several times more.
-    b = space.belief[rows[:, 0]]
-    for column in rows.T[1:]:
-        b = np.maximum(b, space.belief[column])
+    sensed_code = sensed[multiset]
     keys = row_keys[multiset] + (delays - 1) * n_codes**n_channels
-    return ReachableStates(space, l_max, np.take(rows, multiset, axis=0), delays, keys,
-                           starts, b[multiset], up_wait, up_busy, idle1, busy1)
+    return ReachableStates(space, l_max, np.take(rows, multiset, axis=0), delays, keys, starts,
+                           sensed_code, space.belief[sensed_code], up_wait, up_busy, idle1, busy1)
 
 
 def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
@@ -377,12 +365,13 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
     whole rows several times faster than fancy indexing does.
 
     Returns, for the reached multisets in codes-key order: their code rows
-    and codes-only keys; the ranks of their wait, idle and busy successors,
-    -1 for a wait successor that no state reaches; and whether each is
-    reached at delay 1.
+    and codes-only keys; the code that moves senses in each; the ranks of
+    their wait, idle and busy successors, -1 for a wait successor that no
+    state reaches; and whether each is reached at delay 1.
     """
     size = 1  # multisets found; the arrays by id below have room for more
     rows = np.zeros((size, n_channels), dtype=space.aged.dtype)  # by id
+    sensed = np.zeros(size, dtype=space.aged.dtype)  # the code moves senses, once expanded
     succ = np.full((size, 3), -1, dtype=np.intp)  # wait, idle, busy ids, once expanded
     least = np.ones(size, dtype=np.int64)  # l_max + 1 until reached
     keys, order = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.intp)  # in key order
@@ -393,7 +382,8 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
         if len(new):
             expanded += len(new)
             check_cap(expanded)
-            moved = np.concatenate(space.moves(np.take(rows, new, axis=0)))
+            *moved, sensed[new] = space.moves(np.take(rows, new, axis=0))
+            moved = np.concatenate(moved)
             found, first, inverse = np.unique(
                 space.pack(moved, 1), return_index=True, return_inverse=True
             )
@@ -402,7 +392,7 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
             fresh = np.flatnonzero(keys[at] != found)
             end = size + len(fresh)
             if end > len(least):
-                rows, succ, least = (_grown(a, 2 * end) for a in (rows, succ, least))
+                rows, sensed, succ, least = (_grown(a, 2 * end) for a in (rows, sensed, succ, least))
             ids[fresh] = np.arange(size, end)
             rows[size:end] = np.take(moved, first[fresh], axis=0)
             succ[size:end] = -1
@@ -431,6 +421,7 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
     return (
         np.take(rows, reached, axis=0),
         keys[in_reach],
+        sensed[reached],
         rank[np.take(succ, reached, axis=0).T],
         least[reached] == 1,
     )

@@ -31,27 +31,18 @@ class DelayCapBound(UserWarning):
 class ThresholdPolicy:
     """Per-delay wait thresholds plus the dedicated-channel switch delay.
 
-    Action rule at (belief, l): wait when belief <= lambda_star[l] (an empty
-    wait region is encoded as 0, in which case no belief waits); otherwise
-    sense, waiting on busy while l < l_star and falling back to the dedicated
-    channel once l >= l_star.
+    Action rule at (belief, l), with delays past l_max read at l_max: wait
+    when belief <= lambda_star[l] (an empty wait region is encoded as 0, in
+    which case no belief waits); otherwise sense, waiting on busy while l <
+    l_star and falling back to the dedicated channel once l >= l_star.  The
+    slot kernel compiles the rule into per-delay lists (sim._compile), the
+    one implementation of it.
     """
 
     lambda_star: np.ndarray
     l_star: int
     l_max: int
     cap_bound: bool = False
-
-    def threshold(self, delay: int) -> float:
-        if delay < 1:
-            raise ValueError(f"delay={delay} must be >= 1")
-        return float(self.lambda_star[min(delay, self.l_max) - 1])
-
-    def act(self, belief: float, delay: int) -> Action:
-        th = self.threshold(delay)
-        if th > 0.0 and belief <= th:
-            return Action.WAIT
-        return Action.SENSE_WAIT if delay < self.l_star else Action.SENSE_FALLBACK
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -114,7 +105,7 @@ def switch_margin(vf: ValueFunction, delay: int) -> float:
     dedicated channel is preferred at delay l.
     """
     r = vf.rewards
-    # beta is a grid point, where interpolation reads the table exactly.
+    # BeliefGrid.for_channel holds beta as a grid point, so its row is exact.
     v_beta = vf.values[vf.grid.index_of(vf.channel.beta)]
     return float(
         r.penalty(delay) + r.phi - r.p_3g + v_beta[0] - v_beta[min(delay + 1, vf.l_max) - 1]

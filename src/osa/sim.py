@@ -195,8 +195,9 @@ def _grow(row: list, update: tuple, length: int) -> None:
 def _compile(policy, l_max: int):
     """A threshold policy (the memoryless baseline among them) as two lists
     indexed by delay 1..l_max: wait while the target's belief is at most
-    wait_below[delay], else take the sensing action sense[delay]
-    (ThresholdPolicy.act)."""
+    wait_below[delay], else take the sensing action sense[delay].  This is
+    the one implementation of the rule ThresholdPolicy states; the CLI's
+    delay-cap check reads these lists too."""
     if not isinstance(policy, ThresholdPolicy):
         raise TypeError(f"no slot rule for policy type {type(policy).__name__}")
     delays = range(1, l_max + 1)
@@ -209,8 +210,9 @@ def _compile(policy, l_max: int):
 
 def _state(reach, codes, delay: int) -> int:
     """The index in reach of the state of these codes, in any order, at this
-    delay; KeyError when reach does not hold it."""
-    key = reach.space.key(codes, delay)
+    delay, found by its packed key (DescriptorSpace.pack); KeyError when
+    reach does not hold it."""
+    key = reach.space.pack(np.sort([codes]), delay)[0]
     i = int(np.searchsorted(reach.keys, key))
     if i == len(reach.keys) or reach.keys[i] != key:
         raise KeyError(f"no reachable state of codes {sorted(codes)} at delay {delay}")
@@ -219,9 +221,10 @@ def _state(reach, codes, delay: int) -> int:
 
 def _detour(reach, state: int, code: int, obs: int, via: int) -> int:
     """The successor of a state after a sensing of a channel of another code
-    than reach.sensed_code[state], which the table's successor `via` senses:
-    every code of the state ages except one of the sensed code, which turns
-    fresh, and the delay is via's.  Raises as _state does."""
+    than reach.sensed_code[state], the code DescriptorSpace.moves senses and
+    the table's successor `via` follows: every code of the state ages except
+    one of the sensed code, which turns fresh, and the delay is via's.
+    Raises as _state does."""
     space = reach.space
     codes = reach.codes[state].tolist()
     codes.remove(code)
@@ -265,11 +268,11 @@ class SlotEnv:
     sensed code comes from the channel's row and last sensing
     (DescriptorSpace.codes_for), so it is the code of the channel the float
     beliefs chose.  The table's successor holds when that is the code the
-    solver senses (reach.sensed_code), as it always is for one channel;
-    where a float tie or a collapsed age makes it another, the successor is
-    found by its packed key (_detour), memoized per call by (state, code,
-    observation).  Threshold
-    policies, the memoryless baseline among them, are compiled on their first
+    solver senses (reach.sensed_code, which DescriptorSpace.moves chose), as
+    it always is for one channel; where a float tie or a collapsed age makes
+    it another, the successor is found by its packed key (_detour), memoized
+    per call by (state, code, observation).  Threshold policies, the
+    memoryless baseline among them, are compiled by _compile on their first
     run() on an env; a policy changed in place after that runs as it was
     compiled.
     """

@@ -8,10 +8,11 @@ closed-form thresholds Th1 and Th2; plain dict/float finite-horizon dynamic
 programming over exactly reachable beliefs,
 a renewal-cycle average-reward calculator for single-channel policies, the
 single-channel value as the best wait-then-sense plan, a
-tuple-by-tuple closure and Bellman backup of the descriptor MDP, policy
-evaluation on the descriptor table by damped relative value iteration and
-by one dense solve over every state, the
-wait-threshold rule state by state, and the slot kernel as a per-slot loop.
+tuple-by-tuple closure and Bellman backup of the descriptor MDP, the packed
+state key in Python ints, policy evaluation on the descriptor table by
+damped relative value iteration and by one dense solve over every state, the
+wait-threshold rule state by state, a threshold policy's action rule, and
+the slot kernel as a per-slot loop.
 Slow and simple on purpose.  The package itself runs none of this.
 """
 
@@ -156,18 +157,27 @@ def nearest_action(vf, belief, delay):
     return Action(int(vf.actions[i, delay - 1]))
 
 
+def state_key(space, codes, delay):
+    """DescriptorSpace.pack of one state, in Python ints: the delay less 1,
+    then each code of the sorted codes as one more digit in base
+    len(space.belief).  int() takes aged codes, numpy int32 scalars, into
+    Python ints, which cannot overflow."""
+    key = delay - 1
+    for c in sorted(int(c) for c in codes):
+        key = key * len(space.belief) + c
+    return key
+
+
 def action_by_key(mvf) -> dict:
-    """A descriptor solve's action index by packed state key
-    (DescriptorSpace.key), as ints."""
+    """A descriptor solve's action index by packed state key (state_key), as
+    ints."""
     return dict(zip(mvf.reach.keys.tolist(), mvf.actions.tolist()))
 
 
 def action_for(mvf, codes, delay):
     """The action of a descriptor solve at the state of these codes, in any
     order, and this delay (capped at l_max), read through the packed key."""
-    # Aged codes are numpy int32 scalars; int() keeps key()'s arithmetic in
-    # Python ints, which cannot overflow.
-    key = mvf.space.key([int(c) for c in codes], min(delay, mvf.l_max))
+    key = state_key(mvf.space, codes, min(delay, mvf.l_max))
     i = int(np.searchsorted(mvf.reach.keys, key))
     if i == len(mvf.reach.keys) or mvf.reach.keys[i] != key:
         raise KeyError(key)
@@ -507,12 +517,25 @@ def wait_thresholds(states, l_max):
     return thresholds, violations
 
 
+def act(policy, belief, delay):
+    """A ThresholdPolicy's action (the memoryless baseline is one) at a belief
+    and delay, by the rule its docstring states, for one state at a time: a
+    delay past l_max reads l_max's threshold.  Raises ValueError for a delay
+    below 1, which would index lambda_star from its end."""
+    if delay < 1:
+        raise ValueError(f"delay={delay} must be >= 1")
+    th = float(policy.lambda_star[min(delay, policy.l_max) - 1])
+    if th > 0.0 and belief <= th:
+        return Action.WAIT
+    return Action.SENSE_WAIT if delay < policy.l_star else Action.SENSE_FALLBACK
+
+
 class ReferenceSlotEnv:
     """The slot kernel as a plain per-slot loop, for checking sim.SlotEnv.
 
     Every slot draws one uniform per channel to advance its true state,
-    updates every belief, ages the descriptor codes, and asks the policy
-    through its act() method or, for a descriptor policy, reads the action
+    updates every belief, ages the descriptor codes, and asks a threshold
+    policy through act() or, for a descriptor policy, reads the action
     at the position of the (sorted codes, delay) tuple in policy.states, not
     through the successor table the kernel walks.  Keeps the same counters and
     persists across run() calls as SlotEnv does.
@@ -576,7 +599,7 @@ class ReferenceSlotEnv:
                 state = (tuple(sorted(codes)), min(delay, policy.l_max))
                 action = Action(int(policy.actions[position[state]]))
             else:
-                action = policy.act(self.beliefs[target], delay)
+                action = act(policy, self.beliefs[target], delay)
             transmitted = False
             obs = -1
             if action == Action.WAIT:

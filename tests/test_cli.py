@@ -4,16 +4,18 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osa.cli import build_parser, main
+from oracles import act
+from osa.cli import _check_cap, build_parser, main
 from osa.learn import LearnerConfig, LearnTraceRow, run_learning
-from osa.policy import MemorylessPolicy
+from osa.policy import MemorylessPolicy, ThresholdPolicy
 from osa.scenarios import SCENARIOS
 from osa.sim import SimConfig, SweepRow, _solve, run_episode, write_rows
-from osa.solver import DEFAULT_TOL
+from osa.solver import DEFAULT_TOL, Action
 
 FAST_SOLVE = ["--tol", "1e-6", "--lmax", "20"]
 
@@ -67,6 +69,31 @@ def test_invalid_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     if argv[-2] in ("--gammas", "--ks"):  # a list entry that does not parse
         assert err.startswith(f"usage error: {argv[-2]}: '' is not ")
     assert not out.exists()  # rejected before any output or solve
+
+
+@pytest.mark.parametrize("lmax", [2, 3, 7])
+def test_cap_check_rejects_exactly_the_policies_that_stay_at_lmax(lmax):
+    # A policy holds a packet at --lmax when its rule, read state by state,
+    # waits or sense-waits there; with the threshold test belief <= th, the
+    # beliefs 0 and 1 show both.  Thresholds come from lists shorter than,
+    # as long as and longer than --lmax, whose last entry is 0, inside (0, 1)
+    # or 1, with every switch delay up to one past the list.
+    policies = [MemorylessPolicy(k) for k in range(1, 2 * lmax + 1)]
+    policies += [
+        ThresholdPolicy(lambda_star=np.array([0.3] * (m - 1) + [last]), l_star=l_star, l_max=m)
+        for m in range(max(lmax - 1, 1), lmax + 2)
+        for last in (0.0, 0.6, 1.0)
+        for l_star in range(1, m + 2)
+    ]
+    raised = 0
+    for policy in policies:
+        if any(act(policy, b, lmax) != Action.SENSE_FALLBACK for b in (0.0, 1.0)):
+            with pytest.raises(ValueError, match=f"^--p x waits or sense-waits at --lmax {lmax}$"):
+                _check_cap("--p", "x", policy, lmax)
+            raised += 1
+        else:
+            _check_cap("--p", "x", policy, lmax)
+    assert 0 < raised < len(policies)
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,9 +113,9 @@ def test_public_definition_scan_sees_functions_classes_and_methods():
 
 
 # Public names that only the tests read, kept as library API (README.md,
-# "Library API"): the policy rule that sim compiles into its slot kernel and
-# oracles.ReferenceSlotEnv calls.
-TEST_ONLY_API = {"ThresholdPolicy.act"}
+# "Library API"): none.  A rule the package runs has one implementation in
+# src/osa; its state-by-state reference lives in tests/oracles.py.
+TEST_ONLY_API = frozenset()
 
 
 def undefined_names(root: Path, names) -> list:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ChannelState, step_true_state, update_counts
+from oracles import ChannelState, act, step_true_state, update_counts
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import InsufficientData
 from osa.learn import (
@@ -101,14 +101,14 @@ def test_discretize():
 
 def test_candidate_policies():
     c = constant_threshold_policy(0.3, 4, 10)
-    assert c.act(0.2, 1) == Action.WAIT
-    assert c.act(0.4, 1) == Action.SENSE_WAIT
-    assert c.act(0.2, 4) == Action.SENSE_FALLBACK
+    assert act(c, 0.2, 1) == Action.WAIT
+    assert act(c, 0.4, 1) == Action.SENSE_WAIT
+    assert act(c, 0.2, 4) == Action.SENSE_FALLBACK
     w = wait_depth_policy(2, 5, 10)
-    assert w.act(0.99, 1) == Action.WAIT
-    assert w.act(0.99, 2) == Action.WAIT
-    assert w.act(0.01, 3) == Action.SENSE_WAIT
-    assert w.act(0.99, 5) == Action.SENSE_FALLBACK
+    assert act(w, 0.99, 1) == Action.WAIT
+    assert act(w, 0.99, 2) == Action.WAIT
+    assert act(w, 0.01, 3) == Action.SENSE_WAIT
+    assert act(w, 0.99, 5) == Action.SENSE_FALLBACK
     with pytest.raises(ValueError):
         wait_depth_policy(5, 5, 10)
 

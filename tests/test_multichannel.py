@@ -17,6 +17,7 @@ from oracles import (
     finite_horizon_actions,
     reachable_descriptor_states,
     renewal_gain,
+    state_key,
     update_unsensed,
     wait_thresholds,
 )
@@ -121,7 +122,7 @@ def test_single_channel_equivalence():
         b = start
         for age in range(1, 16):
             for l in range(age, 16):
-                key = mvf.space.key([mvf.space.codes_for(sensed_idle, age)], l)
+                key = state_key(mvf.space, [mvf.space.codes_for(sensed_idle, age)], l)
                 if key in by_key:
                     compared += 1
                     agree += by_key[key] == acts[(b, l)]
@@ -237,8 +238,7 @@ def _assert_matches_tuple_closure(reach, n, l_max):
     assert len(states) == len(set(states))
     oracle = reachable_descriptor_states(reach.space, n, l_max)
     assert set(states) == oracle
-    key = reach.space.key
-    assert reach.keys.tolist() == [key([int(c) for c in codes], l) for codes, l in states]
+    assert reach.keys.tolist() == [state_key(reach.space, codes, l) for codes, l in states]
     # Element types too: digests of action tables hash the repr of states.
     assert repr(sorted(states)) == repr(sorted(oracle))
 
@@ -253,7 +253,10 @@ def _assert_table_matches_successors(reach):
     ]
     for i, (codes, l) in enumerate(reach.states):
         succ = [index[state] for state in descriptor_successors(space, codes, l, l_max)]
-        assert t.b[i] == max(space.belief[c] for c in codes)
+        # moves senses the lowest index among the max-belief codes of the
+        # sorted row.
+        top = max(space.belief[c] for c in codes)
+        assert (t.b[i], t.sensed_code[i]) == (top, next(c for c in codes if space.belief[c] == top))
         assert (t.up_wait[i], t.up_busy[i]) == ((succ[0], succ[2]) if l < l_max else (i, i))
         assert (t.idle1[i], t.busy1[i]) == (succ[-2], succ[-1])
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     DegenerateDenominator,
+    act,
     q_sense_fallback,
     q_sense_wait,
     th1,
@@ -142,22 +143,25 @@ def test_extract_thresholds_matches_per_state_loop(scen1_solve):
 def test_threshold_policy_action_rule():
     lam = np.array([0.4, 0.3, 0.0, 0.0])
     tp = ThresholdPolicy(lambda_star=lam, l_star=3, l_max=4)
-    assert tp.act(0.35, 1) == Action.WAIT
-    assert tp.act(0.45, 1) == Action.SENSE_WAIT
-    assert tp.act(0.25, 2) == Action.WAIT
-    assert tp.act(0.35, 2) == Action.SENSE_WAIT
-    assert tp.act(0.25, 3) == Action.SENSE_FALLBACK
-    assert tp.act(0.0, 3) == Action.SENSE_FALLBACK  # empty wait region at l>=3
-    assert tp.act(0.99, 4) == Action.SENSE_FALLBACK
+    assert act(tp, 0.35, 1) == Action.WAIT
+    assert act(tp, 0.45, 1) == Action.SENSE_WAIT
+    assert act(tp, 0.25, 2) == Action.WAIT
+    assert act(tp, 0.35, 2) == Action.SENSE_WAIT
+    assert act(tp, 0.25, 3) == Action.SENSE_FALLBACK
+    assert act(tp, 0.0, 3) == Action.SENSE_FALLBACK  # empty wait region at l>=3
+    assert act(tp, 0.99, 4) == Action.SENSE_FALLBACK
 
 
 def test_threshold_policy_total():
-    # Exactly one action for every (belief, delay) pair.
+    # Exactly one action for every (belief, delay) pair, and it is the one
+    # the slot kernel's compiled lists take, past the policy's l_max too.
     lam = np.array([0.5, 0.2, 0.0])
     tp = ThresholdPolicy(lambda_star=lam, l_star=2, l_max=3)
-    for l in (1, 2, 3):
-        for b in np.linspace(0, 1, 33):
-            assert tp.act(float(b), l) in (Action.WAIT, Action.SENSE_WAIT, Action.SENSE_FALLBACK)
+    wait_below, sense = _compile(tp, 5)
+    for l in range(1, 6):
+        for b in np.linspace(0, 1, 33).tolist():
+            assert act(tp, b, l) in (Action.WAIT, Action.SENSE_WAIT, Action.SENSE_FALLBACK)
+            assert act(tp, b, l) == (Action.WAIT if b <= wait_below[l] else sense[l])
 
 
 def test_switch_margin_belief_independent(scen1_solve):
@@ -275,15 +279,15 @@ def test_threshold_fixed_point_consistency(scen1_solve):
 
 def test_memoryless_policy():
     mp = MemorylessPolicy(3)
-    assert mp.act(0.9, 1) == Action.SENSE_WAIT
-    assert mp.act(0.1, 2) == Action.SENSE_WAIT
-    assert mp.act(0.9, 3) == Action.SENSE_FALLBACK
-    assert mp.act(0.1, 9) == Action.SENSE_FALLBACK
-    assert MemorylessPolicy(1).act(0.5, 1) == Action.SENSE_FALLBACK
+    assert act(mp, 0.9, 1) == Action.SENSE_WAIT
+    assert act(mp, 0.1, 2) == Action.SENSE_WAIT
+    assert act(mp, 0.9, 3) == Action.SENSE_FALLBACK
+    assert act(mp, 0.1, 9) == Action.SENSE_FALLBACK
+    assert act(MemorylessPolicy(1), 0.5, 1) == Action.SENSE_FALLBACK
     with pytest.raises(ValueError):
         MemorylessPolicy(0)
     with pytest.raises(ValueError):
-        mp.act(0.5, 0)
+        act(mp, 0.5, 0)
     # The memoryless baseline is the threshold policy with an empty wait
     # region and switch delay k, and compiles to the slot kernel's lists that
     # its own rule gave: never wait, sense-wait below k, fall back from k on.
@@ -300,14 +304,12 @@ def test_memoryless_policy():
 
 def test_threshold_policy_rejects_delay_below_one():
     # A delay below 1 would index lambda_star from its end: the cap row's
-    # 0.9 would make act(0.5, 0) wait.
+    # 0.9 would make act(tp, 0.5, 0) wait.
     tp = ThresholdPolicy(lambda_star=np.array([0.0, 0.0, 0.9]), l_star=2, l_max=3)
     for delay in (0, -2):
         with pytest.raises(ValueError, match=f"delay={delay} must be >= 1"):
-            tp.threshold(delay)
-        with pytest.raises(ValueError, match=f"delay={delay} must be >= 1"):
-            tp.act(0.5, delay)
-    assert tp.act(0.5, 3) == Action.WAIT
+            act(tp, 0.5, delay)
+    assert act(tp, 0.5, 3) == Action.WAIT
 
 
 def test_policy_csv_roundtrip(tmp_path, scen1_solve):

@@ -797,9 +797,10 @@ def test_slot_kernel_senses_by_float_belief_at_the_default_k_trunc(preset_solves
 
 def test_descriptor_walk_allocates_no_object_per_state():
     # A freshly solved preset-1 policy at N=4 and k_trunc 20 (64,300 states).
-    # The walk reads the solver's arrays in place: a 100-packet episode
-    # peaks at 0.84 MB of traced allocations, most of it reach.sensed_code,
-    # where a dict of every state's action peaked at 7.0 MB.
+    # The walk reads the solver's arrays in place, sensed_code among them,
+    # which the enumeration builds: a 100-packet episode peaks at 12-16 kB
+    # of traced allocations, where a dict of every state's action peaked at
+    # 7.0 MB.
     sc = SCENARIOS[1]
     mvf = solve_multichannel(4, sc.channel, sc.rewards, k_trunc=20, l_max=15)
     env = SlotEnv(sc.channels(), sc.rewards, 0, 15)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import interpolate, q_sense_fallback, q_sense_wait, q_wait, wait_then_sense_value
+from oracles import (
+    interpolate,
+    q_sense_fallback,
+    q_sense_wait,
+    q_wait,
+    state_key,
+    wait_then_sense_value,
+)
 from osa import multichannel, solver
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import DegenerateChain, NoConvergence
@@ -274,8 +281,8 @@ def test_solver_returns_bellman_fixed_point(alpha, beta, c_s):
     assert vf.gain == mvf.gain
     space = mvf.space
     value = dict(zip(mvf.reach.keys.tolist(), mvf.values.tolist()))
-    v_alpha1 = value[space.key([space.idle_fresh], 1)]
-    v_beta = [value[space.key([space.busy_fresh], l)] for l in range(1, l_max + 1)]
+    v_alpha1 = value[state_key(space, [space.idle_fresh], 1)]
+    v_beta = [value[state_key(space, [space.busy_fresh], l)] for l in range(1, l_max + 1)]
     want = [[wait_then_sense_value(p, r, mvf.gain, v_alpha1, v_beta, b, l)
              for l in range(1, l_max + 1)] for b in vf.grid.points.tolist()]
     assert np.abs(vf.values - want).max() <= 1e-9
