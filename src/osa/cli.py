@@ -250,7 +250,7 @@ def cmd_solve(args) -> int:
             "iterations": mvf.iterations,
             "l_star": tp.l_star,
             "cap_bound": tp.cap_bound,
-            "states": len(mvf.delays),
+            "states": len(mvf.actions),
             "k_trunc": mvf.space.k_trunc,
             "truncation_bound": mvf.space.truncation_bound,
             "summary_violations": violations,

@@ -24,10 +24,13 @@ table follow from the multisets' successor ids by index arithmetic.  Each
 (sorted code multiset, delay) packs into one int64 key, delay first
 (DescriptorSpace.pack), so the sorted states run layer by layer in delay and
 the delay-1 states come first.
-The solver works on these arrays alone, and the packed key is the only state
-lookup; the (codes tuple, delay) view of the states is built only when
-something reads it.  The successors do not depend on the rewards, so solves
-of one model at several delay penalties can share one enumeration.
+A state is held once, as its packed key: the solver works on the keys, the
+delay layers and the successor arrays alone, and the key is the only state
+lookup.  Code rows and delays are unpacked from the keys and layers only
+when something outside the solve reads them, and the (codes tuple, delay)
+view of the states is built only then too.  The successors do not depend on
+the rewards, so solves of one model at several delay penalties can share one
+enumeration.
 
 solve_multichannel runs Howard policy iteration on the MDP: it evaluates an
 action table, improves it by one greedy backup (solver.greedy) and stops
@@ -168,27 +171,27 @@ class DescriptorSpace:
 
 @dataclass
 class ReachableStates:
-    """Reachable descriptor states up to delay l_max, sorted by (delay, codes),
-    with their successors: the part of the MDP that does not depend on the
-    rewards.
+    """Reachable descriptor states of n_channels channels up to delay l_max,
+    sorted by (delay, codes), with their successors: the part of the MDP
+    that does not depend on the rewards.
 
-    codes holds one sorted code row per state and delays its delay; keys are
-    their packed int64 keys (DescriptorSpace.pack), ascending.  layers[l] is
-    the first state at delay l + 1.  sensed_code is the code that
-    DescriptorSpace.moves senses in each state, and b its belief, which is
-    the state's max belief and which MultichannelValueFunction.lambda_summary
-    reads.  up_wait and up_busy are the successors at delay l + 1 after a
-    wait and after a busy sensing that waits (the state itself at the cap);
-    idle1 and busy1 are the delay-1 successors after an idle sensing and
-    after a busy sensing that falls back; every sensing successor senses
-    sensed_code.  A solve computes 1 - b itself.  states lists the (codes
-    tuple, delay) pairs; it is built the first time it is read.
+    Each state is held once, as its packed int64 key (DescriptorSpace.pack);
+    keys ascend.  layers[l] is the first state at delay l + 1.
+    sensed_code is the code that DescriptorSpace.moves senses in each state,
+    and b its belief, which is the state's max belief and which
+    MultichannelValueFunction.lambda_summary reads.  up_wait and up_busy are
+    the successors at delay l + 1 after a wait and after a busy sensing that
+    waits (the state itself at the cap); idle1 and busy1 are the delay-1
+    successors after an idle sensing and after a busy sensing that falls
+    back; every sensing successor senses sensed_code.  A solve computes 1 - b
+    itself.  codes and delays unpack the keys and layers anew on each read;
+    states lists the (codes tuple, delay) pairs and is built the first time
+    it is read.
     """
 
     space: DescriptorSpace
     l_max: int
-    codes: np.ndarray
-    delays: np.ndarray
+    n_channels: int
     keys: np.ndarray
     layers: np.ndarray
     sensed_code: np.ndarray
@@ -203,6 +206,21 @@ class ReachableStates:
         """The delay-cap states, the last layer."""
         return np.s_[self.layers[-2]:]
 
+    @property
+    def codes(self) -> np.ndarray:
+        """One sorted code row per state, unpacked from keys on each read."""
+        n_codes = len(self.space.belief)
+        codes = np.empty((len(self.keys), self.n_channels), dtype=self.space.aged.dtype)
+        rest = self.keys
+        for j in range(self.n_channels - 1, -1, -1):
+            rest, codes[:, j] = np.divmod(rest, n_codes)
+        return codes
+
+    @property
+    def delays(self) -> np.ndarray:
+        """Each state's delay, repeated from layers on each read."""
+        return np.repeat(np.arange(1, self.l_max + 1, dtype=np.int64), np.diff(self.layers))
+
     @cached_property
     def states(self) -> list:
         # Tuple elements keep the types the tuple-by-tuple closure gave them:
@@ -214,9 +232,10 @@ class ReachableStates:
         kinds = np.empty((2, n_codes), dtype=object)
         kinds[0] = list(np.arange(n_codes, dtype=np.int32))
         kinds[1] = list(range(n_codes))
-        fresh = np.isin(self.codes, [c for c in (space.idle_fresh, space.busy_fresh) if c != STALE])
+        codes = self.codes
+        fresh = np.isin(codes, [c for c in (space.idle_fresh, space.busy_fresh) if c != STALE])
         fresh[0] = True  # the start state, key 0
-        elements = kinds[fresh.astype(np.intp), self.codes]
+        elements = kinds[fresh.astype(np.intp), codes]
         return list(zip(zip(*elements.T.tolist()), self.delays.tolist()))
 
 
@@ -240,7 +259,7 @@ class MultichannelValueFunction:
 
     @property
     def n_channels(self) -> int:
-        return self.reach.codes.shape[1]
+        return self.reach.n_channels
 
     @property
     def l_max(self) -> int:
@@ -248,6 +267,7 @@ class MultichannelValueFunction:
 
     @property
     def delays(self) -> np.ndarray:
+        """Each state's delay, built on each read."""
         return self.reach.delays
 
     @property
@@ -274,8 +294,12 @@ class MultichannelValueFunction:
     def dedicated_switch_delay(self) -> int:
         """Smallest delay from which busy sensing never waits: no state with
         this delay or larger has sense-wait as its optimal action."""
-        sense_wait = self.delays[self.actions == int(Action.SENSE_WAIT)]
-        last_sw = int(sense_wait.max()) if len(sense_wait) else 0
+        sense_wait = np.flatnonzero(self.actions == int(Action.SENSE_WAIT))
+        # States run in delay order: the last sense-wait state has the largest
+        # delay, the count of layers that start at or before it.
+        last_sw = 0
+        if len(sense_wait):
+            last_sw = int(np.searchsorted(self.reach.layers, sense_wait[-1], "right"))
         return min(last_sw + 1, self.l_max)
 
 
@@ -315,13 +339,11 @@ def build_reachable_states(
                 f"k_trunc={k_trunc}, l_max={l_max})"
             )
 
-    rows, row_keys, sensed, (wait, idle, busy), first = _multisets(
-        space, n_channels, l_max, check_cap
-    )
+    row_keys, sensed, (wait, idle, busy), first = _multisets(space, n_channels, l_max, check_cap)
     layers = [np.flatnonzero(first)]
     count = len(layers[0])
     for _ in range(l_max - 1):
-        up = np.zeros(len(rows), dtype=bool)
+        up = np.zeros(len(row_keys), dtype=bool)
         up[wait[layers[-1]]] = True
         up[busy[layers[-1]]] = True
         layers.append(np.flatnonzero(up))
@@ -331,21 +353,21 @@ def build_reachable_states(
     starts = np.zeros(l_max + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
     multiset = np.concatenate(layers)
-    delays = np.repeat(np.arange(1, l_max + 1, dtype=np.int64), sizes)
     # pos maps a multiset rank to its state's index in one layer at a time.
-    pos = np.empty(len(rows), dtype=np.int64)
+    pos = np.empty(len(row_keys), dtype=np.int64)
     pos[layers[0]] = np.arange(sizes[0])
     idle1, busy1 = pos[idle[multiset]], pos[busy[multiset]]
     up_wait = np.arange(count)  # the state itself at the cap
     up_busy = up_wait.copy()
+    keys = row_keys[multiset]
     for l in range(l_max - 1):
         pos[layers[l + 1]] = np.arange(starts[l + 1], starts[l + 2])
         up_wait[starts[l]:starts[l + 1]] = pos[wait[layers[l]]]
         up_busy[starts[l]:starts[l + 1]] = pos[busy[layers[l]]]
+        keys[starts[l + 1]:starts[l + 2]] += (l + 1) * n_codes**n_channels
     sensed_code = sensed[multiset]
-    keys = row_keys[multiset] + (delays - 1) * n_codes**n_channels
-    return ReachableStates(space, l_max, np.take(rows, multiset, axis=0), delays, keys, starts,
-                           sensed_code, space.belief[sensed_code], up_wait, up_busy, idle1, busy1)
+    return ReachableStates(space, l_max, n_channels, keys, starts, sensed_code,
+                           space.belief[sensed_code], up_wait, up_busy, idle1, busy1)
 
 
 def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
@@ -364,8 +386,8 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
     sorted order each round.  Rows are gathered with np.take, which copies
     whole rows several times faster than fancy indexing does.
 
-    Returns, for the reached multisets in codes-key order: their code rows
-    and codes-only keys; the code that moves senses in each; the ranks of
+    Returns, for the reached multisets in codes-key order: their codes-only
+    keys; the code that moves senses in each; the ranks of
     their wait, idle and busy successors, -1 for a wait successor that no
     state reaches; and whether each is reached at delay 1.
     """
@@ -419,7 +441,6 @@ def _multisets(space: DescriptorSpace, n_channels: int, l_max: int, check_cap):
     rank = np.full(size, -1, dtype=np.intp)
     rank[reached] = np.arange(len(reached))
     return (
-        np.take(rows, reached, axis=0),
         keys[in_reach],
         sensed[reached],
         rank[np.take(succ, reached, axis=0).T],
@@ -624,13 +645,15 @@ def solve_multichannel(
     check_model(p, tol, l_max)
     if reach is None:
         reach = build_reachable_states(n_channels, p, k_trunc, l_max)
-    elif (reach.codes.shape[1], reach.space.channel, reach.space.k_trunc, reach.l_max) != (
+    elif (reach.n_channels, reach.space.channel, reach.space.k_trunc, reach.l_max) != (
         n_channels, p, k_trunc, l_max
     ):
         raise ValueError("reach holds the states of another model")
-    rewards = immediate_rewards(r, reach.b, r.penalty_table(l_max)[reach.delays - 1])
+    rewards = immediate_rewards(
+        r, reach.b, np.repeat(r.penalty_table(l_max), np.diff(reach.layers))
+    )
     busy = 1.0 - reach.b
-    actions = np.full(len(reach.delays), int(Action.SENSE_FALLBACK), dtype=np.int8)
+    actions = np.full(len(reach.keys), int(Action.SENSE_FALLBACK), dtype=np.int8)
     if start is not None:
         start = np.asarray(start)
         if start.shape != actions.shape:

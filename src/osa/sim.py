@@ -120,7 +120,9 @@ class TraceRow:
 
 
 _WAIT, _SENSE_WAIT, _FALLBACK = (int(a) for a in Action)
-_GROW = 64  # belief-row entries added past an age that runs off its row
+# Belief-row entries added past an age that runs off a row, or past the entry
+# where a row settles.
+_GROW = 64
 
 
 def idle_flags(u: np.ndarray, alpha: float, beta: float, prev: bool) -> list:
@@ -184,12 +186,30 @@ def _belief_rows(p: ChannelParams) -> tuple:
     return ([stationary_idle(p)], [p.alpha], [p.beta]), (p.beta, p.alpha - p.beta)
 
 
-def _grow(row: list, update: tuple, length: int) -> None:
+def _period(row: list) -> int:
+    """1 or 2 when a belief row's last entry equals the entry that many
+    before it, else 0.  The update is a function of the belief alone, so
+    from there on the row repeats with that period: a float fixed point, or
+    a 2-cycle that a decreasing update (alpha < beta) can end in."""
+    if len(row) > 1 and row[-1] == row[-2]:
+        return 1
+    return 2 if len(row) > 2 and row[-1] == row[-3] else 0
+
+
+def _grow(row: list, update: tuple, length: int) -> int:
     """Extend a belief row to at least `length` entries, entry by entry by
-    the unsensed update beta + slope * b."""
+    the unsensed update beta + slope * b, unless it settles first: a row
+    stops _GROW entries after the entry that first repeats one of the one or
+    two before it, the last _GROW entries repeating with that period.
+    Returns the period of a settled row, 0 for one still growing."""
     beta, slope = update
-    while len(row) < length:
+    period = _period(row)
+    while not period and len(row) < length:
         row.append(beta + slope * row[-1])
+        period = _period(row)
+        if period:
+            row.extend(row[-period:] * (_GROW // period))
+    return period
 
 
 def _compile(policy, l_max: int):
@@ -223,13 +243,15 @@ def _detour(reach, state: int, code: int, obs: int, via: int) -> int:
     """The successor of a state after a sensing of a channel of another code
     than reach.sensed_code[state], the code DescriptorSpace.moves senses and
     the table's successor `via` follows: every code of the state ages except
-    one of the sensed code, which turns fresh, and the delay is via's.
-    Raises as _state does."""
+    one of the sensed code, which turns fresh, and the delay is via's.  The
+    state's codes are unpacked from its key alone, and via's delay is read
+    off reach.layers.  Raises as _state does."""
     space = reach.space
-    codes = reach.codes[state].tolist()
+    n_codes, key = len(space.belief), int(reach.keys[state])
+    codes = [key // n_codes**j % n_codes for j in range(reach.n_channels)]
     codes.remove(code)
     codes = space.aged[codes].tolist() + [space.busy_fresh if obs else space.idle_fresh]
-    return _state(reach, codes, int(reach.delays[via]))
+    return _state(reach, codes, int(np.searchsorted(reach.layers, via, "right")))
 
 
 class SlotEnv:
@@ -246,7 +268,11 @@ class SlotEnv:
     any sensing, alpha after an idle sensing, beta after a busy one) and the
     slots since.  The channels share one row of beliefs per start, grown on
     demand by the unsensed update beta + (alpha - beta) b; each channel keeps
-    its current row and the slot of its last sensing.
+    its current row and the slot of its last sensing.  A row stops growing
+    once it settles into a float fixed point or 2-cycle (_grow), and a
+    channel whose age runs past a settled row reads it from `since`, the
+    slot of its last sensing moved on by whole periods, so its beliefs read
+    what the update would give without the row growing with every slot.
 
     Sensing targets the max-belief channel, the lowest index among ties.
     When alpha > beta the update is increasing, and in floats it is monotone
@@ -292,6 +318,7 @@ class SlotEnv:
         self.ordered = n > 1 and slope > 0 and max(pi0, beta + slope * p.alpha) <= p.alpha
         self.tables = [self.pi0_row] * n  # each channel's current row
         self.last = [-1] * n  # slot of each channel's last sensing
+        self.since = [-1] * n  # the slot each channel's row is read from
         # Rewards by delay (index 0 unused): wait, and busy sensing that waits.
         delays = range(1, l_max + 1)
         self.wait_reward = [None] + [-rewards.penalty(d) for d in delays]
@@ -304,18 +331,24 @@ class SlotEnv:
         self.overflow = None  # the DelayOverflow a run() raised, if any
 
     def _beliefs(self, slot: int) -> list:
-        """Every channel's belief at the slot, growing the rows that need it."""
+        """Every channel's belief at the slot, growing the rows that need it.
+        A channel that runs past a settled row moves its `since` on by whole
+        periods, to read the row's repeating tail from its start."""
         out = []
-        for table, last in zip(self.tables, self.last):
-            age = slot - last - 1
-            _grow(table, self.update, age + _GROW)
-            out.append(table[age])
+        for i, row in enumerate(self.tables):
+            age = slot - self.since[i] - 1
+            period = _grow(row, self.update, age + _GROW)
+            if age >= len(row):
+                back = (age - len(row) + _GROW) // period * period
+                self.since[i] += back
+                age -= back
+            out.append(row[age])
         return out
 
     def _top(self, slot: int) -> tuple:
         """The max belief at the slot and the lowest-index channel holding it."""
         try:
-            beliefs = [t[slot - s - 1] for t, s in zip(self.tables, self.last)]
+            beliefs = [t[slot - s - 1] for t, s in zip(self.tables, self.since)]
         except IndexError:
             beliefs = self._beliefs(slot)
         b = max(beliefs)
@@ -355,7 +388,7 @@ class SlotEnv:
         streams = self.streams
         idle, start = streams.idle, streams.start
         end = start + streams.BLOCK
-        tables, last = self.tables, self.last
+        tables, last, since = self.tables, self.last, self.since
         pi0_row, idle_row, busy_row = self.pi0_row, self.idle_row, self.busy_row
         sensed, sensed_idle, idle_pairs = self.sensed, self.sensed_idle, self.idle_pairs
         delay, slot, done, delay_total = self.delay, self.slots, self.packets, self.delay_total
@@ -401,7 +434,7 @@ class SlotEnv:
             else:
                 target = order[0]
                 try:
-                    b = tables[target][slot - last[target] - 1]
+                    b = tables[target][slot - since[target] - 1]
                 except IndexError:
                     b = self._beliefs(slot)[target]
             if acts is not None:
@@ -421,7 +454,7 @@ class SlotEnv:
                 if ordered:
                     second = order[1]
                     try:
-                        tied = tables[second][slot - last[second] - 1] == b
+                        tied = tables[second][slot - since[second] - 1] == b
                     except IndexError:
                         tied = self._beliefs(slot)[second] == b
                     if tied:
@@ -454,7 +487,7 @@ class SlotEnv:
                         if delay >= l_max:
                             raise self._overflowed("busy sense-wait")
                         reward = busy_wait_reward[delay]
-                last[target] = slot
+                last[target] = since[target] = slot
 
             total += reward
             if trace is not None:

@@ -8,6 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import osa.cli
+import osa.sim
 from oracles import (
     action_by_key,
     action_for,
@@ -31,7 +32,7 @@ from osa.multichannel import (
     solve_multichannel,
 )
 from osa.scenarios import SCENARIOS
-from osa.sim import SlotEnv
+from osa.sim import SlotEnv, _detour
 from osa.solver import Action, RewardParams
 
 PRESET = RewardParams(350.0, 50.0, 100.0, 800.0, 10.0)
@@ -239,6 +240,8 @@ def _assert_matches_tuple_closure(reach, n, l_max):
     oracle = reachable_descriptor_states(reach.space, n, l_max)
     assert set(states) == oracle
     assert reach.keys.tolist() == [state_key(reach.space, codes, l) for codes, l in states]
+    # codes and delays are unpacked from the keys and layers they pack into.
+    assert np.array_equal(reach.space.pack(reach.codes, reach.delays), reach.keys)
     # Element types too: digests of action tables hash the repr of states.
     assert repr(sorted(states)) == repr(sorted(oracle))
 
@@ -359,6 +362,41 @@ def test_reach_of_another_model_is_rejected():
     for n, q, k, l in [(3, p, 6, 6), (2, ChannelParams(0.85, 0.6), 6, 6), (2, p, 5, 6), (2, p, 6, 7)]:
         with pytest.raises(ValueError, match="another model"):
             solve_multichannel(n, q, PRESET, k_trunc=k, l_max=l, reach=reach)
+
+
+def test_reach_holds_each_state_once():
+    # Preset 1 at N=4, k_trunc 20 and l_max 15: each state is its packed key,
+    # its sensed code and belief, and its four successors.  Holding the code
+    # rows and delays as well took 76 B per state.
+    reach = build_reachable_states(4, SCENARIOS[1].channel, k_trunc=20, l_max=15)
+    n = len(reach.keys)
+    arrays = [a for a in vars(reach).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays if len(a) == n) <= 52 * n
+
+
+def test_solve_and_descriptor_walk_read_no_codes_or_delays(monkeypatch):
+    # Preset 1 at N=4, k_trunc 20: the solve, its summary and an episode
+    # whose float ties leave the successor table (_detour) read the keys,
+    # layers and successors only, never the code rows and delays that are
+    # unpacked on each read.
+    def unpacked(self):
+        raise AssertionError("read the unpacked codes or delays")
+
+    monkeypatch.setattr(multichannel.ReachableStates, "codes", property(unpacked))
+    monkeypatch.setattr(multichannel.ReachableStates, "delays", property(unpacked))
+    detours = []
+
+    def detour(*args):
+        detours.append(args)
+        return _detour(*args)
+
+    monkeypatch.setattr(osa.sim, "_detour", detour)
+    sc = SCENARIOS[1]
+    mvf = solve_multichannel(4, sc.channel, sc.rewards, k_trunc=20, l_max=15)
+    mvf.lambda_summary()
+    assert mvf.dedicated_switch_delay() == 15
+    SlotEnv(sc.channels(), sc.rewards, 0, 15).run(mvf, slots=10_000)
+    assert len(detours) >= 10
 
 
 def test_state_keys_past_int64_raise():

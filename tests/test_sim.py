@@ -795,6 +795,27 @@ def test_slot_kernel_senses_by_float_belief_at_the_default_k_trunc(preset_solves
     assert differ >= 50
 
 
+@pytest.mark.parametrize("p,policy", [
+    # Preset 1: every sensing comes at delay 15, when all four beliefs are
+    # pi0 in floats, so the lowest-index rule never senses channels 1-3.
+    (SCEN1, constant_threshold_policy(0.9, 15, 50)),
+    # alpha < beta: the pi0 row and the busy row end in a float 2-cycle.
+    (ChannelParams(0.016527635528529094, 0.8132702392002724), constant_threshold_policy(1.0, 40, 50)),
+])
+def test_belief_rows_stop_growing_once_they_settle(p, policy):
+    # The rows stop where they repeat; a channel that runs past one reads its
+    # repeating tail.  Rows that grew to every channel's age held one entry
+    # per slot of the oldest channel: 20,041 pi0 entries at preset 1, and
+    # 1,281 busy entries at alpha < beta.
+    env = SlotEnv([p] * 4, PRESET, 7, 50)
+    ref = ReferenceSlotEnv([p] * 4, PRESET, 7, 50)
+    windows = [(policy, 10_000)] * 2
+    got, want = _windows(env, windows), _windows(ref, windows)
+    same = repr(got) == repr(want)  # bit for bit; a diff of the reprs is slow
+    assert same
+    assert max(len(row) for row in (env.pi0_row, env.idle_row, env.busy_row)) < 300
+
+
 def test_descriptor_walk_allocates_no_object_per_state():
     # A freshly solved preset-1 policy at N=4 and k_trunc 20 (64,300 states).
     # The walk reads the solver's arrays in place, sensed_code among them,
