@@ -13,7 +13,10 @@ it keeps them in belief order (idle sensing to the head, busy to the tail)
 and reads only the top one or two beliefs, scanning every channel only for
 a float tie at the top (lowest index wins) and, when alpha <= beta, in every
 slot.  A descriptor policy's state is its index in the solver's reachable
-states, walked on the solver's own successor table.
+states, walked on the solver's own successor table.  The kernel makes one
+pass per block of channel truth, a plain `for` over the block's slots: a
+wait slot takes a short path, and the packet count is tested only on slots
+that transmit.
 
 Each channel owns an independent random stream derived from the top-level
 seed, and its true state advances once per slot regardless of the policy, so
@@ -301,6 +304,16 @@ class SlotEnv:
     memoryless baseline among them, are compiled by _compile on their first
     run() on an env; a policy changed in place after that runs as it was
     compiled.
+
+    run() is one loop body for every policy type and N.  It makes one pass
+    per block of channel truth (ChannelStreams.BLOCK slots), advancing the
+    streams at the block's start and running a `for` over the block's slots
+    up to the block's end or the end of a `slots` window.  A wait slot takes
+    a short path: the delay-cap check, the reward, the trace row, the
+    up_wait step and delay + 1.  A sensing slot reads the truth bit once and
+    moves the channel in the order list inside the idle or busy branch.  The
+    packet count of a `packets` run is tested only on slots that transmit,
+    and the pass ends on the slot that meets it.
     """
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
@@ -424,33 +437,40 @@ class SlotEnv:
             wait_below, sense = self._rule(policy)
 
         total = 0.0
-        while slot != slot_end and done != packet_end:
+        while slot != slot_end and done != packet_end:  # one pass per block
             if slot == end:
                 streams.advance()
                 idle, start = streams.idle, end
                 end += streams.BLOCK
-            if scan:
-                b, target = self._top(slot)
-            else:
-                target = order[0]
-                try:
-                    b = tables[target][slot - since[target] - 1]
-                except IndexError:
-                    b = self._beliefs(slot)[target]
-            if acts is not None:
-                action = acts[state]
-            elif b <= wait_below[delay]:
-                action = _WAIT
-            else:
-                action = sense[delay]
-            transmitted = False
+            stop = end if slot_end is None else min(end, slot_end)
+            for slot in range(slot, stop):
+                if scan:
+                    b, target = self._top(slot)
+                else:
+                    target = order[0]
+                    try:
+                        b = tables[target][slot - since[target] - 1]
+                    except IndexError:
+                        b = self._beliefs(slot)[target]
+                if acts is not None:
+                    action = acts[state]
+                elif b <= wait_below[delay]:
+                    action = _WAIT
+                else:
+                    action = sense[delay]
 
-            if action == _WAIT:
-                if delay >= l_max:
-                    raise self._overflowed("wait")
-                obs = -1
-                reward = wait_reward[delay]
-            else:
+                if action == _WAIT:
+                    if delay >= l_max:
+                        raise self._overflowed("wait")
+                    reward = wait_reward[delay]
+                    total += reward
+                    if trace is not None:
+                        trace.append(TraceRow(slot, b, delay, action, -1, reward))
+                    if acts is not None:
+                        state = up_wait[state]
+                    delay += 1
+                    continue
+
                 if ordered:
                     second = order[1]
                     try:
@@ -459,44 +479,38 @@ class SlotEnv:
                         tied = self._beliefs(slot)[second] == b
                     if tied:
                         b, target = self._top(slot)
-                    # Idle sensing sends the channel to the head, busy to the tail.
                     order.remove(target)
-                    if idle[target][slot - start]:
-                        order.insert(0, target)
-                    else:
-                        order.append(target)
                 if sensed_code is not None:
                     row = tables[target]
                     code = STALE if row is pi0_row else codes_for(row is idle_row, slot - last[target])
                 sensed += 1
+                # Idle sensing sends the channel to the head, busy to the tail.
                 if idle[target][slot - start]:
+                    if ordered:
+                        order.insert(0, target)
                     obs = 0
                     sensed_idle += 1
                     if last[target] == slot - 1 and tables[target] is idle_row:
                         idle_pairs += 1
                     tables[target] = idle_row
                     reward = idle_reward
-                    transmitted = True
                 else:
+                    if ordered:
+                        order.append(target)
                     obs = 1
                     tables[target] = busy_row
                     if action == _FALLBACK:
                         reward = fallback_reward
-                        transmitted = True
                     else:
                         if delay >= l_max:
                             raise self._overflowed("busy sense-wait")
                         reward = busy_wait_reward[delay]
                 last[target] = since[target] = slot
 
-            total += reward
-            if trace is not None:
-                trace.append(TraceRow(slot, b, delay, action, obs, reward))
-            slot += 1
-            if acts is not None:
-                if obs < 0:
-                    state = up_wait[state]
-                else:
+                total += reward
+                if trace is not None:
+                    trace.append(TraceRow(slot, b, delay, action, obs, reward))
+                if acts is not None:
                     via = (idle1 if obs == 0 else busy1 if action == _FALLBACK else up_busy)[state]
                     if sensed_code is None or code == sensed_code[state]:
                         state = via
@@ -505,13 +519,16 @@ class SlotEnv:
                         state = detours.get(move)
                         if state is None:
                             state = detours[move] = _detour(reach, *move, via)
-
-            if transmitted:
+                if obs and action != _FALLBACK:  # a busy sensing that waits
+                    delay += 1
+                    continue
                 delay_total += delay
                 done += 1
                 delay = 1
-            else:
-                delay += 1
+                if done == packet_end:
+                    stop = slot + 1
+                    break
+            slot = stop
 
         self.delay, self.slots, self.packets, self.delay_total = delay, slot, done, delay_total
         self.sensed, self.sensed_idle, self.idle_pairs = sensed, sensed_idle, idle_pairs

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import osa.multichannel
@@ -195,7 +195,7 @@ def test_delay_overflow_detected():
     always_wait = ThresholdPolicy(lambda_star=np.ones(5), l_star=5, l_max=5)
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=always_wait,
                     num_packets=10, seed=1, l_max=5)
-    with pytest.raises(DelayOverflow):
+    with pytest.raises(DelayOverflow, match="^wait at delay cap 5$"):
         run_episode(cfg)
 
 
@@ -548,8 +548,8 @@ def _kernel_cases(draw):
         policy = solve_multichannel(n, p, PRESET, k_trunc=draw(st.integers(1, 12)),
                                     l_max=draw(st.one_of(st.just(l_max), st.integers(2, 20))),
                                     tol=1e-6)
-    runs = draw(st.lists(st.one_of(st.tuples(st.just("slots"), st.integers(1, 1000)),
-                                   st.tuples(st.just("packets"), st.integers(1, 100))),
+    runs = draw(st.lists(st.one_of(st.tuples(st.just("slots"), st.integers(0, 1000)),
+                                   st.tuples(st.just("packets"), st.integers(0, 100))),
                          min_size=1, max_size=5))
     return [p] * n, policy, l_max, runs, draw(st.integers(0, 2**16)), draw(st.integers(1, 40))
 
@@ -579,6 +579,12 @@ def _kernel_outcome(env, policy, runs) -> dict:
 
 @settings(max_examples=60, deadline=None)
 @given(_kernel_cases())
+# A slots window that ends on a block's last slot, then packet runs from there.
+@example(([SCEN1] * 2, MemorylessPolicy(3), 6, [("slots", 10), ("packets", 4), ("slots", 0),
+                                                ("slots", 10), ("packets", 0), ("packets", 7)], 1, 5))
+# Memoryless k=1 delivers a packet every slot: the last packet of each run
+# goes on a block's last slot.
+@example(([SCEN1], MemorylessPolicy(1), 4, [("packets", 7), ("packets", 14), ("slots", 3)], 2, 7))
 def test_slot_kernel_matches_the_per_slot_reference(case):
     # Metrics, trace rows, window rewards and the M/I/K counters agree to the
     # bit with the per-slot loop, across blocks shorter than the runs.
