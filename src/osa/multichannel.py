@@ -37,23 +37,23 @@ action table, improves it by one greedy backup (solver.greedy) and stops
 when the table repeats.  Under a fixed action table every state has at most
 one successor at delay l+1 and all its other exits land at delay 1, so the
 path from each delay-1 state unrolls in l_max steps into an expected reward,
-an expected sojourn and at most 2 l_max delay-1 landings.  A policy is
-evaluated on that embedded semi-Markov chain over the delay-1 states by
-restarted GMRES on its evaluation equations, and the other layers are then
-filled backward in delay (Puterman 1994, Markov Decision Processes, sections
-8.6, 9.2 and 11.4).  The other layers solve
-their equations exactly, so the span of the final Bellman residual, which the
-solver checks against tol, is that of the GMRES residual with zero adjoined;
-GMRES stops only once that span is within a quarter of tol.  A solved table's
-wait thresholds are read with policy.wait_threshold, as the belief grid's
-are, on the belief b that ReachableStates holds.
+an expected sojourn and at most 2 l_max delay-1 landings.  _chain compiles
+a table to that embedded semi-Markov chain over the delay-1 states,
+_solve_chain solves its evaluation equations by restarted GMRES, and
+_evaluate then fills the other layers backward in delay (Puterman 1994,
+Markov Decision Processes, sections 8.6, 9.2 and 11.4).  The other layers
+solve their equations exactly, so the span of the final Bellman residual,
+which the solver checks against tol, is that of the GMRES residual with zero
+adjoined; GMRES stops only once that span is within a quarter of tol.  A
+solved table's wait thresholds are read with policy.wait_threshold, as the
+belief grid's are, on the belief b that ReachableStates holds.
 
 A solve makes each pass over the full state set once: the enumeration
 keeps the sensed code per multiset and spreads it to the states, b is read
 off it in one gather, a solve computes 1 - b
 once for all its backups and evaluations, a backup sums each action's value
-in place, an evaluation builds each per-state array of its action table in
-one pass, and the summary reads b rather than recompute it.
+in place, _chain builds each per-state array of its action table in one
+pass, and the summary reads b rather than recompute it.
 """
 
 from __future__ import annotations
@@ -266,11 +266,6 @@ class MultichannelValueFunction:
         return self.reach.l_max
 
     @property
-    def delays(self) -> np.ndarray:
-        """Each state's delay, built on each read."""
-        return self.reach.delays
-
-    @property
     def states(self) -> list:
         """(codes tuple, delay) per state, built on first read."""
         return self.reach.states
@@ -475,25 +470,19 @@ def _backup(t: ReachableStates, rewards: tuple, v: np.ndarray, busy: np.ndarray)
     return greedy(q0, q1, q2, t.cap)
 
 
-def _evaluate(t: ReachableStates, rewards: tuple, actions: np.ndarray, v1: np.ndarray,
-              busy: np.ndarray, tol: float):
-    """Relative values of a fixed action table, zero at the reference state 0.
+def _chain(t: ReachableStates, rewards: tuple, actions: np.ndarray, busy: np.ndarray):
+    """The embedded delay-1 chain of a fixed action table: (steps, landings).
 
-    The delay-1 values h and the gain g solve (I - P) h + g tau = r, h[0] =
-    0, on the embedded chain (landings P, sojourns tau, rewards per visit r).
-    _gmres finds (g, h[1:]) from the previous table's delay-1 values v1 and
-    the g that fits them best, to a residual whose span is within a quarter
-    of the solver tolerance tol; the other layers then follow backward in
-    delay.  busy is 1 - t.b.  Each per-state array is built in one pass
-    over the states, by np.where and np.copyto, into one new array.  Raises
-    NoConvergence as _gmres does.
+    steps is each state's (reward, up, p_up, p_idle1, p_busy1): its one
+    successor at delay l + 1, the chance of moving there, and its chances of
+    landing at delay 1 idle or busy.  landings is each delay-1 state's path
+    unrolled back to delay 1: (lands, probs, sojourn, total).  busy is 1 -
+    t.b.  Each per-state array is built in one pass, by np.where and np.copyto.
     """
     wait = actions == int(Action.WAIT)
     sense_wait = actions == int(Action.SENSE_WAIT)
     reward = np.where(sense_wait, rewards[1], rewards[2])
     np.copyto(reward, rewards[0], where=wait)
-    # The one successor at delay l + 1 and the chance of moving there; every
-    # other exit lands at delay 1.
     up = np.where(sense_wait, t.up_busy, t.up_wait)
     p_up = np.where(sense_wait, busy, 0.0)
     np.copyto(p_up, 1.0, where=wait)
@@ -516,6 +505,17 @@ def _evaluate(t: ReachableStates, rewards: tuple, actions: np.ndarray, v1: np.nd
         if not mass.any():
             break
     lands, probs = np.stack(lands, axis=1), np.stack(probs, axis=1)
+    return (reward, up, p_up, p_idle1, p_busy1), (lands, probs, sojourn, total)
+
+
+def _solve_chain(landings: tuple, v1: np.ndarray, tol: float):
+    """(g, h) of the chain _chain compiles: h, zero at the reference state 0,
+    and g solve (I - P) h + g tau = r (landings P, sojourns tau, rewards per
+    visit r).  _gmres finds (g, h[1:]) from the previous table's delay-1
+    values v1 and the g that fits them best, to a residual whose span is
+    within a quarter of the solver tolerance tol.  Raises NoConvergence as
+    _gmres does."""
+    lands, probs, sojourn, total = landings
 
     def apply(x):
         # x holds g in place of h[0], which is zero.  The landings' values
@@ -532,9 +532,21 @@ def _evaluate(t: ReachableStates, rewards: tuple, actions: np.ndarray, v1: np.nd
     v1 = _gmres(apply, total, x, r - x[0] * sojourn, _SPAN * tol)
     gain = float(v1[0])
     v1[0] = 0.0
+    return gain, v1
+
+
+def _evaluate(t: ReachableStates, rewards: tuple, actions: np.ndarray, v1: np.ndarray,
+              busy: np.ndarray, tol: float):
+    """Relative values of a fixed action table, zero at the reference state 0:
+    _chain compiles it, _solve_chain solves the delay-1 layer from the
+    previous table's values v1, and the other layers follow backward in
+    delay.  busy is 1 - t.b.  The chain dies with this call, before the next
+    backup.  Raises NoConvergence as _solve_chain does."""
+    (reward, up, p_up, p_idle1, p_busy1), landings = _chain(t, rewards, actions, busy)
+    gain, v1 = _solve_chain(landings, v1, tol)
 
     v = np.zeros(len(actions))
-    v[:n1] = v1
+    v[: t.layers[1]] = v1
     for l in range(len(t.layers) - 1, 1, -1):
         s = slice(t.layers[l - 1], t.layers[l])
         v[s] = (

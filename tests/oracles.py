@@ -390,47 +390,22 @@ def descriptor_backup(space, index, values, r, l_max):
     return out
 
 
-def damped_evaluation(t, rewards, actions, v1, busy, tol, span_tol=1e-11, max_sweeps=10**6):
-    """Relative values of a fixed action table on the reachable descriptor
-    states t (multichannel.ReachableStates), zero at the reference state 0:
-    the evaluation multichannel._evaluate makes by GMRES, made instead by
-    damped relative value iteration.  It takes _evaluate's arguments; busy is
-    1 - t.b, and the solver tolerance tol is not read.
+def damped_chain_solve(landings, v1, tol, span_tol=1e-11, max_sweeps=10**6):
+    """Gain and delay-1 values, zero at the reference state 0, of the chain
+    multichannel._chain compiles: the solve multichannel._solve_chain makes
+    by GMRES, made instead by damped relative value iteration.  It takes
+    _solve_chain's arguments; the solver tolerance tol is not read.
 
-    The path from each delay-1 state unrolls into an expected reward r, an
-    expected sojourn tau and its delay-1 landings P.  The delay-1 values v1
-    warm-start the iteration h <- h + step (d - d[0]) on the reward per slot
-    of one more visit, d = (r + P h - h) / tau, with step half the shortest
+    landings gives each delay-1 state's delay-1 landings P, expected sojourn
+    tau and expected reward per visit r.  The delay-1 values v1 warm-start
+    the iteration h <- h + step (d - d[0]) on the reward per slot of one
+    more visit, d = (r + P h - h) / tau, with step half the shortest
     sojourn, so that every state of the data-transformed chain keeps a
     self-loop and the iteration cannot cycle.  It stops at a span of d of
-    span_tol or where rounding stops the span shrinking, and the other
-    layers follow backward in delay.  Raises NoConvergence after max_sweeps.
+    span_tol or where rounding stops the span shrinking.  Raises
+    NoConvergence after max_sweeps.
     """
-    wait = actions == Action.WAIT
-    sense_wait = actions == Action.SENSE_WAIT
-    reward = np.choose(actions, rewards)
-    up = np.where(sense_wait, t.up_busy, t.up_wait)
-    p_up = np.where(wait, 1.0, np.where(sense_wait, busy, 0.0))
-    p_idle1 = np.where(wait, 0.0, t.b)
-    p_busy1 = np.where(wait | sense_wait, 0.0, busy)
-
-    n1 = t.layers[1]
-    cur = np.arange(n1)
-    mass = np.ones(n1)
-    total = np.zeros(n1)
-    sojourn = np.zeros(n1)
-    lands, probs = [], []
-    for _ in range(len(t.layers) - 1):
-        total += mass * reward[cur]
-        sojourn += mass
-        lands += [t.idle1[cur], t.busy1[cur]]
-        probs += [mass * p_idle1[cur], mass * p_busy1[cur]]
-        mass = mass * p_up[cur]
-        cur = up[cur]
-        if not mass.any():
-            break
-    lands, probs = np.stack(lands, axis=1), np.stack(probs, axis=1)
-
+    lands, probs, sojourn, total = landings
     step = 0.5 * sojourn.min()
     prev = np.inf
     for _ in range(max_sweeps):
@@ -442,17 +417,7 @@ def damped_evaluation(t, rewards, actions, v1, busy, tol, span_tol=1e-11, max_sw
         v1 = v1 + step * (d - d[0])
     else:
         raise NoConvergence(max_sweeps, span, span_tol)
-    gain = float(d[0])
-
-    v = np.zeros(len(actions))
-    v[:n1] = v1
-    for l in range(len(t.layers) - 1, 1, -1):
-        s = slice(t.layers[l - 1], t.layers[l])
-        v[s] = (
-            reward[s] - gain + p_up[s] * v[up[s]]
-            + p_idle1[s] * v1[t.idle1[s]] + p_busy1[s] * v1[t.busy1[s]]
-        )
-    return v
+    return float(d[0]), v1
 
 
 def exact_evaluation(t, rewards, actions):

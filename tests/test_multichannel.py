@@ -12,7 +12,7 @@ import osa.sim
 from oracles import (
     action_by_key,
     action_for,
-    damped_evaluation,
+    damped_chain_solve,
     descriptor_successors,
     exact_evaluation,
     finite_horizon_actions,
@@ -205,7 +205,7 @@ def test_lambda_summary_matches_per_state_loop(n):
         mvf = solve_multichannel(n, p, r, k_trunc=6, l_max=8)
         beliefs = [max(mvf.space.belief[c] for c in codes) for codes, _ in mvf.states]
         delays = [d for _, d in mvf.states]
-        cut = np.array(beliefs) <= rng.choice(beliefs, mvf.l_max)[mvf.delays - 1]
+        cut = np.array(beliefs) <= rng.choice(beliefs, mvf.l_max)[mvf.reach.delays - 1]
         flipped = cut.copy()
         flipped[rng.integers(0, len(cut), 6)] ^= True
         tables = [mvf.actions, rng.integers(0, 3, len(beliefs))]
@@ -334,7 +334,7 @@ def test_cli_solve_summary_leaves_state_tuples_unbuilt(monkeypatch, tmp_path, ca
     (mvf,) = solved
     assert "states" not in mvf.reach.__dict__
     out = capsys.readouterr().out
-    assert f"  states: {len(mvf.delays)}\n" in out
+    assert f"  states: {len(mvf.reach.delays)}\n" in out
     assert "  k_trunc: 6\n" in out
     assert f"  truncation_bound: {mvf.space.truncation_bound}\n" in out
 
@@ -408,7 +408,8 @@ def test_state_keys_past_int64_raise():
 
 @pytest.mark.parametrize(
     "n,alpha,beta,k_trunc,l_max",
-    [(2, 0.85, 0.7, 8, 8), (2, 0.15, 0.1, 10, 10), (1, 0.95, 0.05, 20, 15)],
+    [(2, 0.85, 0.7, 8, 8), (2, 0.15, 0.1, 10, 10), (1, 0.95, 0.05, 20, 15),
+     (4, 0.95, 0.05, 20, 15)],
 )
 def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, l_max):
     from oracles import descriptor_backup
@@ -418,20 +419,24 @@ def test_descriptor_solver_returns_bellman_fixed_point(n, alpha, beta, k_trunc, 
     assert np.abs(backup - mvf.values - mvf.gain).max() <= 1e-9
 
 
-# sha256 of actions.tobytes() and the gain of each preset's N=4, L=15,
-# k_trunc=20 solve, recorded at commit 509a732.  Presets 2 and 3 reach the
-# same states and solve to the same table.
+# sha256 of actions.tobytes() and the gain of each preset's N=4, L=15 solve
+# at (scenario, k_trunc), recorded at commit 509a732 (k_trunc 20) and
+# 95c4c85 (k_trunc 40, 849,327 states).  Presets 2 and 3 reach the same
+# states and solve to the same table at k_trunc 20.
 PRESET_TABLES = {
-    1: ("af038ba6cf6a4e1b653fe22e493da497c75cae803b16a92c1edaae6f4d869f3f", -40.50228407379247),
-    2: ("219fdccd657784da2f2be171ddd2427afc456fc5876d47a4fe4766ff0f7f38eb", 161.26947560531852),
-    3: ("219fdccd657784da2f2be171ddd2427afc456fc5876d47a4fe4766ff0f7f38eb", 166.42910723689317),
+    (1, 20): ("af038ba6cf6a4e1b653fe22e493da497c75cae803b16a92c1edaae6f4d869f3f", -40.50228407379247),
+    (2, 20): ("219fdccd657784da2f2be171ddd2427afc456fc5876d47a4fe4766ff0f7f38eb", 161.26947560531852),
+    (3, 20): ("219fdccd657784da2f2be171ddd2427afc456fc5876d47a4fe4766ff0f7f38eb", 166.42910723689317),
+    (3, 40): ("d6adc032bcec97526d6d7f32d5928e0905e1fa24e6a8d59f8aaefe8c73974358", 165.70256635702813),
 }
 
 
-@pytest.mark.parametrize("scenario", [1, 2, 3])
-def test_preset_action_tables_are_pinned(scenario, preset_solves):
-    digest, gain = PRESET_TABLES[scenario]
-    mvf = preset_solves(scenario)
+@pytest.mark.parametrize("scenario,k_trunc", list(PRESET_TABLES))
+def test_preset_action_tables_are_pinned(scenario, k_trunc, preset_solves):
+    digest, gain = PRESET_TABLES[scenario, k_trunc]
+    sc = SCENARIOS[scenario]
+    mvf = preset_solves(scenario) if k_trunc == 20 else solve_multichannel(
+        sc.n_channels, sc.channel, sc.rewards, k_trunc=k_trunc, l_max=15)
     assert hashlib.sha256(mvf.actions.tobytes()).hexdigest() == digest
     assert abs(mvf.gain - gain) <= 1e-9
 
@@ -506,9 +511,10 @@ def test_gmres_evaluation_matches_exact_evaluation(n, k_trunc, l_max, beta, alph
     # delay-1 values.  GMRES returns values that satisfy the evaluation
     # equations up to rounding, or raises exactly where the dense solve of
     # the whole chain is singular (a table whose chain has two recurrent
-    # classes has no single gain).  Otherwise both give one gain, and one set
-    # of values to 1e-9 of their scale: values reach 1e6 on slowly mixing
-    # chains, where rounding alone moves them by 1e-7.
+    # classes has no single gain).  Otherwise both give one gain, which
+    # _solve_chain returns, and one set of values to 1e-9 of their scale:
+    # values reach 1e6 on slowly mixing chains, where rounding alone moves
+    # them by 1e-7.
     reach = build_reachable_states(n, ChannelParams(beta if alpha is None else alpha, beta),
                                    k_trunc=k_trunc, l_max=l_max)
     t = reach
@@ -526,6 +532,8 @@ def test_gmres_evaluation_matches_exact_evaluation(n, k_trunc, l_max, beta, alph
         reject()
     assert exact is not None
     gain, values = exact
+    _, landings = multichannel._chain(t, rewards, actions, 1.0 - t.b)
+    assert abs(multichannel._solve_chain(landings, v1, solver.DEFAULT_TOL)[0] - gain) <= 1e-9
     step = _fixed_backup(t, rewards, actions, gmres) - gmres
     assert gmres[0] == 0.0
     assert np.ptp(step) <= 1e-12 * (1.0 + np.abs(gmres).max())
@@ -552,8 +560,8 @@ def test_table_with_two_recurrent_classes_raises():
 def test_gmres_and_damped_evaluations_solve_to_one_table(scenario, monkeypatch):
     sc = SCENARIOS[scenario]
     solved = []
-    for evaluate in (multichannel._evaluate, damped_evaluation):
-        monkeypatch.setattr(multichannel, "_evaluate", evaluate)
+    for solve in (multichannel._solve_chain, damped_chain_solve):
+        monkeypatch.setattr(multichannel, "_solve_chain", solve)
         solved.append(solve_multichannel(sc.n_channels, sc.channel, sc.rewards, k_trunc=20, l_max=15))
     assert np.array_equal(solved[0].actions, solved[1].actions)
     assert abs(solved[0].gain - solved[1].gain) <= 1e-9

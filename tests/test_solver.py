@@ -289,7 +289,7 @@ def test_solver_returns_bellman_fixed_point(alpha, beta, c_s):
     beliefs = space.belief[mvf.reach.codes[:, 0]]
     shared = np.isin(beliefs, vf.grid.points)
     assert shared.sum() >= 2 * l_max + 1  # beta and pi0 at every delay, alpha at 1
-    on_grid = vf.values[np.searchsorted(vf.grid.points, beliefs[shared]), mvf.delays[shared] - 1]
+    on_grid = vf.values[np.searchsorted(vf.grid.points, beliefs[shared]), mvf.reach.delays[shared] - 1]
     assert np.abs(on_grid - mvf.values[shared]).max() <= 1e-9
 
 
