@@ -244,7 +244,7 @@ def cmd_solve(args) -> int:
         )
         lam, violations = mvf.lambda_summary()
         l_star = mvf.dedicated_switch_delay()
-        tp = ThresholdPolicy(lam, l_star, mvf.l_max, cap_bound=l_star == mvf.l_max)
+        tp = ThresholdPolicy(lam, l_star, cap_bound=l_star == mvf.l_max)
         info = {
             "gain": mvf.gain,
             "iterations": mvf.iterations,

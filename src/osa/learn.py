@@ -95,7 +95,7 @@ def constant_threshold_policy(level: float, switch_delay: int, l_max: int) -> Th
     under the switch, then sense with dedicated fallback from the switch on."""
     lam = np.zeros(l_max)
     lam[: switch_delay - 1] = level
-    return ThresholdPolicy(lambda_star=lam, l_star=switch_delay, l_max=l_max)
+    return ThresholdPolicy(lambda_star=lam, l_star=switch_delay)
 
 
 def wait_depth_policy(wait_depth: int, switch_delay: int, l_max: int) -> ThresholdPolicy:
@@ -110,7 +110,7 @@ def wait_depth_policy(wait_depth: int, switch_delay: int, l_max: int) -> Thresho
         raise ValueError(f"need 0 <= wait_depth < switch_delay, got ({wait_depth}, {switch_delay})")
     lam = np.zeros(l_max)
     lam[:wait_depth] = 1.0
-    return ThresholdPolicy(lambda_star=lam, l_star=switch_delay, l_max=l_max)
+    return ThresholdPolicy(lambda_star=lam, l_star=switch_delay)
 
 
 @dataclass

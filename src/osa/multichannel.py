@@ -25,12 +25,13 @@ table follow from the multisets' successor ids by index arithmetic.  Each
 (DescriptorSpace.pack), so the sorted states run layer by layer in delay and
 the delay-1 states come first.
 A state is held once, as its packed key: the solver works on the keys, the
-delay layers and the successor arrays alone, and the key is the only state
-lookup.  Code rows and delays are unpacked from the keys and layers only
-when something outside the solve reads them, and the (codes tuple, delay)
-view of the states is built only then too.  The successors do not depend on
-the rewards, so solves of one model at several delay penalties can share one
-enumeration.
+delay layers and the successor arrays alone, and ReachableStates.find is
+the one state lookup, from code rows and delays, so no other module knows
+the key format.  Code rows and delays are unpacked from the keys and layers
+only when something outside the solve reads them, and the (codes tuple,
+delay) view of the states is built only then too.  The successors do not
+depend on the rewards, so solves of one model at several delay penalties
+can share one enumeration.
 
 solve_multichannel runs Howard policy iteration on the MDP: it evaluates an
 action table, improves it by one greedy backup (solver.greedy) and stops
@@ -206,6 +207,18 @@ class ReachableStates:
         """The delay-cap states, the last layer."""
         return np.s_[self.layers[-2]:]
 
+    def find(self, codes, delays) -> np.ndarray:
+        """The index of the state of each row of codes, in any order, at its
+        delay; KeyError for a state this reach does not hold."""
+        codes, delays = np.sort(codes, axis=1), np.asarray(delays)
+        keys = self.space.pack(codes, delays)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        missing = np.flatnonzero(self.keys[at] != keys)
+        if len(missing):
+            i = missing[0]
+            raise KeyError(f"no reachable state of codes {codes[i].tolist()} at delay {delays[i]}")
+        return at
+
     @property
     def codes(self) -> np.ndarray:
         """One sorted code row per state, unpacked from keys on each read."""
@@ -251,7 +264,6 @@ class MultichannelValueFunction:
     rewards: RewardParams
     iterations: int = 0
     residual_span: float = float("nan")
-    tol: float = DEFAULT_TOL
 
     @property
     def space(self) -> DescriptorSpace:
@@ -698,5 +710,4 @@ def solve_multichannel(
         rewards=r,
         iterations=steps,
         residual_span=span,
-        tol=tol,
     )

@@ -31,18 +31,21 @@ class DelayCapBound(UserWarning):
 class ThresholdPolicy:
     """Per-delay wait thresholds plus the dedicated-channel switch delay.
 
-    Action rule at (belief, l), with delays past l_max read at l_max: wait
-    when belief <= lambda_star[l] (an empty wait region is encoded as 0, in
-    which case no belief waits); otherwise sense, waiting on busy while l <
-    l_star and falling back to the dedicated channel once l >= l_star.  The
-    slot kernel compiles the rule into per-delay lists (sim._compile), the
-    one implementation of it.
+    Action rule at (belief, l), with delays past l_max = len(lambda_star)
+    read at l_max: wait when belief <= lambda_star[l] (an empty wait region
+    is encoded as 0, in which case no belief waits); otherwise sense,
+    waiting on busy while l < l_star and falling back to the dedicated
+    channel once l >= l_star.  The slot kernel compiles the rule into
+    per-delay lists (sim._compile), the one implementation of it.
     """
 
     lambda_star: np.ndarray
     l_star: int
-    l_max: int
     cap_bound: bool = False
+
+    @property
+    def l_max(self) -> int:
+        return len(self.lambda_star)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -80,7 +83,7 @@ class ThresholdPolicy:
                 f"sense_wait at delay {names.index('sense_wait', l_star) + 1} "
                 f"after sense_fallback at delay {l_star}"
             )
-        return cls(lambda_star=np.asarray(thresholds), l_star=l_star, l_max=len(names))
+        return cls(lambda_star=np.asarray(thresholds), l_star=l_star)
 
 
 class MemorylessPolicy(ThresholdPolicy):
@@ -90,7 +93,7 @@ class MemorylessPolicy(ThresholdPolicy):
 
     def __init__(self, k: int):
         check_count("k", k, 1)
-        super().__init__(lambda_star=np.zeros(k), l_star=k, l_max=k)
+        super().__init__(lambda_star=np.zeros(k), l_star=k)
 
     @property
     def k(self) -> int:
@@ -162,12 +165,7 @@ def extract_thresholds(vf: ValueFunction) -> ThresholdPolicy:
             DelayCapBound,
             stacklevel=2,
         )
-    return ThresholdPolicy(
-        lambda_star=lam,
-        l_star=l_star,
-        l_max=vf.l_max,
-        cap_bound=cap_bound,
-    )
+    return ThresholdPolicy(lambda_star=lam, l_star=l_star, cap_bound=cap_bound)
 
 
 @dataclass

@@ -231,32 +231,6 @@ def _compile(policy, l_max: int):
     return [None] + wait_below, [None] + sense
 
 
-def _state(reach, codes, delay: int) -> int:
-    """The index in reach of the state of these codes, in any order, at this
-    delay, found by its packed key (DescriptorSpace.pack); KeyError when
-    reach does not hold it."""
-    key = reach.space.pack(np.sort([codes]), delay)[0]
-    i = int(np.searchsorted(reach.keys, key))
-    if i == len(reach.keys) or reach.keys[i] != key:
-        raise KeyError(f"no reachable state of codes {sorted(codes)} at delay {delay}")
-    return i
-
-
-def _detour(reach, state: int, code: int, obs: int, via: int) -> int:
-    """The successor of a state after a sensing of a channel of another code
-    than reach.sensed_code[state], the code DescriptorSpace.moves senses and
-    the table's successor `via` follows: every code of the state ages except
-    one of the sensed code, which turns fresh, and the delay is via's.  The
-    state's codes are unpacked from its key alone, and via's delay is read
-    off reach.layers.  Raises as _state does."""
-    space = reach.space
-    n_codes, key = len(space.belief), int(reach.keys[state])
-    codes = [key // n_codes**j % n_codes for j in range(reach.n_channels)]
-    codes.remove(code)
-    codes = space.aged[codes].tolist() + [space.busy_fresh if obs else space.idle_fresh]
-    return _state(reach, codes, int(np.searchsorted(reach.layers, via, "right")))
-
-
 class SlotEnv:
     """The slot dynamics of one saturated secondary user over N copies of one
     channel.
@@ -293,13 +267,15 @@ class SlotEnv:
 
     A descriptor policy's state is its index in policy.reach, at its delay
     capped at the policy's l_max, walked on the successor arrays the solver
-    uses (up_wait, idle1, up_busy, busy1), read through memoryviews.  The
-    sensed code comes from the channel's row and last sensing
-    (DescriptorSpace.codes_for), so it is the code of the channel the float
-    beliefs chose.  The table's successor holds when that is the code the
-    solver senses (reach.sensed_code, which DescriptorSpace.moves chose), as
-    it always is for one channel; where a float tie or a collapsed age makes
-    it another, the successor is found by its packed key (_detour), memoized
+    uses (up_wait, idle1, up_busy, busy1), read through memoryviews.  Each
+    channel's code comes from its row and last sensing
+    (DescriptorSpace.codes_for, read by _codes), so the sensed code is the
+    code of the channel the float beliefs chose.  The table's successor
+    holds when that is the code the solver senses (reach.sensed_code, which
+    DescriptorSpace.moves chose), as it always is for one channel; where a
+    float tie or a collapsed age makes it another, the successor is the
+    state of the codes the channels hold after the slot, at the delay the
+    packet moves to, found by reach.find as the start state is, and memoized
     per call by (state, code, observation).  Threshold policies, the
     memoryless baseline among them, are compiled by _compile on their first
     run() on an env; a policy changed in place after that runs as it was
@@ -318,6 +294,7 @@ class SlotEnv:
 
     def __init__(self, channels, rewards: RewardParams, seed: int, l_max: int):
         check_count("seed", seed, 0)
+        check_count("l_max", l_max, 2)
         p = _identical_channel(channels)
         n = len(channels)
         self.rewards = rewards
@@ -357,6 +334,11 @@ class SlotEnv:
                 age -= back
             out.append(row[age])
         return out
+
+    def _codes(self, space, slot: int) -> list:
+        """Every channel's descriptor code in space at the slot."""
+        return [STALE if t is self.pi0_row else space.codes_for(t is self.idle_row, slot - s)
+                for t, s in zip(self.tables, self.last)]
 
     def _top(self, slot: int) -> tuple:
         """The max belief at the slot and the lowest-index channel holding it."""
@@ -420,19 +402,16 @@ class SlotEnv:
                 raise ValueError(
                     f"descriptor policy solved for {policy.n_channels} channels run on {n}"
                 )
-            reach = policy.reach
-            codes_for = reach.space.codes_for
+            reach, space = policy.reach, policy.space
+            codes_for = space.codes_for
             # Read through memoryviews, which make no Python object per state.
             acts, up_wait, up_busy, idle1, busy1 = map(memoryview, (
                 policy.actions, reach.up_wait, reach.up_busy, reach.idle1, reach.busy1,
             ))
             # One channel is always the channel the solver senses.
             sensed_code = memoryview(reach.sensed_code) if n > 1 else None
-            state = _state(reach, [
-                STALE if t is pi0_row else codes_for(t is idle_row, slot - s)
-                for t, s in zip(tables, last)
-            ], min(delay, policy.l_max))
-            detours = {}  # (state, sensed code, obs) -> _detour's successor
+            state = reach.find([self._codes(space, slot)], [min(delay, policy.l_max)]).item()
+            detours = {}  # (state, sensed code, obs) -> the successor reach.find gave
         else:
             wait_below, sense = self._rule(policy)
 
@@ -518,7 +497,11 @@ class SlotEnv:
                         move = state, code, obs
                         state = detours.get(move)
                         if state is None:
-                            state = detours[move] = _detour(reach, *move, via)
+                            # A busy sensing that waits moves the packet up a
+                            # delay, which a solved table never does at its cap.
+                            to = [delay + 1 if obs and action != _FALLBACK else 1]
+                            codes = [self._codes(space, slot + 1)]
+                            state = detours[move] = reach.find(codes, to).item()
                 if obs and action != _FALLBACK:  # a busy sensing that waits
                     delay += 1
                     continue

@@ -330,9 +330,8 @@ def solve_single_channel(
 
     mvf = solve_multichannel(1, p, r, k_trunc=l_max + 1, l_max=l_max, tol=tol)
     space, g = mvf.space, mvf.gain
-    codes = np.array([[space.busy_fresh]] * l_max + [[space.idle_fresh]])
-    keys = space.pack(codes, [*range(1, l_max + 1), 1])
-    *v_beta, v_alpha1 = mvf.values[np.searchsorted(mvf.reach.keys, keys)].tolist()
+    codes = [[space.busy_fresh]] * l_max + [[space.idle_fresh]]
+    *v_beta, v_alpha1 = mvf.values[mvf.reach.find(codes, [*range(1, l_max + 1), 1])].tolist()
     # Each action's line, by its values at beliefs 0 and 1: the reward plus
     # the exact values it lands on.  Sense-wait's last column, at the cap, is
     # never read.

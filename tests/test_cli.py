@@ -80,7 +80,7 @@ def test_cap_check_rejects_exactly_the_policies_that_stay_at_lmax(lmax):
     # or 1, with every switch delay up to one past the list.
     policies = [MemorylessPolicy(k) for k in range(1, 2 * lmax + 1)]
     policies += [
-        ThresholdPolicy(lambda_star=np.array([0.3] * (m - 1) + [last]), l_star=l_star, l_max=m)
+        ThresholdPolicy(lambda_star=np.array([0.3] * (m - 1) + [last]), l_star=l_star)
         for m in range(max(lmax - 1, 1), lmax + 2)
         for last in (0.0, 0.6, 1.0)
         for l_star in range(1, m + 2)

@@ -37,6 +37,40 @@ def test_no_unused_imports():
     assert found == []
 
 
+def key_format_reads(source: str) -> list:
+    """(line, attribute) for each read of an attribute named pack or layers,
+    and of one named keys other than as the function of a call (a dict's
+    keys()): the packed state key's format and the delay layers it orders."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and (node.attr in ("pack", "layers") or node.attr == "keys" and id(node) not in called)
+    )
+
+
+def test_key_format_scan_sees_reads_other_than_keys_calls():
+    source = (
+        "k = s.pack(c, 1)\nl = r.layers[1]\nn = len(r.keys)\n"
+        "for k in d.keys(): pass\nr.keys = k\nf(t.keys)\n"
+    )
+    assert key_format_reads(source) == [(1, "pack"), (2, "layers"), (3, "keys"), (6, "keys")]
+
+
+def test_only_multichannel_reads_the_state_key_format():
+    # ReachableStates.find is the one state lookup: a module that packs,
+    # decodes or searches keys itself, or reads a state's delay off the
+    # layers, restates the key format that multichannel.py owns.
+    files = [p for p in sorted((ROOT / "src" / "osa").glob("*.py")) if p.name != "multichannel.py"]
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: .{attr}"
+        for path in files
+        for line, attr in key_format_reads(path.read_text())
+    ]
+    assert found == []
+
+
 def private_definitions(source: str) -> list:
     """(line, name) for each _-prefixed function, class or constant a module
     defines at its top level."""

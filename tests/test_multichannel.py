@@ -8,7 +8,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import osa.cli
-import osa.sim
 from oracles import (
     action_by_key,
     action_for,
@@ -32,7 +31,7 @@ from osa.multichannel import (
     solve_multichannel,
 )
 from osa.scenarios import SCENARIOS
-from osa.sim import SlotEnv, _detour
+from osa.sim import SlotEnv
 from osa.solver import Action, RewardParams
 
 PRESET = RewardParams(350.0, 50.0, 100.0, 800.0, 10.0)
@@ -376,27 +375,28 @@ def test_reach_holds_each_state_once():
 
 def test_solve_and_descriptor_walk_read_no_codes_or_delays(monkeypatch):
     # Preset 1 at N=4, k_trunc 20: the solve, its summary and an episode
-    # whose float ties leave the successor table (_detour) read the keys,
-    # layers and successors only, never the code rows and delays that are
-    # unpacked on each read.
+    # whose float ties leave the successor table (ReachableStates.find, after
+    # the start state) read the keys, layers and successors only, never the
+    # code rows and delays that are unpacked on each read.
     def unpacked(self):
         raise AssertionError("read the unpacked codes or delays")
 
     monkeypatch.setattr(multichannel.ReachableStates, "codes", property(unpacked))
     monkeypatch.setattr(multichannel.ReachableStates, "delays", property(unpacked))
-    detours = []
+    lookups = []
+    find = multichannel.ReachableStates.find
 
-    def detour(*args):
-        detours.append(args)
-        return _detour(*args)
+    def counted(self, codes, delays):
+        lookups.append((codes, delays))
+        return find(self, codes, delays)
 
-    monkeypatch.setattr(osa.sim, "_detour", detour)
+    monkeypatch.setattr(multichannel.ReachableStates, "find", counted)
     sc = SCENARIOS[1]
     mvf = solve_multichannel(4, sc.channel, sc.rewards, k_trunc=20, l_max=15)
     mvf.lambda_summary()
     assert mvf.dedicated_switch_delay() == 15
     SlotEnv(sc.channels(), sc.rewards, 0, 15).run(mvf, slots=10_000)
-    assert len(detours) >= 10
+    assert len(lookups) >= 1 + 10  # the start state, then the detours
 
 
 def test_state_keys_past_int64_raise():
@@ -461,7 +461,7 @@ def test_evaluation_stops_within_the_span_tol_asks_for(gamma, tmp_path):
                            k_trunc=20, l_max=15, reach=reach)
         for g in (gamma, gamma * (1 + 1e-7))
     )
-    assert at.residual_span <= at.tol
+    assert at.residual_span <= solver.DEFAULT_TOL
     assert np.array_equal(at.actions, above.actions)
 
 

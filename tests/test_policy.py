@@ -18,6 +18,7 @@ from oracles import (
 from osa.channel import ChannelParams, stationary_idle
 from osa.errors import NotThreshold
 from osa.policy import (
+    CSV_HEADER,
     MemorylessPolicy,
     ThresholdPolicy,
     check_structure,
@@ -142,7 +143,7 @@ def test_extract_thresholds_matches_per_state_loop(scen1_solve):
 
 def test_threshold_policy_action_rule():
     lam = np.array([0.4, 0.3, 0.0, 0.0])
-    tp = ThresholdPolicy(lambda_star=lam, l_star=3, l_max=4)
+    tp = ThresholdPolicy(lambda_star=lam, l_star=3)
     assert act(tp, 0.35, 1) == Action.WAIT
     assert act(tp, 0.45, 1) == Action.SENSE_WAIT
     assert act(tp, 0.25, 2) == Action.WAIT
@@ -156,7 +157,7 @@ def test_threshold_policy_total():
     # Exactly one action for every (belief, delay) pair, and it is the one
     # the slot kernel's compiled lists take, past the policy's l_max too.
     lam = np.array([0.5, 0.2, 0.0])
-    tp = ThresholdPolicy(lambda_star=lam, l_star=2, l_max=3)
+    tp = ThresholdPolicy(lambda_star=lam, l_star=2)
     wait_below, sense = _compile(tp, 5)
     for l in range(1, 6):
         for b in np.linspace(0, 1, 33).tolist():
@@ -305,7 +306,7 @@ def test_memoryless_policy():
 def test_threshold_policy_rejects_delay_below_one():
     # A delay below 1 would index lambda_star from its end: the cap row's
     # 0.9 would make act(tp, 0.5, 0) wait.
-    tp = ThresholdPolicy(lambda_star=np.array([0.0, 0.0, 0.9]), l_star=2, l_max=3)
+    tp = ThresholdPolicy(lambda_star=np.array([0.0, 0.0, 0.9]), l_star=2)
     for delay in (0, -2):
         with pytest.raises(ValueError, match=f"delay={delay} must be >= 1"):
             act(tp, 0.5, delay)
@@ -324,6 +325,19 @@ def test_policy_csv_roundtrip(tmp_path, scen1_solve):
     assert header == "delay,lambda_star,action_above_threshold"
 
 
+def test_threshold_policy_l_max_is_the_length_of_its_thresholds(tmp_path):
+    # l_max is read off lambda_star, so a policy cannot name more delays
+    # than it has thresholds (which failed inside the slot kernel) or fewer
+    # (which to_csv cut short).
+    tp = ThresholdPolicy(np.array([0.3, 0.3, 0.3, 0.0, 0.0]), 4)
+    assert tp.l_max == 5
+    with pytest.raises(AttributeError):
+        tp.l_max = 2
+    path = tmp_path / "policy.csv"
+    tp.to_csv(path)
+    assert ThresholdPolicy.from_csv(path).lambda_star.tolist() == [0.3, 0.3, 0.3, 0.0, 0.0]
+
+
 def test_policy_csv_with_missing_delays_is_rejected(tmp_path):
     # A gap would leave lambda_star shorter than l_max and fail mid-episode.
     path = tmp_path / "policy.csv"
@@ -338,20 +352,21 @@ def test_policy_csv_with_missing_delays_is_rejected(tmp_path):
 @pytest.mark.parametrize("rows,match", [
     # Once read as l_star=2 with a NaN threshold and the typo taken for
     # sense_wait; each of its defects is also checked alone below.
-    (["1,0.0,sense_wait", "2,0.0,sense_fallback", "3,0.0,sense_wait", "4,nan,sense_fallbak"],
-     "sense_wait at delay 3|nan|sense_fallbak"),
-    (["1,0.5,sense_wait", "2,0.0,sense_fallbak"], "unknown action 'sense_fallbak'"),
-    (["1,0.5,sense_wait", "2,0.0,sense_fallback", "3,0.0,sense_wait", "4,0.0,sense_fallback"],
-     "sense_wait at delay 3 after sense_fallback at delay 2"),
-    (["1,0.5,sense_wait", "2,0.0,sense_wait"], "last policy row"),
-    ([], "last policy row"),
-    (["1,nan,sense_wait", "2,0.0,sense_fallback"], "outside"),
-    (["1,1.5,sense_wait", "2,0.0,sense_fallback"], "outside"),
-    (["1,-0.1,sense_wait", "2,0.0,sense_fallback"], "outside"),
+    ([CSV_HEADER, "1,0.0,sense_wait", "2,0.0,sense_fallback", "3,0.0,sense_wait",
+      "4,nan,sense_fallbak"], "sense_wait at delay 3|nan|sense_fallbak"),
+    ([CSV_HEADER, "1,0.5,sense_wait", "2,0.0,sense_fallbak"], "unknown action 'sense_fallbak'"),
+    ([CSV_HEADER, "1,0.5,sense_wait", "2,0.0,sense_fallback", "3,0.0,sense_wait",
+      "4,0.0,sense_fallback"], "sense_wait at delay 3 after sense_fallback at delay 2"),
+    ([CSV_HEADER, "1,0.5,sense_wait", "2,0.0,sense_wait"], "last policy row"),
+    ([CSV_HEADER], "last policy row"),
+    ([CSV_HEADER, "1,nan,sense_wait", "2,0.0,sense_fallback"], "outside"),
+    ([CSV_HEADER, "1,1.5,sense_wait", "2,0.0,sense_fallback"], "outside"),
+    ([CSV_HEADER, "1,-0.1,sense_wait", "2,0.0,sense_fallback"], "outside"),
+    (["delay,lambda,action", "1,0.0,sense_fallback"], "^unexpected policy header: delay,lambda,"),
 ])
 def test_policy_csv_that_to_csv_cannot_write_is_rejected(tmp_path, rows, match):
     path = tmp_path / "policy.csv"
-    path.write_text("\n".join(["delay,lambda_star,action_above_threshold", *rows]) + "\n")
+    path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=match):
         ThresholdPolicy.from_csv(path)
 
@@ -362,7 +377,7 @@ def test_policy_csv_that_to_csv_cannot_write_is_rejected(tmp_path, rows, match):
 def test_policy_csv_round_trip_property(tmp_path, data):
     l_max = data.draw(st.integers(1, 60))
     lam = data.draw(st.lists(st.floats(0.0, 1.0), min_size=l_max, max_size=l_max))
-    tp = ThresholdPolicy(np.array(lam), data.draw(st.integers(1, l_max)), l_max)
+    tp = ThresholdPolicy(np.array(lam), data.draw(st.integers(1, l_max)))
     path = tmp_path / "policy.csv"
     tp.to_csv(path)
     back = ThresholdPolicy.from_csv(path)

@@ -39,7 +39,6 @@ from osa.sim import (
     _Episodes,
     _match_gamma,
     _solve,
-    _state,
     compare_with_memoryless,
     idle_flags,
     little_check,
@@ -145,7 +144,7 @@ def test_optimal_beats_baselines(scen1_policy):
     for trial in range(3):
         lam = np.full(tp.l_max, float(rng.uniform(0, 0.3)))
         lam[-1] = 0.0
-        rand_tp = ThresholdPolicy(lambda_star=lam, l_star=int(rng.integers(2, 30)), l_max=tp.l_max)
+        rand_tp = ThresholdPolicy(lambda_star=lam, l_star=int(rng.integers(2, 30)))
         base = batch_rewards(rand_tp, 1)
         se = math.sqrt(opt.var(ddof=1) / 10 + base.var(ddof=1) / 10)
         assert opt.mean() >= base.mean() - 3 * se
@@ -192,7 +191,7 @@ def test_descriptor_policy_on_another_channel_count_is_rejected(n):
 
 
 def test_delay_overflow_detected():
-    always_wait = ThresholdPolicy(lambda_star=np.ones(5), l_star=5, l_max=5)
+    always_wait = ThresholdPolicy(lambda_star=np.ones(5), l_star=5)
     cfg = SimConfig(channels=[SCEN1], rewards=PRESET, policy=always_wait,
                     num_packets=10, seed=1, l_max=5)
     with pytest.raises(DelayOverflow, match="^wait at delay cap 5$"):
@@ -467,7 +466,7 @@ def _sense_wait_policy(l_max=10):
     # on (0.85, 0.7) channels it mixes waits, busy senses and idle runs.
     lam = np.zeros(l_max)
     lam[:3] = 0.75
-    return ThresholdPolicy(lambda_star=lam, l_star=4, l_max=l_max)
+    return ThresholdPolicy(lambda_star=lam, l_star=4)
 
 
 def test_sensing_counters_replay_update_counts():
@@ -539,7 +538,7 @@ def _kernel_cases(draw):
         lam = draw(st.lists(st.sampled_from([0.0, 0.2, alpha, beta, 0.6, 1.0]),
                             min_size=l_max, max_size=l_max))
         lam[-1] = 0.0  # never wait at the cap
-        policy = ThresholdPolicy(np.array(lam), draw(st.integers(1, l_max)), l_max)
+        policy = ThresholdPolicy(np.array(lam), draw(st.integers(1, l_max)))
     elif kind == "memoryless":
         policy = MemorylessPolicy(draw(st.integers(1, l_max + 2)))
     else:
@@ -604,10 +603,11 @@ def test_slot_kernel_rejects_unknown_policy_types():
 
 
 @pytest.mark.parametrize("count", [dict(slots=-1), dict(packets=-1), dict(slots=2.5),
-                                   dict(packets=True)])
+                                   dict(packets=True), dict(slots=1, packets=1), dict()])
 def test_run_rejects_a_count_that_is_not_an_int_of_at_least_zero(count):
     env = SlotEnv([SCEN1] * 3, PRESET, seed=0, l_max=5)
-    with pytest.raises(ValueError, match="must be an int >= 0"):
+    match = "must be an int >= 0" if len(count) == 1 else "^give exactly one of slots and packets$"
+    with pytest.raises(ValueError, match=match):
         env.run(MemorylessPolicy(3), **count)
     assert env.run(MemorylessPolicy(3), slots=0) == 0.0
     assert env.run(MemorylessPolicy(3), packets=0) == 0.0
@@ -654,11 +654,14 @@ def test_counts_are_checked_where_they_enter(make):
     (lambda: run_learning(LearnerConfig(l_max=15), [SCEN1], PRESET, iterations=1, seed=2.5),
      "seed"),
     (lambda: SlotEnv([SCEN1], PRESET, seed=-1, l_max=5), "seed"),
+    (lambda: SlotEnv([SCEN1], PRESET, seed=0, l_max=1), "l_max"),
+    (lambda: SlotEnv([SCEN1], PRESET, seed=0, l_max=2.5), "l_max"),
+    (lambda: SlotEnv([SCEN1], PRESET, seed=0, l_max=True), "l_max"),
     (lambda: MemorylessPolicy(2.5), "k"),
     (lambda: MemorylessPolicy(0), "k"),
 ], ids=["grid-l_max-20.0", "descriptor-l_max-5.0", "k_trunc-2.5", "n_channels-2.0",
         "n_channels-0", "reachable-n_channels-0", "reachable-l_max-5.0", "reachable-l_max-1",
-        "learn-seed-2.5", "env-seed-neg",
+        "learn-seed-2.5", "env-seed-neg", "env-l_max-1", "env-l_max-2.5", "env-l_max-True",
         "memoryless-k-2.5", "memoryless-k-0"])
 def test_library_settings_are_counts(make, name):
     # Every integer setting of the solvers, the slot kernel and the policies
@@ -844,12 +847,13 @@ def test_descriptor_walk_allocates_no_object_per_state():
 def test_descriptor_state_outside_the_reach_raises_key_error():
     # Only one channel is sensed per slot, so two channels never both hold
     # the fresh busy code; and no state lies past the policy's cap.  The
-    # lookup raises there rather than return the state whose key sorts next.
+    # lookup takes each row's codes in any order, and raises for a missing
+    # state rather than return the state whose key sorts next.
     mvf = solve_multichannel(2, SCEN1, PRESET, k_trunc=4, l_max=5)
-    space = mvf.space
-    assert _state(mvf.reach, [STALE, STALE], 1) == 0
-    assert _state(mvf.reach, [space.busy_fresh, STALE], 1) > 0
+    reach, space = mvf.reach, mvf.space
+    busy = mvf.states.index(((STALE, space.busy_fresh), 1))
+    assert reach.find([[STALE, STALE], [space.busy_fresh, STALE]], [1, 1]).tolist() == [0, busy]
     with pytest.raises(KeyError):
-        _state(mvf.reach, [space.busy_fresh, space.busy_fresh], 1)
+        reach.find([[space.busy_fresh, space.busy_fresh]], [1])
     with pytest.raises(KeyError):
-        _state(mvf.reach, [STALE, STALE], 6)
+        reach.find([[STALE, STALE], [STALE, STALE]], [1, 6])
